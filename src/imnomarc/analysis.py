@@ -3,8 +3,6 @@ and the bit-weighted union bound on BER for an enumerated superimposed alphabet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import erfc
@@ -12,15 +10,8 @@ from scipy.special import erfc
 from .superposition import SuperAlphabet, user_bit_positions
 
 
-@dataclass
-class PairwiseTerm:
-    """One pairwise error event between alphabet entries i and j."""
-
-    i: int
-    j: int
-    delta: complex
-    bit_errors: int
-    pep: float
+# Rows of the pair matrix handled at once by union_bound_ber.
+_ROW_BLOCK = 64
 
 
 def q_function(t: float) -> float:
@@ -56,27 +47,6 @@ def pep_rayleigh_closed_form(delta: complex, sigma2: float) -> float:
     return 0.5 * (1.0 - np.sqrt(c / (1.0 + c)))
 
 
-def pairwise_terms(alphabet: SuperAlphabet, sigma2: float) -> list[PairwiseTerm]:
-    """All ordered pairwise error events with their averaged probabilities."""
-    terms = []
-    cache: dict[float, float] = {}
-    bits = alphabet.bits.astype(int)
-    for i in range(len(alphabet)):
-        for j in range(len(alphabet)):
-            if i == j:
-                continue
-            delta = complex(alphabet.x[j] - alphabet.x[i])
-            key = round(abs(delta) ** 2, 12)
-            if key not in cache:
-                cache[key] = pep_rayleigh(delta, sigma2)
-            terms.append(PairwiseTerm(
-                i=i, j=j, delta=delta,
-                bit_errors=int(np.count_nonzero(bits[i] != bits[j])),
-                pep=cache[key],
-            ))
-    return terms
-
-
 def union_bound_ber(alphabet: SuperAlphabet, sigma2: float, user=None) -> float:
     """Bit-weighted union bound on BER for the ML detector.
 
@@ -84,11 +54,15 @@ def union_bound_ber(alphabet: SuperAlphabet, sigma2: float, user=None) -> float:
     bit-string and the bound is normalized by p * 2^p. Restricting to one
     user's bit positions (1-based index or "index") gives that user's bound,
     normalized by its own bit count.
+
+    The ordered pairs are walked in blocks of ``_ROW_BLOCK`` rows, so no
+    (A, A) array is built. Each block reduces its pairs of nonzero weight to
+    (distinct squared distance, summed weight); the PEP is then evaluated once
+    per distinct distance over the whole alphabet.
     """
     if sigma2 <= 0:
         raise ValueError("noise variance must be positive")
-    bits = alphabet.bits.astype(int)
-    size, p = bits.shape
+    size, p = alphabet.bits.shape
     if size != 2 ** p:
         raise ValueError("alphabet size inconsistent with bit length")
     if user is None:
@@ -97,18 +71,19 @@ def union_bound_ber(alphabet: SuperAlphabet, sigma2: float, user=None) -> float:
         positions = np.fromiter(user_bit_positions(alphabet.cfg, user), dtype=int)
         if positions.size == 0:
             raise ValueError(f"user {user!r} carries no bits in this configuration")
-    sub = bits[:, positions]
+    sub = alphabet.bits[:, positions]
+    x = alphabet.x
 
-    d2 = np.abs(alphabet.x[None, :] - alphabet.x[:, None]) ** 2
-    errs = np.count_nonzero(sub[:, None, :] != sub[None, :, :], axis=2)
-    cache: dict[float, float] = {}
-    total = 0.0
-    for i in range(size):
-        for j in range(size):
-            if i == j or errs[i, j] == 0:
-                continue
-            key = round(float(d2[i, j]), 12)
-            if key not in cache:
-                cache[key] = pep_rayleigh(np.sqrt(d2[i, j]), sigma2)
-            total += cache[key] * errs[i, j]
-    return total / (positions.size * size)
+    keys, weights = [], []
+    for start in range(0, size, _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        errs = np.count_nonzero(sub[rows, None, :] != sub[None, :, :], axis=2)
+        d2 = np.round(np.abs(x[None, :] - x[rows, None]) ** 2, 12)
+        hit = errs > 0
+        block_keys, inverse = np.unique(d2[hit], return_inverse=True)
+        keys.append(block_keys)
+        weights.append(np.bincount(inverse, weights=errs[hit], minlength=block_keys.size))
+    keys, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+    weights = np.bincount(inverse, weights=np.concatenate(weights), minlength=keys.size)
+    peps = np.array([pep_rayleigh(np.sqrt(d2), sigma2) for d2 in keys])
+    return float(peps @ weights) / (positions.size * size)

@@ -7,6 +7,7 @@ import argparse
 import configparser
 import math
 import sys
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -15,46 +16,13 @@ from .analysis import union_bound_ber
 from .channel import noise_variance
 from .constellation import RotationSet
 from .detectors import flops_ml, flops_sic
-from .harness import (CSV_HEADER, ExperimentSpec, persist, run_sweep,
-                      spec_to_dict)
+from .harness import CSV_HEADER, ExperimentSpec, persist, run_sweep
 from .superposition import (SystemConfig, build_super_alphabet,
                             spectral_efficiency)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
-
-DEFAULT_CONFIG = """
-[system]
-n_users = 2
-n_far = 1
-mod_order = 2
-family = PSK
-power_coeffs = 0.9, 0.1
-total_power = 1.0
-index_user_mode = virtual
-
-[sweep]
-snr_db = 0:5:30
-max_bits = 10000000
-min_bit_errors = 200
-seed = 0
-n_subcarriers = 128
-schemes = imnomarc
-detectors = ml
-
-[ofdm]
-mod_order = 8
-family = QAM
-
-[se]
-tuples = 2:1:2, 3:2:2, 4:1:2, 5:2:2, 2:1:4, 2:1:8
-subblock_size = 4
-active_subcarriers = 3
-
-[flops]
-tuples = 2:1:2, 3:2:2, 4:3:2, 2:1:4
-"""
 
 
 class ConfigError(Exception):
@@ -67,16 +35,19 @@ def _parse_floats(text: str) -> tuple[float, ...]:
 
 def _parse_snr(text: str) -> tuple[float, ...]:
     """Grid syntax start:step:stop (inclusive) or a comma-separated list."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
+    grid = ":" in text
+    values = tuple(float(p) for p in text.split(":")) if grid else _parse_floats(text)
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"bad SNR grid {text!r}, values must be finite")
+    if grid:
+        if len(values) != 3:
             raise ConfigError(f"bad SNR grid {text!r}, expected start:step:stop")
-        start, step, stop = (float(p) for p in parts)
+        start, step, stop = values
         if step <= 0 or stop < start:
             raise ConfigError(f"bad SNR grid {text!r}")
         n = int(round((stop - start) / step)) + 1
         return tuple(start + k * step for k in range(n))
-    return _parse_floats(text)
+    return values
 
 
 def _parse_tuples(text: str) -> list[tuple[int, int, int]]:
@@ -94,7 +65,7 @@ def _parse_tuples(text: str) -> list[tuple[int, int, int]]:
 
 def load_config(path: str | None) -> configparser.ConfigParser:
     parser = configparser.ConfigParser()
-    parser.read_string(DEFAULT_CONFIG)
+    parser.read_string(resources.files(__package__).joinpath("default.ini").read_text())
     if path is not None:
         if not Path(path).is_file():
             raise ConfigError(f"config file not found: {path}")
@@ -113,9 +84,9 @@ def _system_config(conf: configparser.ConfigParser) -> SystemConfig:
         total_power=sec.getfloat("total_power"),
         index_user_mode=sec.get("index_user_mode"),
     )
-    if sec.get("rotation_angles", None):
-        kwargs["rotation"] = RotationSet(_parse_floats(sec.get("rotation_angles")))
     try:
+        if sec.get("rotation_angles", None):
+            kwargs["rotation"] = RotationSet(_parse_floats(sec.get("rotation_angles")))
         return SystemConfig(**kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

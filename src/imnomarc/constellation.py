@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,13 +64,16 @@ class Constellation:
 
 @dataclass
 class RotationSet:
-    """Ordered rotation angles (radians) available to the IM operation."""
+    """The two rotation angles (radians) of the IM operation: 0 for unrotated
+    users and the angle applied to the rotated suffix."""
 
     angles: tuple[float, ...] = (0.0, np.pi / 2)
 
     def __post_init__(self):
         self.angles = tuple(float(a) for a in self.angles)
-        if not self.angles or self.angles[0] != 0.0:
+        if len(self.angles) != 2:
+            raise ValueError(f"expected exactly two rotation angles, got {len(self.angles)}")
+        if self.angles[0] != 0.0:
             raise ValueError("first rotation angle must be exactly 0")
         reduced = np.mod(self.angles, 2 * np.pi)
         if len(np.unique(np.round(reduced, 12))) != len(self.angles):

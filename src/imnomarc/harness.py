@@ -2,10 +2,10 @@
 grids with per-user bit-error accounting and reproducible, block-seeded RNG.
 
 Every OFDM block (one batch of L subcarriers) gets its own RNG stream derived
-from (master seed, SNR point, block index), so results are bit-exact for any
-worker count. Accumulation is a plain sum of counters; the stop rule is
-evaluated on fixed-size batches of blocks so the granularity is also
-worker-independent.
+from (master seed, SNR point, block index), and detection draws no random
+numbers, so a fixed seed reproduces results.csv byte for byte. Accumulation is
+a plain sum of counters; the stop rule is evaluated on fixed-size batches of
+blocks.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import datetime
 import json
 import subprocess
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -25,13 +24,14 @@ from . import __version__
 from .channel import apply_channel, draw_channel
 from .constellation import build_constellation
 from .detectors import ml_block, sic_block
-from .superposition import (DEFAULT_ALPHABET_CAP, SuperAlphabet, SystemConfig,
-                            build_super_alphabet, spectral_efficiency,
-                            user_bit_positions)
+from .superposition import (DEFAULT_ALPHABET_CAP, SystemConfig,
+                            build_super_alphabet, user_bit_positions)
 
 SCHEMES = ("imnomarc", "pdnoma", "ofdm")
 DETECTORS = ("ml", "sic")
-BATCH_BLOCKS = 16  # stop-rule granularity, fixed so worker count cannot change results
+# Stop-rule granularity. Fixed: bits_sent is a multiple of it, so changing it
+# changes results.csv at every seed.
+BATCH_BLOCKS = 16
 
 
 @dataclass
@@ -49,7 +49,6 @@ class ExperimentSpec:
     ofdm_order: int = 8
     ofdm_family: str = "QAM"
     noiseless: bool = False
-    n_workers: int = 1
     alphabet_cap: int = DEFAULT_ALPHABET_CAP
 
     def __post_init__(self):
@@ -58,12 +57,14 @@ class ExperimentSpec:
         if self.detector not in DETECTORS:
             raise ValueError(f"unknown detector {self.detector!r}")
         self.snr_grid_db = tuple(float(v) for v in self.snr_grid_db)
+        if not all(np.isfinite(self.snr_grid_db)):
+            raise ValueError("SNR grid entries must be finite")
         if any(a >= b for a, b in zip(self.snr_grid_db, self.snr_grid_db[1:])):
             raise ValueError("SNR grid must be strictly increasing")
         if self.max_bits < 10 * self.min_bit_errors:
             raise ValueError("max_bits must be at least 10x min_bit_errors")
-        if self.n_subcarriers < 1 or self.n_workers < 1:
-            raise ValueError("n_subcarriers and n_workers must be positive")
+        if self.n_subcarriers < 1:
+            raise ValueError("n_subcarriers must be positive")
 
 
 @dataclass
@@ -89,7 +90,13 @@ class _OfdmAlphabet:
 
 
 class _PointContext:
-    """Everything a block worker needs, built once per experiment."""
+    """Everything a block needs, built once per experiment.
+
+    ``channels`` lists each tracked error curve once as (name, bit positions
+    in the packed per-subcarrier string, receiver that decides it). The index
+    bits are decided by the virtual receiver N+1 in "virtual" mode and by the
+    nearest user N in "near" mode.
+    """
 
     def __init__(self, spec: ExperimentSpec):
         self.spec = spec
@@ -98,28 +105,43 @@ class _PointContext:
             self.alphabet = _OfdmAlphabet(spec.ofdm_order, spec.ofdm_family,
                                           spec.cfg.total_power)
             self.total_power = spec.cfg.total_power
-            self.n_channels = 1
-            self.channels = [("1", self.alphabet.bits.shape[1], None)]
-            return
-        cfg = spec.cfg if spec.scheme == "imnomarc" else replace(spec.cfg, im_enabled=False)
-        self.cfg = cfg
-        self.alphabet = build_super_alphabet(cfg, cap=spec.alphabet_cap)
-        self.total_power = cfg.total_power
-        b = cfg.bits_per_symbol
-        self.bits_lut = np.array(
-            [cfg.constellation.bits_for_index(i) for i in range(cfg.mod_order)],
-            dtype=np.uint8)
-        track_index = cfg.n_index_bits > 0
-        virtual = track_index and cfg.index_user_mode == "virtual"
-        self.n_channels = cfg.n_users + (1 if virtual else 0)
-        self.channels = [(str(u), b, u) for u in range(1, cfg.n_users + 1)]
-        if track_index:
-            self.channels.append(("index", cfg.n_index_bits, None))
+            self.channels = [("1", np.arange(self.alphabet.bits.shape[1]), 1)]
+        else:
+            cfg = spec.cfg if spec.scheme == "imnomarc" else replace(spec.cfg, im_enabled=False)
+            self.cfg = cfg
+            self.alphabet = build_super_alphabet(cfg, cap=spec.alphabet_cap)
+            self.total_power = cfg.total_power
+            self.bits_lut = np.array(
+                [cfg.constellation.bits_for_index(i) for i in range(cfg.mod_order)],
+                dtype=np.uint8)
+            self.channels = [(str(u), np.array(user_bit_positions(cfg, u)), u)
+                             for u in range(1, cfg.n_users + 1)]
+            if cfg.n_index_bits:
+                rx = cfg.n_users + 1 if cfg.index_user_mode == "virtual" else cfg.n_users
+                self.channels.append(
+                    ("index", np.array(user_bit_positions(cfg, "index")), rx))
+        self.n_receivers = max(rx for _, _, rx in self.channels)
 
 
-def _popcount(values: np.ndarray, width: int) -> np.ndarray:
-    shifts = np.arange(width)
-    return ((values[:, None] >> shifts[None, :]) & 1).sum(axis=1)
+def _decide(ctx: _PointContext, y: np.ndarray, h: np.ndarray, rx: int) -> np.ndarray:
+    """Decided (L, p) bit-strings at receiver ``rx``.
+
+    ML decides whole alphabet entries. SIC fills the symbol bits of the stages
+    it ran and, once it resolves the rotation pattern, the index bits; the
+    positions it does not decide stay 0 and belong to no channel of ``rx``.
+    """
+    if ctx.cfg is None or ctx.spec.detector == "ml":
+        idx, _ = ml_block(y, h, ctx.alphabet)
+        return ctx.alphabet.bits[idx]
+    cfg = ctx.cfg
+    sym_idx, _, phi_hat, _ = sic_block(y, h, cfg, rx)
+    bits = np.zeros((len(y), ctx.alphabet.bits.shape[1]), dtype=np.uint8)
+    stage_bits = ctx.bits_lut[sym_idx].reshape(len(y), -1)
+    bits[:, :stage_bits.shape[1]] = stage_bits
+    if phi_hat is not None:
+        shifts = np.arange(cfg.n_index_bits - 1, -1, -1)
+        bits[:, cfg.n_symbol_bits:] = (phi_hat[:, None] >> shifts) & 1
+    return bits
 
 
 def _run_block(ctx: _PointContext, snr_db: float, block: int) -> dict[str, int]:
@@ -133,55 +155,15 @@ def _run_block(ctx: _PointContext, snr_db: float, block: int) -> dict[str, int]:
     tx_entry = rng.integers(0, len(ctx.alphabet.x), size=L)
     tx_bits = ctx.alphabet.bits[tx_entry]
     x = ctx.alphabet.x[tx_entry]
-    ch = draw_channel(ctx.n_channels, L, eff_snr, ctx.total_power, rng)
+    ch = draw_channel(ctx.n_receivers, L, eff_snr, ctx.total_power, rng)
 
     errors: dict[str, int] = {}
-    if ctx.cfg is None:  # OFDM baseline: ML over the plain constellation
-        y = apply_channel(x, ch, 1, rng)
-        idx, _ = ml_block(y, ch.h[0], ctx.alphabet)
-        errors["1"] = int(np.count_nonzero(ctx.alphabet.bits[idx] != tx_bits))
-        return errors
-
-    cfg = ctx.cfg
-    alphabet: SuperAlphabet = ctx.alphabet
-    tx_phi = alphabet.phis[tx_entry]
-    virtual = cfg.n_index_bits > 0 and cfg.index_user_mode == "virtual"
-    index_slice = np.fromiter(user_bit_positions(cfg, "index"), dtype=int) \
-        if cfg.n_index_bits else None
-
-    last_user_index_errors = None
-    for u in range(1, cfg.n_users + 1):
-        y = apply_channel(x, ch, u, rng)
-        own = np.fromiter(user_bit_positions(cfg, u), dtype=int)
-        if spec.detector == "ml":
-            idx, _ = ml_block(y, ch.h[u - 1], alphabet)
-            rx_bits = alphabet.bits[idx]
-            errors[str(u)] = int(np.count_nonzero(rx_bits[:, own] != tx_bits[:, own]))
-            if u == cfg.n_users and cfg.n_index_bits:
-                last_user_index_errors = int(np.count_nonzero(
-                    rx_bits[:, index_slice] != tx_bits[:, index_slice]))
-        else:
-            sym_idx, _, phi_hat, _ = sic_block(y, ch.h[u - 1], cfg, u)
-            rx_own = ctx.bits_lut[sym_idx[:, u - 1]]
-            errors[str(u)] = int(np.count_nonzero(rx_own != tx_bits[:, own]))
-            if u == cfg.n_users and cfg.n_index_bits and phi_hat is not None:
-                last_user_index_errors = int(
-                    _popcount(np.bitwise_xor(phi_hat, tx_phi), cfg.n_index_bits).sum())
-
-    if cfg.n_index_bits:
-        if virtual:
-            y = apply_channel(x, ch, cfg.n_users + 1, rng)
-            h_v = ch.h[cfg.n_users]
-            if spec.detector == "ml":
-                idx, _ = ml_block(y, h_v, alphabet)
-                errors["index"] = int(np.count_nonzero(
-                    alphabet.bits[idx][:, index_slice] != tx_bits[:, index_slice]))
-            else:
-                _, _, phi_hat, _ = sic_block(y, h_v, cfg, cfg.n_users + 1)
-                errors["index"] = int(
-                    _popcount(np.bitwise_xor(phi_hat, tx_phi), cfg.n_index_bits).sum())
-        else:
-            errors["index"] = last_user_index_errors
+    for rx in range(1, ctx.n_receivers + 1):
+        y = apply_channel(x, ch, rx, rng)
+        rx_bits = _decide(ctx, y, ch.h[rx - 1], rx)
+        for name, pos, owner in ctx.channels:
+            if owner == rx:
+                errors[name] = int(np.count_nonzero(rx_bits[:, pos] != tx_bits[:, pos]))
     return errors
 
 
@@ -194,28 +176,22 @@ def run_point(spec: ExperimentSpec, snr_db: float) -> list[BerRecord]:
     t0 = time.perf_counter()
 
     def done() -> bool:
-        for name, nbits, _ in ctx.channels:
-            sent = blocks_run * L * nbits
+        for name, pos, _ in ctx.channels:
+            sent = blocks_run * L * len(pos)
             if totals[name] < spec.min_bit_errors and sent < spec.max_bits:
                 return False
         return True
 
     while not done():
-        batch = range(blocks_run, blocks_run + BATCH_BLOCKS)
-        if spec.n_workers > 1:
-            with ThreadPoolExecutor(max_workers=spec.n_workers) as pool:
-                results = list(pool.map(lambda b: _run_block(ctx, snr_db, b), batch))
-        else:
-            results = [_run_block(ctx, snr_db, b) for b in batch]
-        for res in results:
-            for name, errs in res.items():
+        for block in range(blocks_run, blocks_run + BATCH_BLOCKS):
+            for name, errs in _run_block(ctx, snr_db, block).items():
                 totals[name] += errs
         blocks_run += BATCH_BLOCKS
 
     elapsed = time.perf_counter() - t0
     records = []
-    for name, nbits, _ in ctx.channels:
-        sent = blocks_run * L * nbits
+    for name, pos, _ in ctx.channels:
+        sent = blocks_run * L * len(pos)
         records.append(BerRecord(
             scheme=spec.scheme, detector=spec.detector, user=name,
             snr_db=snr_db, bits_sent=sent, bit_errors=totals[name],

@@ -78,7 +78,7 @@ class SystemConfig:
     @property
     def rotation_angle(self) -> float:
         # angle applied to the rotated suffix for every nonzero pattern
-        return self.rotation.angles[1] if len(self.rotation.angles) > 1 else np.pi / 2
+        return self.rotation.angles[1]
 
 
 @dataclass

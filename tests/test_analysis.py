@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from imnomarc.analysis import (pairwise_terms, pep_rayleigh,
-                               pep_rayleigh_closed_form, q_function,
-                               union_bound_ber)
+from imnomarc.analysis import (pep_rayleigh, pep_rayleigh_closed_form,
+                               q_function, union_bound_ber)
 from imnomarc.superposition import (SuperAlphabet, SystemConfig,
-                                    build_super_alphabet)
+                                    build_super_alphabet, user_bit_positions)
 
 TWO_USER = dict(n_users=2, n_far=1, mod_order=2, power_coeffs=(0.9, 0.1))
 
@@ -83,22 +82,37 @@ def test_union_bound_increases_with_noise():
     assert union_bound_ber(alphabet, 0.02) > union_bound_ber(alphabet, 0.01)
 
 
-def test_union_bound_symmetric_in_pair_order():
-    alphabet = build_super_alphabet(SystemConfig(**TWO_USER))
-    terms = pairwise_terms(alphabet, 0.1)
-    table = {(t.i, t.j): t for t in terms}
-    for (i, j), t in table.items():
-        mirror = table[(j, i)]
-        assert t.bit_errors == mirror.bit_errors
-        assert np.isclose(abs(t.delta), abs(mirror.delta))
-        assert np.isclose(t.pep, mirror.pep)
+def all_pairs_bound(alphabet, sigma2, user=None):
+    """Oracle: the union bound summed over every ordered pair with the closed-form PEP."""
+    p = alphabet.bits.shape[1]
+    positions = list(range(p) if user is None else user_bit_positions(alphabet.cfg, user))
+    bits = alphabet.bits[:, positions].astype(int)
+    weights = np.abs(bits[:, None, :] - bits[None, :, :]).sum(axis=2)
+    peps = pep_rayleigh_closed_form(alphabet.x[None, :] - alphabet.x[:, None], sigma2)
+    return float((weights * peps).sum()) / (len(positions) * len(alphabet))
 
 
-def test_pairwise_term_invariants():
-    alphabet = build_super_alphabet(SystemConfig(**TWO_USER))
-    for t in pairwise_terms(alphabet, 0.1):
-        assert 0 <= t.pep <= 0.5
-        assert t.bit_errors >= 1
+ORACLE_CONFIGS = {
+    "2-1-2": TWO_USER,
+    # QPSK under the pi/2 rotation maps onto itself: coincident points, d = 0
+    # pairs at PEP 0.5
+    "2-1-4": dict(n_users=2, n_far=1, mod_order=4, power_coeffs=(0.8, 0.2)),
+    # A = 128: the pair matrix spans more than one row block
+    "3-1-4": dict(n_users=3, n_far=1, mod_order=4, power_coeffs=(0.7, 0.2, 0.1)),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_CONFIGS)
+def test_union_bound_matches_all_pairs_oracle(name):
+    cfg = SystemConfig(**ORACLE_CONFIGS[name])
+    alphabet = build_super_alphabet(cfg)
+    if name == "2-1-4":
+        assert len(np.unique(np.round(alphabet.x, 9))) < len(alphabet)
+    sigma2 = 0.05
+    for user in (None, *range(1, cfg.n_users + 1), "index"):
+        want = all_pairs_bound(alphabet, sigma2, user)
+        assert np.isclose(union_bound_ber(alphabet, sigma2, user=user), want,
+                          rtol=1e-6, atol=0)
 
 
 def test_per_user_bounds_partition_the_aggregate():

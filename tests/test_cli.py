@@ -101,3 +101,19 @@ def test_config_file_overrides(tmp_path):
     lines = (tmp_path / "results.csv").read_text().splitlines()[1:]
     snrs = {l.split(",")[3] for l in lines}
     assert snrs == {"5", "10"}
+
+
+@pytest.mark.parametrize("angles", ["0.5, 1.0", "0", "0, 1.0, 2.0"])
+def test_bad_rotation_angles_are_config_errors(tmp_path, capsys, angles):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(f"[system]\nrotation_angles = {angles}\n")
+    assert run_cli(["ber", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["ber", "bound"])
+@pytest.mark.parametrize("snr", ["inf", "nan", "0:5:inf"])
+def test_non_finite_snr_is_config_error(tmp_path, capsys, command, snr):
+    assert run_cli([command, "--out", str(tmp_path), "--snr", snr]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

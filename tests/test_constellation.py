@@ -117,6 +117,11 @@ def test_rotation_set_validation():
         RotationSet((np.pi / 2, 0.0))
     with pytest.raises(ValueError):
         RotationSet((0.0, np.pi, np.pi - 2 * np.pi + 2 * np.pi))
+    with pytest.raises(ValueError):
+        RotationSet((0.0, 2 * np.pi))
+    for wrong_count in ((0.0,), (0.0, 1.0, 2.0)):
+        with pytest.raises(ValueError, match="exactly two"):
+            RotationSet(wrong_count)
 
 
 def test_constellation_rejects_nonunit_power():
