@@ -29,14 +29,19 @@ class ConfigError(Exception):
     pass
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.replace(",", " ").split())
+def _parse_floats(text: str, sep: str | None = None) -> tuple[float, ...]:
+    """Numbers split on ``sep``, or on commas and whitespace by default."""
+    parts = text.split(sep) if sep else text.replace(",", " ").split()
+    try:
+        return tuple(float(v) for v in parts)
+    except ValueError:
+        raise ConfigError(f"bad number in {text!r}") from None
 
 
 def _parse_snr(text: str) -> tuple[float, ...]:
     """Grid syntax start:step:stop (inclusive) or a comma-separated list."""
     grid = ":" in text
-    values = tuple(float(p) for p in text.split(":")) if grid else _parse_floats(text)
+    values = _parse_floats(text, ":" if grid else None)
     if not all(math.isfinite(v) for v in values):
         raise ConfigError(f"bad SNR grid {text!r}, values must be finite")
     if grid:
@@ -56,10 +61,11 @@ def _parse_tuples(text: str) -> list[tuple[int, int, int]]:
         item = item.strip()
         if not item:
             continue
-        parts = item.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"bad (N:B:M) tuple {item!r}")
-        out.append(tuple(int(p) for p in parts))
+        try:
+            n, b, m = (int(p) for p in item.split(":"))
+        except ValueError:  # a non-integer or not three fields
+            raise ConfigError(f"bad (N:B:M) tuple {item!r}") from None
+        out.append((n, b, m))
     return out
 
 
@@ -75,16 +81,16 @@ def load_config(path: str | None) -> configparser.ConfigParser:
 
 def _system_config(conf: configparser.ConfigParser) -> SystemConfig:
     sec = conf["system"]
-    kwargs = dict(
-        n_users=sec.getint("n_users"),
-        n_far=sec.getint("n_far"),
-        mod_order=sec.getint("mod_order"),
-        family=sec.get("family"),
-        power_coeffs=_parse_floats(sec.get("power_coeffs")),
-        total_power=sec.getfloat("total_power"),
-        index_user_mode=sec.get("index_user_mode"),
-    )
     try:
+        kwargs = dict(
+            n_users=sec.getint("n_users"),
+            n_far=sec.getint("n_far"),
+            mod_order=sec.getint("mod_order"),
+            family=sec.get("family"),
+            power_coeffs=_parse_floats(sec.get("power_coeffs")),
+            total_power=sec.getfloat("total_power"),
+            index_user_mode=sec.get("index_user_mode"),
+        )
         if sec.get("rotation_angles", None):
             kwargs["rotation"] = RotationSet(_parse_floats(sec.get("rotation_angles")))
         return SystemConfig(**kwargs)
@@ -133,12 +139,7 @@ def cmd_se(conf, args) -> int:
     lines = ["N,B,M,se_imnomarc,se_pdnoma,se_imnoma"]
     print(f"{'N':>3} {'B':>3} {'M':>3} {'IM-NOMA-RC':>11} {'PD-NOMA':>8} {'IM-NOMA':>8}")
     for n, b, m in tuples:
-        try:
-            cfg = SystemConfig(n_users=n, n_far=b, mod_order=m,
-                               family="PSK" if m != 8 else "QAM",
-                               power_coeffs=_default_alphas(n))
-        except ValueError as exc:
-            raise ConfigError(f"invalid tuple {n}:{b}:{m}: {exc}") from exc
+        cfg = _table_config(n, b, m)
         se_rc = spectral_efficiency(cfg)
         se_pd = n * int(math.log2(m))
         se_im = im_noma_baseline_se(n, m, ns, k)
@@ -153,9 +154,7 @@ def cmd_flops(conf, args) -> int:
     lines = ["N,B,M,detector,user,flops"]
     print(f"{'N':>3} {'B':>3} {'M':>3} {'detector':>9} {'user':>5} {'flops':>8}")
     for n, b, m in tuples:
-        cfg = SystemConfig(n_users=n, n_far=b, mod_order=m,
-                           family="PSK" if m != 8 else "QAM",
-                           power_coeffs=_default_alphas(n))
+        cfg = _table_config(n, b, m)
         rows = [("ml", "-", flops_ml(cfg))]
         rows += [("sic", str(u), flops_sic(cfg, u)) for u in range(1, n + 1)]
         for det, user, count in rows:
@@ -198,6 +197,16 @@ def cmd_ber(conf, args) -> int:
     csv_path, manifest_path = persist(all_records, top, out)
     print(f"wrote {csv_path} and {manifest_path}")
     return EXIT_OK
+
+
+def _table_config(n: int, b: int, m: int) -> SystemConfig:
+    """The N:B:M system of one se/flops table row."""
+    try:
+        return SystemConfig(n_users=n, n_far=b, mod_order=m,
+                            family="PSK" if m != 8 else "QAM",
+                            power_coeffs=_default_alphas(n))
+    except ValueError as exc:
+        raise ConfigError(f"invalid tuple {n}:{b}:{m}: {exc}") from exc
 
 
 def _default_alphas(n: int) -> tuple[float, ...]:

@@ -4,6 +4,14 @@ Detectors are pure functions of (received signal, channel, config/alphabet)
 and are deterministic: argmin ties always break toward the lowest hypothesis
 index. Block variants operate on whole subcarrier vectors at once and are the
 fast path used by the Monte Carlo harness.
+
+ML detection is a nearest-point search: |y - h x|^2 = |h|^2 |y/h - x|^2, so
+each subcarrier's decision is the alphabet point closest to y/h. Alphabets of
+at most ``SCAN_MAX`` points are scanned exhaustively; larger ones are queried
+through a k-d tree built once per alphabet. The tree only proposes candidates:
+their metrics are recomputed with the scan's own expression and any row the
+candidates cannot settle goes to the scan, so both paths return the same
+indices and metric bits, ties included.
 """
 
 from __future__ import annotations
@@ -11,8 +19,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .superposition import SuperAlphabet, SystemConfig
+
+# Largest alphabet scanned exhaustively. One ML call at L = 128, median of 7
+# runs on a 2-vCPU Xeon (numpy 2.4, scipy 1.17): A = 64 scans in 58-68 us
+# against 105-158 us through the tree, A = 128 in 98-109 us against 105-130 us,
+# A = 256 in 566-600 us against 100-180 us, A = 512 in 1266-1373 us against
+# 179-233 us.
+SCAN_MAX = 128
+# Relative width of the tie band: a row whose k-th candidate lies within
+# _TOL * (1 + |y/h| + max|x|) of its nearest is scanned.
+_TOL = 1e-9
+# Squared distances and metrics stay normal floats while the scaled
+# magnitudes stay inside (_TINY, _HUGE).
+_TINY = np.sqrt(np.finfo(float).tiny)
+_HUGE = np.sqrt(np.finfo(float).max) / 2
 
 
 @dataclass
@@ -33,13 +56,72 @@ class DetectionResult:
     metric: float
 
 
-def ml_block(y: np.ndarray, h: np.ndarray, alphabet: SuperAlphabet) -> tuple[np.ndarray, np.ndarray]:
-    """Exhaustive search per subcarrier; returns (entry indices, metrics)."""
-    y = np.asarray(y, dtype=complex)
-    h = np.asarray(h, dtype=complex)
-    d = np.abs(y[:, None] - h[:, None] * alphabet.x[None, :]) ** 2
+def _scan(y: np.ndarray, h: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Argmin of |y - h x|^2 over the last axis of ``x``, (A,) or (L, k)."""
+    d = np.abs(y[:, None] - h[:, None] * x) ** 2
     idx = np.argmin(d, axis=1)
     return idx, d[np.arange(len(y)), idx]
+
+
+def _max_coincident(x: np.ndarray) -> int:
+    """Largest number of entries sharing one point, to 9 decimals.
+
+    Run lengths of the values sorted in place: half the peak memory of
+    np.unique, which matters at the 2^20 alphabet cap.
+    """
+    r = np.round(x, 9)
+    r.sort()
+    return int(np.diff(np.flatnonzero(np.r_[True, r[1:] != r[:-1], True])).max())
+
+
+def _nearest_points(alphabet) -> tuple[cKDTree, int, float]:
+    """The alphabet's k-d tree, candidate count k and max |x|, built on first use.
+
+    k is one more than the largest number of entries sharing a point, so the
+    k-th candidate of a well-separated sample lies past every copy of the
+    nearest point.
+    """
+    cached = getattr(alphabet, "_nearest", None)
+    if cached is None:
+        x = alphabet.x
+        k = 1 + _max_coincident(x)
+        cached = (cKDTree(np.column_stack([x.real, x.imag])), k, float(np.abs(x).max()))
+        alphabet._nearest = cached
+    return cached
+
+
+def ml_block(y: np.ndarray, h: np.ndarray, alphabet: SuperAlphabet) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-distance decision per subcarrier; returns (entry indices, metrics).
+
+    The result equals an exhaustive scan of |y - h x|^2 bit for bit, ties
+    toward the lowest entry index. Alphabets of at most ``SCAN_MAX`` points
+    are scanned. Larger ones take the k nearest points to y/h from a k-d tree
+    and rescore them with the scan's expression. A row is scanned instead when
+    the k-th candidate lies within the tie band of the nearest (midpoints,
+    coincident entries) or when its metrics would leave the normal float range
+    (|h| = 0, y/h overflowing).
+    """
+    y = np.asarray(y, dtype=complex)
+    h = np.asarray(h, dtype=complex)
+    x = alphabet.x
+    if len(x) <= SCAN_MAX:
+        return _scan(y, h, x)
+    tree, k, xmax = _nearest_points(alphabet)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        u = y / h
+        scale = 1 + np.abs(u) + xmax
+        hs = np.abs(h) * scale
+        direct = (scale < _HUGE) & (hs < _HUGE) & (hs * _TOL > _TINY)
+    u = np.where(direct, u, 0)
+    dist, cand = tree.query(np.column_stack([u.real, u.imag]), k=k)
+    direct &= dist[:, -1] > dist[:, 0] + _TOL * scale
+    cand = np.sort(cand, axis=1)
+    j, metric = _scan(y, h, x[cand])
+    idx = cand[np.arange(len(y)), j]
+    if not direct.all():
+        rest = ~direct
+        idx[rest], metric[rest] = _scan(y[rest], h[rest], x)
+    return idx, metric
 
 
 def detect_ml(y: complex, h: complex, alphabet: SuperAlphabet) -> DetectionResult:

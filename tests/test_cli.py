@@ -117,3 +117,23 @@ def test_non_finite_snr_is_config_error(tmp_path, capsys, command, snr):
     assert run_cli([command, "--out", str(tmp_path), "--snr", snr]) == 1
     assert "config error" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, ini, args", [
+    ("bound", None, ["--snr", "0:a:5"]),
+    ("bound", None, ["--snr", "1,x"]),
+    ("ber", None, ["--snr", "1,x"]),
+    ("ber", "[system]\npower_coeffs = 0.9, abc\n", []),
+    ("ber", "[system]\nn_users = two\n", []),
+    ("se", "[se]\ntuples = 2:x:2\n", []),
+    ("flops", "[flops]\ntuples = 2:3:2\n", []),
+], ids=["bound-snr-grid", "bound-snr-list", "ber-snr-list", "power-coeffs",
+        "n-users", "se-tuple", "flops-tuple"])
+def test_malformed_numbers_are_config_errors(tmp_path, capsys, command, ini, args):
+    if ini is not None:
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(ini)
+        args = ["--config", str(cfg), *args]
+    assert run_cli([command, "--out", str(tmp_path / "out"), *args]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

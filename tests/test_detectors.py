@@ -1,15 +1,30 @@
 import itertools
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from imnomarc.detectors import (angles_to_phi, detect_ml, detect_sic,
+from imnomarc.constellation import RotationSet
+from imnomarc.detectors import (SCAN_MAX, angles_to_phi, detect_ml, detect_sic,
                                 extract_user_bits, flops_ml, flops_sic,
                                 ml_block, sic_block)
+from imnomarc.harness import _OfdmAlphabet
 from imnomarc.superposition import (SystemConfig, build_super_alphabet,
                                     spectral_efficiency)
 
 TWO_USER = dict(n_users=2, n_far=1, mod_order=2, power_coeffs=(0.9, 0.1))
+FOUR_USER_QPSK = dict(n_users=4, n_far=1, mod_order=4,
+                      power_coeffs=(0.75, 0.18, 0.05, 0.02))
+
+
+def exhaustive_ml(y, h, alphabet):
+    """Exhaustive scan of |y - h x|^2 over the whole alphabet, lowest index on ties."""
+    y = np.asarray(y, dtype=complex)
+    h = np.asarray(h, dtype=complex)
+    d = np.abs(y[:, None] - h[:, None] * alphabet.x[None, :]) ** 2
+    idx = np.argmin(d, axis=1)
+    return idx, d[np.arange(len(y)), idx]
 
 
 def brute_force_scan(y, h, cfg):
@@ -84,6 +99,108 @@ def test_ml_agrees_with_brute_force_oracle(mod_order):
     for k in range(n):
         oracle = brute_force_scan(y[k], h[k], cfg)
         assert canonical_entry(alphabet, decided[k]) == canonical_entry(alphabet, oracle)
+
+
+def _multiplicity(x):
+    return int(np.unique(np.round(x, 9), return_counts=True)[1].max())
+
+
+def _ml_edge_inputs(x, rng):
+    """Rows that stress an ML kernel: noisy at several SNRs, noiseless, exact
+    midpoints between an entry and its nearest distinct neighbour, h = 0,
+    h = 1e-300 with y/h overflowing, and |h| = |y| = 1e-300, 1e-160 or 1e200,
+    where y/h is moderate but the metrics underflow or overflow."""
+    n = 256
+    ys, hs = [], []
+
+    def rayleigh(size):
+        return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2)
+
+    for snr_db in (-10, 0, 10, 20, 40, 80, None):
+        h = rayleigh(n)
+        y = h * x[rng.integers(0, len(x), n)]
+        if snr_db is not None:
+            y = y + rayleigh(n) * np.sqrt(10 ** (-snr_db / 10))
+        ys.append(y)
+        hs.append(h)
+    i = rng.integers(0, len(x), n)
+    gap = np.abs(x[i][:, None] - x[None, :])
+    gap[gap < 1e-9] = np.inf
+    j = np.argmin(gap, axis=1)
+    h = rayleigh(n)
+    ys += [h * (x[i] + x[j]) / 2, h * (x[i] + x[rng.integers(0, len(x), n)]) / 2]
+    hs += [h, h]
+    for h_abs, y_abs in ((0.0, 1.0), (1e-300, 1.0), (1e-300, 1e-300), (1e-160, 1e-160),
+                         (1e200, 1e200)):
+        ys.append(y_abs * (x[rng.integers(0, len(x), n)] + 0.1 * rayleigh(n)))
+        hs.append(np.full(n, h_abs, dtype=complex))
+    return np.concatenate(ys), np.concatenate(hs)
+
+
+def _twice_128psk():
+    """Every point of 128-PSK stored twice, bit-identical: exact metric ties
+    that only the lowest-index rule settles."""
+    return SimpleNamespace(x=np.tile(_OfdmAlphabet(128, "PSK", 1.0).x, 2))
+
+
+# name -> (builder, largest number of entries sharing a point)
+ML_ALPHABETS = {
+    "4:1:4-qpsk-pi/4": (lambda: build_super_alphabet(SystemConfig(
+        **FOUR_USER_QPSK, rotation=RotationSet((0.0, np.pi / 4)))), 1),
+    "4:1:4-qpsk-pi/2": (lambda: build_super_alphabet(SystemConfig(**FOUR_USER_QPSK)), 4),
+    "4:2:2-bpsk": (lambda: build_super_alphabet(SystemConfig(
+        n_users=4, n_far=2, mod_order=2, power_coeffs=(0.5, 0.3, 0.15, 0.05))), 1),
+    "ofdm-256psk": (lambda: _OfdmAlphabet(256, "PSK", 1.0), 1),
+    "128psk-twice": (_twice_128psk, 2),
+}
+
+
+@pytest.mark.parametrize("name", ML_ALPHABETS)
+def test_ml_block_matches_exhaustive_oracle_bit_for_bit(name):
+    build, multiplicity = ML_ALPHABETS[name]
+    alphabet = build()
+    assert _multiplicity(alphabet.x) == multiplicity
+    # one alphabet takes the scan, the others the tree search
+    assert (len(alphabet.x) <= SCAN_MAX) == (name == "4:2:2-bpsk")
+    y, h = _ml_edge_inputs(alphabet.x, np.random.default_rng(11))
+    for rows in (slice(None), slice(0, 128), slice(-128, None)):
+        with np.errstate(over="ignore"):  # the |h| = 1e200 rows
+            idx, metric = ml_block(y[rows], h[rows], alphabet)
+            ref_idx, ref_metric = exhaustive_ml(y[rows], h[rows], alphabet)
+        assert idx.dtype == ref_idx.dtype and metric.dtype == ref_metric.dtype
+        assert np.array_equal(idx, ref_idx)
+        assert np.array_equal(metric.view(np.int64), ref_metric.view(np.int64))
+
+
+def test_detect_ml_on_a_tree_searched_alphabet():
+    cfg = SystemConfig(**FOUR_USER_QPSK, rotation=RotationSet((0.0, np.pi / 4)))
+    alphabet = build_super_alphabet(cfg)
+    h = 0.4 + 0.9j
+    for i in (0, 517, len(alphabet) - 1):
+        r = detect_ml(h * alphabet.x[i], h, alphabet)
+        assert r.symbol_indices == tuple(alphabet.symbol_indices[i])
+        assert r.phi_hat == alphabet.phis[i]
+
+
+def test_ml_block_memory_does_not_scale_with_rows_times_alphabet():
+    # 14:1:2 BPSK: A = 2^14 * 2^3; an L x A metric matrix would take
+    # 128 * 131072 * 16 B = 256 MiB
+    raw = 2.0 ** -np.arange(14)
+    cfg = SystemConfig(n_users=14, n_far=1, mod_order=2,
+                       power_coeffs=tuple(raw / raw.sum()))
+    alphabet = build_super_alphabet(cfg)
+    assert len(alphabet) >= 2 ** 16
+    rng = np.random.default_rng(2)
+    tx = rng.integers(0, len(alphabet), 128)
+    h = (rng.standard_normal(128) + 1j * rng.standard_normal(128)) / np.sqrt(2)
+    tracemalloc.start()
+    try:
+        idx, _ = ml_block(h * alphabet.x[tx], h, alphabet)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+    assert np.array_equal(idx, tx)
 
 
 def test_sic_far_user_noiseless():
