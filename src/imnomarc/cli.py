@@ -128,6 +128,8 @@ def _experiment_specs(conf, args) -> list[ExperimentSpec]:
 def im_noma_baseline_se(n_users: int, mod_order: int, subblock_size: int,
                         active: int) -> float:
     """Per-subcarrier SE of the subcarrier-activation IM-NOMA comparator."""
+    if not 1 <= active <= subblock_size:
+        raise ValueError(f"active_subcarriers {active} not in [1, subblock_size={subblock_size}]")
     index_bits = math.floor(math.log2(math.comb(subblock_size, active)))
     return (active * math.log2(mod_order) * n_users + index_bits) / subblock_size
 
@@ -135,14 +137,15 @@ def im_noma_baseline_se(n_users: int, mod_order: int, subblock_size: int,
 def cmd_se(conf, args) -> int:
     sec = conf["se"]
     tuples = _parse_tuples(sec.get("tuples"))
-    ns, k = sec.getint("subblock_size"), sec.getint("active_subcarriers")
+    try:
+        ns, k = sec.getint("subblock_size"), sec.getint("active_subcarriers")
+        rows = [(n, b, m, spectral_efficiency(_table_config(n, b, m)), n * int(math.log2(m)),
+                 im_noma_baseline_se(n, m, ns, k)) for n, b, m in tuples]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     lines = ["N,B,M,se_imnomarc,se_pdnoma,se_imnoma"]
     print(f"{'N':>3} {'B':>3} {'M':>3} {'IM-NOMA-RC':>11} {'PD-NOMA':>8} {'IM-NOMA':>8}")
-    for n, b, m in tuples:
-        cfg = _table_config(n, b, m)
-        se_rc = spectral_efficiency(cfg)
-        se_pd = n * int(math.log2(m))
-        se_im = im_noma_baseline_se(n, m, ns, k)
+    for n, b, m, se_rc, se_pd, se_im in rows:
         print(f"{n:>3} {b:>3} {m:>3} {se_rc:>11} {se_pd:>8} {se_im:>8.2f}")
         lines.append(f"{n},{b},{m},{se_rc},{se_pd},{se_im:g}")
     _maybe_write(args.out, "se.csv", lines)
@@ -167,7 +170,10 @@ def cmd_flops(conf, args) -> int:
 def cmd_bound(conf, args) -> int:
     cfg = _system_config(conf)
     snr = _parse_snr(args.snr) if args.snr else _parse_snr(conf["sweep"].get("snr_db"))
-    alphabet = build_super_alphabet(cfg)
+    try:
+        alphabet = build_super_alphabet(cfg)
+    except ValueError as exc:  # over the enumeration cap
+        raise ConfigError(str(exc)) from exc
     users = [str(u) for u in range(1, cfg.n_users + 1)]
     if cfg.n_index_bits:
         users.append("index")

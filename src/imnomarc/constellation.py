@@ -22,7 +22,8 @@ class Constellation:
     """An ordered set of unit-average-power complex points with a bit-label map.
 
     ``labels`` maps each length-log2(M) bit tuple to a point index; the map is
-    a bijection over all M points.
+    a bijection over all M points. ``bits`` is its inverse as an (M, log2 M)
+    uint8 table, the one every bit mapping reads.
     """
 
     points: np.ndarray
@@ -40,17 +41,16 @@ class Constellation:
             raise ValueError(f"constellation not unit power: {mean_power}")
         if len(self.labels) != self.order or set(self.labels.values()) != set(range(self.order)):
             raise ValueError("labels must form a bijection over all points")
-        # index -> bits inverse, used by detectors when mapping decisions back
-        self._bits_of_index = [()] * self.order
-        for bits, idx in self.labels.items():
-            self._bits_of_index[idx] = tuple(int(b) for b in bits)
+        self.bits = np.zeros((self.order, self.bits_per_symbol), dtype=np.uint8)
+        for label, idx in self.labels.items():
+            self.bits[idx] = label
 
     @property
     def bits_per_symbol(self) -> int:
         return int(np.log2(self.order))
 
     def bits_for_index(self, index: int) -> tuple[int, ...]:
-        return self._bits_of_index[index]
+        return tuple(int(b) for b in self.bits[index])
 
     def index_for_bits(self, bits) -> int:
         key = tuple(int(b) for b in bits)

@@ -5,6 +5,10 @@ and are deterministic: argmin ties always break toward the lowest hypothesis
 index. Block variants operate on whole subcarrier vectors at once and are the
 fast path used by the Monte Carlo harness.
 
+Every decision goes through one kernel, ``_scan``, the argmin of |y - g x|^2
+over a hypothesis set x: an ML scan, the k-d tree's candidate rescoring, and
+each SIC stage, which scans its residual over that stage's hypotheses.
+
 ML detection is a nearest-point search: |y - h x|^2 = |h|^2 |y/h - x|^2, so
 each subcarrier's decision is the alphabet point closest to y/h. Alphabets of
 at most ``SCAN_MAX`` points are scanned exhaustively; larger ones are queried
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .superposition import SuperAlphabet, SystemConfig
+from .superposition import SuperAlphabet, SystemConfig, rotation_flags
 
 # Largest alphabet scanned exhaustively. One ML call at L = 128, median of 7
 # runs on a 2-vCPU Xeon (numpy 2.4, scipy 1.17): A = 64 scans in 58-68 us
@@ -140,14 +144,6 @@ def detect_ml(y: complex, h: complex, alphabet: SuperAlphabet) -> DetectionResul
     )
 
 
-def _suffix_patterns(n_near: int, n_patterns: int) -> np.ndarray:
-    """Valid rotation flag patterns: row phi has the last phi near users rotated."""
-    pats = np.zeros((n_patterns, n_near), dtype=int)
-    for phi in range(1, n_patterns):
-        pats[phi, n_near - phi:] = 1
-    return pats
-
-
 def angles_to_phi(theta_flags, cfg: SystemConfig) -> int:
     """Project per-user rotation decisions onto the nearest valid pattern index.
 
@@ -165,7 +161,7 @@ def angles_to_phi_block(theta_flags: np.ndarray, cfg: SystemConfig) -> np.ndarra
     n_near = cfg.n_users - cfg.n_far
     if flags.shape[1] != n_near:
         raise ValueError(f"expected {n_near} rotation flags, got {flags.shape[1]}")
-    pats = _suffix_patterns(n_near, cfg.n_patterns)
+    pats = rotation_flags(cfg)[:, cfg.n_far:]
     dist = np.count_nonzero(flags[:, None, :] != pats[None, :, :], axis=2)
     return np.argmin(dist, axis=1)
 
@@ -173,8 +169,11 @@ def angles_to_phi_block(theta_flags: np.ndarray, cfg: SystemConfig) -> np.ndarra
 def sic_block(y: np.ndarray, h: np.ndarray, cfg: SystemConfig, user: int):
     """Successive cancellation over subcarrier vectors for the given user.
 
-    Far stages decide over the base constellation and cancel; near stages
-    jointly decide symbol and rotation angle. Detection stops at the user's
+    Stage l is one ``_scan`` of the residual with gain amplitude_l * h and
+    cancels the chosen hypothesis. Far stages search the base constellation;
+    near stages search (symbol, rotation angle) pairs when the config carries
+    index bits and the base constellation otherwise (a transmitter without
+    index bits never rotates; theta index 0). Detection stops at the user's
     own stage; the virtual user N+1 runs every stage and recovers the pattern.
 
     Returns (symbol indices (L, n_stages), theta indices (L, n_near_stages),
@@ -186,41 +185,27 @@ def sic_block(y: np.ndarray, h: np.ndarray, cfg: SystemConfig, user: int):
         raise ValueError("virtual user requires index_user_mode='virtual'")
     y = np.asarray(y, dtype=complex)
     h = np.asarray(h, dtype=complex)
-    L = len(y)
     points = cfg.constellation.points
-    angles = np.asarray(cfg.rotation.angles)
-    rot = np.exp(1j * angles)
-    n_angles = len(rot)
+    n_angles = len(cfg.rotation.angles) if cfg.n_index_bits else 1
     n_stages = min(user, cfg.n_users)
 
-    residual = y.copy()
-    sym_idx = np.empty((L, n_stages), dtype=int)
-    theta_idx = np.empty((L, max(n_stages - cfg.n_far, 0)), dtype=int)
-    metric = np.zeros(L)
-    for l in range(1, n_stages + 1):
-        amp = cfg.amplitudes[l - 1]
-        if l <= cfg.n_far:
-            cand = amp * h[:, None] * points[None, :]
-            d = np.abs(residual[:, None] - cand) ** 2
-            k = np.argmin(d, axis=1)
-            sym_idx[:, l - 1] = k
-            chosen = amp * h * points[k]
-        else:
-            # hypothesis index = symbol index * n_angles + angle index
-            hyp = (points[:, None] * rot[None, :]).reshape(-1)
-            cand = amp * h[:, None] * hyp[None, :]
-            d = np.abs(residual[:, None] - cand) ** 2
-            k = np.argmin(d, axis=1)
-            sym_idx[:, l - 1] = k // n_angles
-            theta_idx[:, l - 1 - cfg.n_far] = k % n_angles
-            chosen = amp * h * hyp[k]
-        metric = d[np.arange(L), k]
-        residual = residual - chosen
+    residual = y
+    sym_idx = np.empty((len(y), n_stages), dtype=int)  # hypothesis index per stage
+    for l in range(n_stages):
+        if l < cfg.n_far:
+            hyp = points
+        elif l == cfg.n_far:  # built at the first near stage, kept for the rest
+            # near hypothesis index = symbol index * n_angles + angle index
+            rot = np.exp(1j * np.asarray(cfg.rotation.angles[:n_angles]))
+            hyp = (points[:, None] * rot).reshape(-1)
+        gain = cfg.amplitudes[l] * h
+        sym_idx[:, l], metric = _scan(residual, gain, hyp)
+        residual = residual - gain * hyp[sym_idx[:, l]]
+    sym_idx[:, cfg.n_far:], theta_idx = np.divmod(sym_idx[:, cfg.n_far:], n_angles)
 
     phi_hat = None
     if n_stages == cfg.n_users and user > cfg.n_far and cfg.n_index_bits > 0:
-        flags = (theta_idx != 0).astype(int)
-        phi_hat = angles_to_phi_block(flags, cfg)
+        phi_hat = angles_to_phi_block(theta_idx != 0, cfg)
     return sym_idx, theta_idx, phi_hat, metric
 
 

@@ -24,7 +24,7 @@ from . import __version__
 from .channel import apply_channel, draw_channel
 from .constellation import build_constellation
 from .detectors import ml_block, sic_block
-from .superposition import (DEFAULT_ALPHABET_CAP, SystemConfig,
+from .superposition import (DEFAULT_ALPHABET_CAP, SystemConfig, alphabet_size,
                             build_super_alphabet, user_bit_positions)
 
 SCHEMES = ("imnomarc", "pdnoma", "ofdm")
@@ -65,6 +65,12 @@ class ExperimentSpec:
             raise ValueError("max_bits must be at least 10x min_bit_errors")
         if self.n_subcarriers < 1:
             raise ValueError("n_subcarriers must be positive")
+        if self.scheme != "ofdm":
+            alphabet_size(self.scheme_cfg(), self.alphabet_cap)
+
+    def scheme_cfg(self) -> SystemConfig:
+        """The system the scheme transmits: PD-NOMA is the config without IM."""
+        return self.cfg if self.scheme == "imnomarc" else replace(self.cfg, im_enabled=False)
 
 
 @dataclass
@@ -85,8 +91,7 @@ class _OfdmAlphabet:
     def __init__(self, order, family, total_power):
         const = build_constellation(order, family)
         self.x = const.points * np.sqrt(total_power)
-        self.bits = np.array([const.bits_for_index(i) for i in range(order)],
-                             dtype=np.uint8)
+        self.bits = const.bits
 
 
 class _PointContext:
@@ -107,13 +112,9 @@ class _PointContext:
             self.total_power = spec.cfg.total_power
             self.channels = [("1", np.arange(self.alphabet.bits.shape[1]), 1)]
         else:
-            cfg = spec.cfg if spec.scheme == "imnomarc" else replace(spec.cfg, im_enabled=False)
-            self.cfg = cfg
+            self.cfg = cfg = spec.scheme_cfg()
             self.alphabet = build_super_alphabet(cfg, cap=spec.alphabet_cap)
             self.total_power = cfg.total_power
-            self.bits_lut = np.array(
-                [cfg.constellation.bits_for_index(i) for i in range(cfg.mod_order)],
-                dtype=np.uint8)
             self.channels = [(str(u), np.array(user_bit_positions(cfg, u)), u)
                              for u in range(1, cfg.n_users + 1)]
             if cfg.n_index_bits:
@@ -136,7 +137,7 @@ def _decide(ctx: _PointContext, y: np.ndarray, h: np.ndarray, rx: int) -> np.nda
     cfg = ctx.cfg
     sym_idx, _, phi_hat, _ = sic_block(y, h, cfg, rx)
     bits = np.zeros((len(y), ctx.alphabet.bits.shape[1]), dtype=np.uint8)
-    stage_bits = ctx.bits_lut[sym_idx].reshape(len(y), -1)
+    stage_bits = cfg.constellation.bits[sym_idx].reshape(len(y), -1)
     bits[:, :stage_bits.shape[1]] = stage_bits
     if phi_hat is not None:
         shifts = np.arange(cfg.n_index_bits - 1, -1, -1)

@@ -65,7 +65,8 @@ class SystemConfig:
     def n_index_bits(self) -> int:
         if not self.im_enabled:
             return 0
-        return int(np.floor(np.log2(self.n_users - self.n_far + 1)))
+        # floor(log2(n_near + 1)), exact for positive ints
+        return (self.n_users - self.n_far + 1).bit_length() - 1
 
     @property
     def n_symbol_bits(self) -> int:
@@ -73,7 +74,7 @@ class SystemConfig:
 
     @property
     def n_patterns(self) -> int:
-        return 2 ** self.n_index_bits
+        return 1 << self.n_index_bits
 
     @property
     def rotation_angle(self) -> float:
@@ -94,6 +95,11 @@ def im_pattern(cfg: SystemConfig, phi: int) -> ImPattern:
         raise ValueError(f"pattern index {phi} out of range [0, {cfg.n_patterns})")
     rotated = tuple(range(cfg.n_users - phi + 1, cfg.n_users + 1))
     return ImPattern(phi=phi, rotated_set=rotated)
+
+
+def rotation_flags(cfg: SystemConfig) -> np.ndarray:
+    """(n_patterns, N) table of rotated users: row phi flags the last phi users."""
+    return np.arange(cfg.n_users) >= cfg.n_users - np.arange(cfg.n_patterns)[:, None]
 
 
 def spectral_efficiency(cfg: SystemConfig) -> int:
@@ -198,37 +204,31 @@ def symbol_indices_to_x(cfg: SystemConfig, indices: np.ndarray, phis: np.ndarray
     indices = np.asarray(indices, dtype=int)
     phis = np.asarray(phis, dtype=int)
     syms = cfg.constellation.points[indices]  # (L, N)
-    user_pos = np.arange(1, cfg.n_users + 1)
-    rotated = user_pos[None, :] > (cfg.n_users - phis[:, None])
-    factors = np.where(rotated, np.exp(1j * cfg.rotation_angle), 1.0 + 0j)
+    factors = np.where(rotation_flags(cfg)[phis], np.exp(1j * cfg.rotation_angle), 1.0 + 0j)
     return (syms * factors * cfg.amplitudes[None, :]).sum(axis=1)
 
 
-def build_super_alphabet(cfg: SystemConfig, cap: int = DEFAULT_ALPHABET_CAP) -> SuperAlphabet:
-    """Enumerate all M^N * 2^p2 superimposed symbols with bit-strings attached."""
+def alphabet_size(cfg: SystemConfig, cap: int = DEFAULT_ALPHABET_CAP) -> int:
+    """Entry count M^N * 2^p2 of the super-alphabet; ValueError above ``cap``."""
     size = cfg.mod_order ** cfg.n_users * cfg.n_patterns
     if size > cap:
         raise ValueError(f"alphabet size {size} exceeds enumeration cap {cap}")
+    return size
+
+
+def build_super_alphabet(cfg: SystemConfig, cap: int = DEFAULT_ALPHABET_CAP) -> SuperAlphabet:
+    """Enumerate all M^N * 2^p2 superimposed symbols with bit-strings attached.
+
+    Entry i is the bit-string i: user n's label is its n-th b-bit field, phi its low p2 bits.
+    """
+    size = alphabet_size(cfg, cap)
     p = spectral_efficiency(cfg)
-    bits = ((np.arange(size)[:, None] >> np.arange(p - 1, -1, -1)[None, :]) & 1).astype(np.uint8)
+    i = np.arange(size)
+    bits = ((i[:, None] >> np.arange(p - 1, -1, -1)[None, :]) & 1).astype(np.uint8)
     b = cfg.bits_per_symbol
-    const = cfg.constellation
-    # per-symbol bit-int -> point index lookup
-    lut = np.empty(cfg.mod_order, dtype=int)
-    for label, idx in const.labels.items():
-        v = 0
-        for bit in label:
-            v = (v << 1) | bit
-        lut[v] = idx
-    weights_b = 1 << np.arange(b - 1, -1, -1)
-    sym_idx = np.empty((size, cfg.n_users), dtype=int)
-    for n in range(cfg.n_users):
-        ints = bits[:, n * b:(n + 1) * b].astype(int) @ weights_b
-        sym_idx[:, n] = lut[ints]
-    if cfg.n_index_bits:
-        weights_p2 = 1 << np.arange(cfg.n_index_bits - 1, -1, -1)
-        phis = bits[:, cfg.n_symbol_bits:].astype(int) @ weights_p2
-    else:
-        phis = np.zeros(size, dtype=int)
+    point_of_label = np.argsort(cfg.constellation.bits @ (1 << np.arange(b - 1, -1, -1)))
+    shifts = p - b * np.arange(1, cfg.n_users + 1)
+    sym_idx = point_of_label[(i[:, None] >> shifts) & (cfg.mod_order - 1)]
+    phis = i & (cfg.n_patterns - 1)
     x = symbol_indices_to_x(cfg, sym_idx, phis)
     return SuperAlphabet(cfg=cfg, symbol_indices=sym_idx, phis=phis, x=x, bits=bits)

@@ -119,6 +119,11 @@ def test_non_finite_snr_is_config_error(tmp_path, capsys, command, snr):
     assert not list(tmp_path.iterdir())
 
 
+# 5:2:16 QAM: A = 16^5 * 4 = 4194304 entries, over the 2^20 enumeration cap
+OVER_CAP_INI = ("[system]\nn_users = 5\nn_far = 2\nmod_order = 16\nfamily = QAM\n"
+                "power_coeffs = 0.5, 0.25, 0.15, 0.07, 0.03\n")
+
+
 @pytest.mark.parametrize("command, ini, args", [
     ("bound", None, ["--snr", "0:a:5"]),
     ("bound", None, ["--snr", "1,x"]),
@@ -127,8 +132,14 @@ def test_non_finite_snr_is_config_error(tmp_path, capsys, command, snr):
     ("ber", "[system]\nn_users = two\n", []),
     ("se", "[se]\ntuples = 2:x:2\n", []),
     ("flops", "[flops]\ntuples = 2:3:2\n", []),
+    ("se", "[se]\nsubblock_size = x\n", []),
+    ("se", "[se]\nsubblock_size = 4\nactive_subcarriers = 9\n", []),
+    ("se", "[se]\nsubblock_size = 0\nactive_subcarriers = 0\n", []),
+    ("bound", OVER_CAP_INI, []),
+    ("ber", OVER_CAP_INI, []),
 ], ids=["bound-snr-grid", "bound-snr-list", "ber-snr-list", "power-coeffs",
-        "n-users", "se-tuple", "flops-tuple"])
+        "n-users", "se-tuple", "flops-tuple", "se-subblock", "se-active-over",
+        "se-zero-subblock", "bound-alphabet-cap", "ber-alphabet-cap"])
 def test_malformed_numbers_are_config_errors(tmp_path, capsys, command, ini, args):
     if ini is not None:
         cfg = tmp_path / "exp.ini"

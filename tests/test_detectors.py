@@ -335,6 +335,17 @@ def test_sic_far_decisions_identical_with_im_disabled():
     assert np.array_equal(a_idx, b_idx)
 
 
+def test_pdnoma_sic_searches_no_rotation():
+    # Without index bits the transmitter never rotates, so the near stage
+    # searches the base constellation: the rotated point j would be nearer.
+    cfg = SystemConfig(**TWO_USER, im_enabled=False)
+    y = np.array([np.sqrt(0.9) + np.sqrt(0.1) * (-0.2 + 0.9j)])
+    sym_idx, theta_idx, phi_hat, _ = sic_block(y, np.ones(1, dtype=complex), cfg, 2)
+    assert sym_idx.tolist() == [[0, 1]]
+    assert theta_idx.tolist() == [[0]]
+    assert phi_hat is None
+
+
 def test_sic_rejects_bad_users():
     cfg = SystemConfig(**TWO_USER, index_user_mode="near")
     with pytest.raises(ValueError):

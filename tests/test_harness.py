@@ -47,6 +47,8 @@ GOLDEN_CONFIGS = {
 # bit_errors), ...]), ...] from run_point with n_subcarriers=32, max_bits=3000,
 # min_bit_errors=20, master_seed=11. Detection draws no random numbers, so any
 # change to how blocks are detected or scored must reproduce these exactly.
+# The PD-NOMA SIC near-user rows equal the PD-NOMA ML rows: without index bits
+# the near stage searches only the rotations the transmitter sends (none).
 GOLDEN = {
     ('2:1:2', 'imnomarc', 'ml', 'virtual'): [
         (5.0, [('1', 512, 39), ('2', 512, 165), ('index', 512, 205)]),
@@ -73,12 +75,12 @@ GOLDEN = {
         (15.0, [('1', 2560, 29), ('2', 2560, 175)]),
     ],
     ('2:1:2', 'pdnoma', 'sic', 'virtual'): [
-        (5.0, [('1', 512, 45), ('2', 512, 180)]),
-        (15.0, [('1', 2560, 29), ('2', 2560, 283)]),
+        (5.0, [('1', 512, 45), ('2', 512, 137)]),
+        (15.0, [('1', 2560, 29), ('2', 2560, 175)]),
     ],
     ('2:1:2', 'pdnoma', 'sic', 'near'): [
-        (5.0, [('1', 512, 45), ('2', 512, 180)]),
-        (15.0, [('1', 2560, 29), ('2', 2560, 283)]),
+        (5.0, [('1', 512, 45), ('2', 512, 137)]),
+        (15.0, [('1', 2560, 29), ('2', 2560, 175)]),
     ],
     ('2:1:2', 'ofdm', 'ml', 'virtual'): [
         (5.0, [('1', 1536, 289)]),
@@ -234,3 +236,13 @@ def test_spec_validation():
 def test_spec_rejects_non_finite_snr(bad):
     with pytest.raises(ValueError, match="finite"):
         ExperimentSpec(snr_grid_db=(0.0, bad))
+
+
+def test_spec_refuses_alphabet_over_cap():
+    cfg = SystemConfig(n_users=5, n_far=2, mod_order=16, family="QAM",
+                       power_coeffs=(0.5, 0.25, 0.15, 0.07, 0.03))
+    with pytest.raises(ValueError, match="alphabet size 4194304 exceeds"):
+        ExperimentSpec(cfg=cfg)
+    # PD-NOMA enumerates M^N = 2^20 entries, at the cap; OFDM none
+    ExperimentSpec(scheme="pdnoma", cfg=cfg)
+    ExperimentSpec(scheme="ofdm", cfg=cfg)

@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from imnomarc.superposition import (SystemConfig, build_super_alphabet,
-                                    im_pattern, pack_bits, spectral_efficiency,
-                                    superimpose, symbol_indices_to_x,
-                                    unpack_bits, user_bit_positions)
+                                    im_pattern, pack_bits, rotation_flags,
+                                    spectral_efficiency, superimpose,
+                                    symbol_indices_to_x, unpack_bits,
+                                    user_bit_positions)
 
 TWO_USER = dict(n_users=2, n_far=1, mod_order=2, power_coeffs=(0.9, 0.1))
 
@@ -196,3 +199,53 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SystemConfig(n_users=2, n_far=1, power_coeffs=(0.9, 0.1),
                      index_user_mode="bogus")
+
+
+def _alphas(n):
+    """Strictly decreasing power split summing to 1."""
+    raw = np.arange(n, 0, -1, dtype=float)
+    return tuple(raw / raw.sum())
+
+
+ALPHABET_TABLE_CONFIGS = {
+    "2:1:4": dict(n_users=2, n_far=1, mod_order=4, power_coeffs=(0.9, 0.1)),
+    "2:1:8QAM": dict(n_users=2, n_far=1, mod_order=8, family="QAM", power_coeffs=(0.9, 0.1)),
+    "2:1:16QAM": dict(n_users=2, n_far=1, mod_order=16, family="QAM", power_coeffs=(0.9, 0.1)),
+    "4:1:2": dict(n_users=4, n_far=1, mod_order=2, power_coeffs=_alphas(4)),
+    "5:2:2": dict(n_users=5, n_far=2, mod_order=2, power_coeffs=_alphas(5)),
+    "3:1:8-noIM": dict(n_users=3, n_far=1, mod_order=8, power_coeffs=_alphas(3),
+                       im_enabled=False),
+}
+
+
+@pytest.mark.parametrize("name", ALPHABET_TABLE_CONFIGS)
+def test_alphabet_entry_fields_decode_its_bit_string(name):
+    # pack_bits is the scalar oracle: entry i transmits the bit-string i
+    cfg = SystemConfig(**ALPHABET_TABLE_CONFIGS[name])
+    alphabet = build_super_alphabet(cfg)
+    weights = 1 << np.arange(spectral_efficiency(cfg) - 1, -1, -1)
+    assert np.array_equal(alphabet.bits @ weights, np.arange(len(alphabet)))
+    nsb = cfg.n_symbol_bits
+    points = cfg.constellation.points
+    for i, bits in enumerate(alphabet.bits):
+        s, phi = pack_bits(cfg, bits[:nsb], bits[nsb:])
+        assert np.array_equal(s, points[alphabet.symbol_indices[i]])
+        assert phi == alphabet.phis[i]
+
+
+@pytest.mark.parametrize("n, b", [(2, 1), (3, 1), (4, 1), (5, 2)])
+def test_rotation_flags_match_im_pattern(n, b):
+    cfg = SystemConfig(n_users=n, n_far=b, mod_order=2, power_coeffs=_alphas(n))
+    flags = rotation_flags(cfg)
+    assert flags.shape == (cfg.n_patterns, n)
+    for phi in range(cfg.n_patterns):
+        rotated = tuple(int(u) + 1 for u in np.flatnonzero(flags[phi]))
+        assert rotated == im_pattern(cfg, phi).rotated_set
+
+
+def test_n_index_bits_is_floor_log2_of_patterns():
+    for n_near in range(1, 65):
+        cfg = SystemConfig(n_users=n_near + 1, n_far=1, mod_order=2,
+                           power_coeffs=_alphas(n_near + 1))
+        assert cfg.n_index_bits == math.floor(math.log2(n_near + 1))
+        assert cfg.n_patterns == 2 ** cfg.n_index_bits
