@@ -1,21 +1,29 @@
 """Analytical error rates: pairwise error probabilities over Rayleigh fading
-and the bit-weighted union bound on BER for an enumerated superimposed alphabet."""
+and the bit-weighted union bound on BER for an enumerated superimposed alphabet.
+
+The bound evaluates the closed-form Rayleigh PEP. ``pep_rayleigh`` computes the
+same average by adaptive quadrature and serves as its oracle; it and
+``q_function`` import scipy's integrator and erfc only when called.
+"""
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import erfc
 
 from .superposition import SuperAlphabet, user_bit_positions
 
 
 # Rows of the pair matrix handled at once by union_bound_ber.
 _ROW_BLOCK = 64
+# Most ordered pairs a bound may walk. The pair loop costs 75-120 ns per pair
+# on a 2-vCPU Xeon (A = 1024 and A = 16384), so 2^32 pairs (A <= 2^16) take
+# 5-9 min; the 2^20 enumeration cap would take 23-37 h.
+PAIR_BUDGET = 2 ** 32
 
 
 def q_function(t: float) -> float:
     """Gaussian tail probability Q(t) = 0.5 * erfc(t / sqrt(2))."""
+    from scipy.special import erfc
     return 0.5 * erfc(t / np.sqrt(2))
 
 
@@ -25,6 +33,7 @@ def pep_rayleigh(delta: complex, sigma2: float, rel_tol: float = 1e-10) -> float
     Integrates Q(sqrt(|delta|^2 * u / (2 sigma^2))) against the exponential
     density of the channel power u = |h|^2 by adaptive quadrature.
     """
+    from scipy.integrate import quad
     if sigma2 <= 0:
         raise ValueError("noise variance must be positive")
     d2 = abs(delta) ** 2
@@ -39,12 +48,13 @@ def pep_rayleigh(delta: complex, sigma2: float, rel_tol: float = 1e-10) -> float
     return value
 
 
-def pep_rayleigh_closed_form(delta: complex, sigma2: float) -> float:
-    """Closed form of the same average: 0.5 * (1 - sqrt(c / (1 + c))) with
-    c = |delta|^2 / (4 sigma^2). Used as the independent oracle for the
-    quadrature path."""
+def pep_rayleigh_closed_form(delta, sigma2: float):
+    """Closed form of the same average, elementwise over ``delta``:
+    0.5 * (1 - sqrt(c / (1 + c))) with c = |delta|^2 / (4 sigma^2) (Simon and
+    Alouini), evaluated as 0.5 / ((1 + c) * (1 + sqrt(c / (1 + c)))) so that
+    no digits cancel at large c. delta = 0 gives 0.5."""
     c = abs(delta) ** 2 / (4 * sigma2)
-    return 0.5 * (1.0 - np.sqrt(c / (1.0 + c)))
+    return 0.5 / ((1.0 + c) * (1.0 + np.sqrt(c / (1.0 + c))))
 
 
 def union_bound_ber(alphabet: SuperAlphabet, sigma2: float, user=None) -> float:
@@ -57,8 +67,9 @@ def union_bound_ber(alphabet: SuperAlphabet, sigma2: float, user=None) -> float:
 
     The ordered pairs are walked in blocks of ``_ROW_BLOCK`` rows, so no
     (A, A) array is built. Each block reduces its pairs of nonzero weight to
-    (distinct squared distance, summed weight); the PEP is then evaluated once
-    per distinct distance over the whole alphabet.
+    (distinct squared distance, summed weight); the closed-form PEP is then
+    evaluated once, vectorized over the distinct distances of the whole
+    alphabet.
     """
     if sigma2 <= 0:
         raise ValueError("noise variance must be positive")
@@ -85,5 +96,5 @@ def union_bound_ber(alphabet: SuperAlphabet, sigma2: float, user=None) -> float:
         weights.append(np.bincount(inverse, weights=errs[hit], minlength=block_keys.size))
     keys, inverse = np.unique(np.concatenate(keys), return_inverse=True)
     weights = np.bincount(inverse, weights=np.concatenate(weights), minlength=keys.size)
-    peps = np.array([pep_rayleigh(np.sqrt(d2), sigma2) for d2 in keys])
+    peps = pep_rayleigh_closed_form(np.sqrt(keys), sigma2)
     return float(peps @ weights) / (positions.size * size)

@@ -12,12 +12,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import union_bound_ber
+from .analysis import PAIR_BUDGET, union_bound_ber
 from .channel import noise_variance
 from .constellation import RotationSet
 from .detectors import flops_ml, flops_sic
 from .harness import CSV_HEADER, ExperimentSpec, persist, run_sweep
-from .superposition import (SystemConfig, build_super_alphabet,
+from .superposition import (SystemConfig, alphabet_size, build_super_alphabet,
                             spectral_efficiency)
 
 EXIT_OK = 0
@@ -171,9 +171,13 @@ def cmd_bound(conf, args) -> int:
     cfg = _system_config(conf)
     snr = _parse_snr(args.snr) if args.snr else _parse_snr(conf["sweep"].get("snr_db"))
     try:
-        alphabet = build_super_alphabet(cfg)
+        size = alphabet_size(cfg)
     except ValueError as exc:  # over the enumeration cap
         raise ConfigError(str(exc)) from exc
+    if size * (size - 1) > PAIR_BUDGET:
+        raise ConfigError(f"alphabet size {size} has {size * (size - 1)} ordered pairs, "
+                          f"over the bound's budget of {PAIR_BUDGET}")
+    alphabet = build_super_alphabet(cfg)
     users = [str(u) for u in range(1, cfg.n_users + 1)]
     if cfg.n_index_bits:
         users.append("index")

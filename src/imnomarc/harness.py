@@ -1,11 +1,12 @@
 """Monte Carlo experiment engine: transmit -> channel -> detect loops over SNR
 grids with per-user bit-error accounting and reproducible, block-seeded RNG.
 
-Every OFDM block (one batch of L subcarriers) gets its own RNG stream derived
-from (master seed, SNR point, block index), and detection draws no random
-numbers, so a fixed seed reproduces results.csv byte for byte. Accumulation is
-a plain sum of counters; the stop rule is evaluated on fixed-size batches of
-blocks.
+Every OFDM block (L subcarriers) gets its own RNG stream derived from
+(master seed, SNR point, block index). The stop rule is evaluated on batches
+of ``BATCH_BLOCKS`` blocks: each batch draws its blocks from their own streams,
+then every receiver detects the whole batch in one call and each tracked
+channel counts its errors once. Detection draws no random numbers, so a fixed
+seed reproduces results.csv byte for byte.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channel import apply_channel, draw_channel
+from .channel import noise_variance
 from .constellation import build_constellation
 from .detectors import ml_block, sic_block
 from .superposition import (DEFAULT_ALPHABET_CAP, SystemConfig, alphabet_size,
@@ -145,23 +146,41 @@ def _decide(ctx: _PointContext, y: np.ndarray, h: np.ndarray, rx: int) -> np.nda
     return bits
 
 
-def _run_block(ctx: _PointContext, snr_db: float, block: int) -> dict[str, int]:
+def _run_batch(ctx: _PointContext, snr_db: float, first_block: int) -> dict[str, int]:
+    """Error counts per channel over the BATCH_BLOCKS blocks from ``first_block``.
+
+    Each block draws from its own stream L tx entries, then one Gaussian array:
+    h real and imaginary (R rows each), then each receiver's noise, real and
+    imaginary, if there is noise. These are the variates of ``draw_channel``
+    and R ``apply_channel`` calls in their order, combined with their
+    expressions, so every y is bit-identical to theirs.
+    """
     spec = ctx.spec
     L = spec.n_subcarriers
-    ss = np.random.SeedSequence(entropy=spec.master_seed,
-                                spawn_key=(int(round(snr_db * 1e6)) & 0xFFFFFFFF, block))
-    rng = np.random.default_rng(ss)
-    eff_snr = np.inf if spec.noiseless else snr_db
+    R = ctx.n_receivers
+    sigma2 = noise_variance(np.inf if spec.noiseless else snr_db, ctx.total_power)
+    rows = 4 * R if sigma2 > 0 else 2 * R
+    snr_key = int(round(snr_db * 1e6)) & 0xFFFFFFFF
+    tx_entry = np.empty(BATCH_BLOCKS * L, dtype=np.int64)
+    g = np.empty((BATCH_BLOCKS, rows, L))
+    for b in range(BATCH_BLOCKS):
+        ss = np.random.SeedSequence(entropy=spec.master_seed,
+                                    spawn_key=(snr_key, first_block + b))
+        rng = np.random.default_rng(ss)
+        tx_entry[b * L:(b + 1) * L] = rng.integers(0, len(ctx.alphabet.x), size=L)
+        rng.standard_normal((rows, L), out=g[b])
 
-    tx_entry = rng.integers(0, len(ctx.alphabet.x), size=L)
     tx_bits = ctx.alphabet.bits[tx_entry]
     x = ctx.alphabet.x[tx_entry]
-    ch = draw_channel(ctx.n_receivers, L, eff_snr, ctx.total_power, rng)
-
     errors: dict[str, int] = {}
-    for rx in range(1, ctx.n_receivers + 1):
-        y = apply_channel(x, ch, rx, rng)
-        rx_bits = _decide(ctx, y, ch.h[rx - 1], rx)
+    for rx in range(1, R + 1):
+        h = ((g[:, rx - 1] + 1j * g[:, R + rx - 1]) / np.sqrt(2)).reshape(-1)
+        y = h * x
+        if sigma2 > 0:
+            n = 2 * (R + rx - 1)  # this receiver's noise rows, real then imaginary
+            w = g[:, n] + 1j * g[:, n + 1]
+            y = y + np.sqrt(sigma2 / 2) * w.reshape(-1)
+        rx_bits = _decide(ctx, y, h, rx)
         for name, pos, owner in ctx.channels:
             if owner == rx:
                 errors[name] = int(np.count_nonzero(rx_bits[:, pos] != tx_bits[:, pos]))
@@ -184,9 +203,8 @@ def run_point(spec: ExperimentSpec, snr_db: float) -> list[BerRecord]:
         return True
 
     while not done():
-        for block in range(blocks_run, blocks_run + BATCH_BLOCKS):
-            for name, errs in _run_block(ctx, snr_db, block).items():
-                totals[name] += errs
+        for name, errs in _run_batch(ctx, snr_db, blocks_run).items():
+            totals[name] += errs
         blocks_run += BATCH_BLOCKS
 
     elapsed = time.perf_counter() - t0

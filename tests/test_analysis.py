@@ -1,7 +1,11 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from imnomarc import analysis
 from imnomarc.analysis import (pep_rayleigh, pep_rayleigh_closed_form,
                                q_function, union_bound_ber)
 from imnomarc.superposition import (SuperAlphabet, SystemConfig,
@@ -50,6 +54,15 @@ def test_pep_closed_form_agreement_wide_range():
         got = pep_rayleigh(delta, sigma2)
         want = pep_rayleigh_closed_form(delta, sigma2)
         assert abs(got - want) / want < 1e-6
+
+
+def test_closed_form_pep_has_no_cancellation_at_high_snr():
+    # 1 - sqrt(c / (1 + c)) = 1/(2c) - 3/(8c^2) + ...: the PEP is 1/(4c) to
+    # relative 1e-12 at c = 1e12, where the subtraction would keep ~4 digits
+    sigma2, delta = 1e-12, 2.0
+    c = delta ** 2 / (4 * sigma2)
+    want = 1 / (4 * c) - 3 / (16 * c ** 2)
+    assert np.isclose(pep_rayleigh_closed_form(delta, sigma2), want, rtol=1e-11, atol=0)
 
 
 def test_pep_depends_only_on_magnitude():
@@ -137,3 +150,42 @@ def test_union_bound_rejects_inconsistent_alphabet():
         bits=np.zeros((3, 2), dtype=np.uint8))
     with pytest.raises(ValueError):
         union_bound_ber(broken, 0.1)
+
+
+def test_import_leaves_quadrature_unloaded():
+    code = "import sys, imnomarc; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_union_bound_never_calls_quadrature(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("union_bound_ber called pep_rayleigh")
+
+    monkeypatch.setattr(analysis, "pep_rayleigh", refuse)
+    alphabet = build_super_alphabet(SystemConfig(**TWO_USER))
+    assert 0 < union_bound_ber(alphabet, 0.05) < 0.5
+
+
+def quadrature_bound(alphabet, sigma2, user=None):
+    """Oracle: the union bound with one quadrature PEP per distinct distance."""
+    p = alphabet.bits.shape[1]
+    positions = list(range(p) if user is None else user_bit_positions(alphabet.cfg, user))
+    bits = alphabet.bits[:, positions].astype(int)
+    weights = np.abs(bits[:, None, :] - bits[None, :, :]).sum(axis=2).ravel()
+    d2 = np.round(np.abs(alphabet.x[None, :] - alphabet.x[:, None]) ** 2, 12).ravel()
+    keys, inverse = np.unique(d2, return_inverse=True)
+    peps = np.array([pep_rayleigh(np.sqrt(k), sigma2) for k in keys])
+    return float((peps[inverse] * weights).sum()) / (len(positions) * len(alphabet))
+
+
+@pytest.mark.parametrize("name", ["2-1-2", "2-1-4"])
+def test_union_bound_matches_quadrature_oracle(name):
+    cfg = SystemConfig(**ORACLE_CONFIGS[name])
+    alphabet = build_super_alphabet(cfg)
+    for sigma2 in (0.05, 0.002):
+        for user in (None, *range(1, cfg.n_users + 1), "index"):
+            want = quadrature_bound(alphabet, sigma2, user)
+            assert np.isclose(union_bound_ber(alphabet, sigma2, user=user), want,
+                              rtol=1e-8, atol=0)

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from imnomarc import cli
+from imnomarc.analysis import PAIR_BUDGET
 from imnomarc.cli import im_noma_baseline_se, main
 
 
@@ -147,4 +149,23 @@ def test_malformed_numbers_are_config_errors(tmp_path, capsys, command, ini, arg
         args = ["--config", str(cfg), *args]
     assert run_cli([command, "--out", str(tmp_path / "out"), *args]) == 1
     assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_bound_refuses_pair_count_over_budget(tmp_path, capsys, monkeypatch):
+    # 5:1:8: A = 8^5 * 4 = 2^17, A(A-1) ~ 2^34 ordered pairs, the smallest
+    # power-of-two alphabet over the 2^32 budget
+    def refuse(*args, **kwargs):
+        raise AssertionError("alphabet built before the pair-budget check")
+
+    monkeypatch.setattr(cli, "build_super_alphabet", refuse)
+    size = 2 ** 17
+    assert (size // 2) * (size // 2 - 1) <= PAIR_BUDGET < size * (size - 1)
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("[system]\nn_users = 5\nn_far = 1\nmod_order = 8\n"
+                   "power_coeffs = 0.5, 0.25, 0.15, 0.07, 0.03\n")
+    assert run_cli(["bound", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                    "--snr", "10"]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and f"alphabet size {size}" in err
     assert not (tmp_path / "out").exists()

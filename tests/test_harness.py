@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from imnomarc.channel import apply_channel, draw_channel
 from imnomarc.constellation import RotationSet
-from imnomarc.harness import (CSV_HEADER, BerRecord, ExperimentSpec,
-                              load_results, persist, run_point, run_sweep,
-                              spec_from_dict, spec_to_dict)
+from imnomarc.harness import (BATCH_BLOCKS, CSV_HEADER, BerRecord,
+                              ExperimentSpec, _decide, _PointContext,
+                              _run_batch, load_results, persist, run_point,
+                              run_sweep, spec_from_dict, spec_to_dict)
 from imnomarc.superposition import SystemConfig
 
 TWO_USER = dict(n_users=2, n_far=1, mod_order=2, power_coeffs=(0.9, 0.1))
@@ -135,6 +137,65 @@ def test_run_point_matches_golden_counts(case):
     for snr_db, want in GOLDEN[case]:
         got = [(r.user, r.bits_sent, r.bit_errors) for r in run_point(spec, snr_db)]
         assert got == want
+
+
+def run_block_oracle(ctx, snr_db, block):
+    """One block through the channel layer: draw_channel, then one
+    apply_channel and one detection per receiver."""
+    spec = ctx.spec
+    L = spec.n_subcarriers
+    ss = np.random.SeedSequence(entropy=spec.master_seed,
+                                spawn_key=(int(round(snr_db * 1e6)) & 0xFFFFFFFF, block))
+    rng = np.random.default_rng(ss)
+    eff_snr = np.inf if spec.noiseless else snr_db
+
+    tx_entry = rng.integers(0, len(ctx.alphabet.x), size=L)
+    tx_bits = ctx.alphabet.bits[tx_entry]
+    x = ctx.alphabet.x[tx_entry]
+    ch = draw_channel(ctx.n_receivers, L, eff_snr, ctx.total_power, rng)
+
+    errors = {}
+    for rx in range(1, ctx.n_receivers + 1):
+        y = apply_channel(x, ch, rx, rng)
+        rx_bits = _decide(ctx, y, ch.h[rx - 1], rx)
+        for name, pos, owner in ctx.channels:
+            if owner == rx:
+                errors[name] = int(np.count_nonzero(rx_bits[:, pos] != tx_bits[:, pos]))
+    return errors
+
+
+BATCH_CASES = {
+    "2:1:2-ml-virtual": dict(cfg=("2:1:2", "virtual"), detector="ml"),
+    "2:1:2-ml-near": dict(cfg=("2:1:2", "near"), detector="ml"),
+    "2:1:2-sic-virtual": dict(cfg=("2:1:2", "virtual"), detector="sic"),
+    "2:1:2-sic-near": dict(cfg=("2:1:2", "near"), detector="sic"),
+    # A = 1024: the k-d tree path of ml_block
+    "4:1:4-ml": dict(cfg=("4:1:4", "virtual"), detector="ml"),
+    "4:1:4-sic": dict(cfg=("4:1:4", "virtual"), detector="sic"),
+    "3:2:2-ml": dict(cfg=("3:2:2", "near"), detector="ml"),
+    "3:2:2-sic": dict(cfg=("3:2:2", "virtual"), detector="sic"),
+    "ofdm": dict(cfg=("2:1:2", "virtual"), detector="ml", scheme="ofdm"),
+    "pdnoma-sic": dict(cfg=("2:1:2", "virtual"), detector="sic", scheme="pdnoma"),
+    "noiseless-ml": dict(cfg=("2:1:2", "virtual"), detector="ml", noiseless=True),
+    "noiseless-sic": dict(cfg=("3:2:2", "near"), detector="sic", noiseless=True),
+}
+
+
+@pytest.mark.parametrize("case", BATCH_CASES)
+def test_batch_counts_equal_per_block_oracle(case):
+    kw = dict(BATCH_CASES[case])
+    cfg_name, mode = kw.pop("cfg")
+    cfg = SystemConfig(**GOLDEN_CONFIGS[cfg_name], index_user_mode=mode)
+    for n_subcarriers, snr_db, first_block in [(128, 10.0, 0), (37, 25.0, 48)]:
+        spec = ExperimentSpec(cfg=cfg, n_subcarriers=n_subcarriers, master_seed=7, **kw)
+        ctx = _PointContext(spec)
+        want = {name: 0 for name, _, _ in ctx.channels}
+        for block in range(first_block, first_block + BATCH_BLOCKS):
+            for name, errs in run_block_oracle(ctx, snr_db, block).items():
+                want[name] += errs
+        assert _run_batch(ctx, snr_db, first_block) == want
+        if not spec.noiseless:
+            assert sum(want.values()) > 0
 
 
 def test_tracked_channels_by_scheme():
