@@ -2,14 +2,11 @@
 
 __version__ = "0.1.0"
 
-from .constellation import Constellation, RotationSet, build_constellation, map_bits, rotate
-from .superposition import (ImPattern, SuperAlphabet, SystemConfig,
-                            build_super_alphabet, pack_bits, spectral_efficiency,
-                            superimpose, unpack_bits, user_bit_positions)
-from .channel import (ChannelRealization, apply_channel, draw_channel,
-                      noise_variance, ofdm_demodulate, ofdm_modulate)
-from .detectors import (DetectionResult, angles_to_phi, detect_ml, detect_sic,
-                        extract_user_bits, flops_ml, flops_sic)
-from .analysis import pep_rayleigh, pep_rayleigh_closed_form, q_function, union_bound_ber
+from .constellation import Constellation, RotationSet, build_constellation
+from .superposition import (SuperAlphabet, SystemConfig, build_super_alphabet,
+                            spectral_efficiency, user_bit_positions)
+from .channel import noise_variance
+from .detectors import flops_ml, flops_sic
+from .analysis import pep_rayleigh_closed_form, union_bound_ber
 from .harness import (BerRecord, ExperimentSpec, load_results, persist,
                       run_point, run_sweep)

@@ -1,10 +1,6 @@
-"""Analytical error rates: pairwise error probabilities over Rayleigh fading
-and the bit-weighted union bound on BER for an enumerated superimposed alphabet.
-
-The bound evaluates the closed-form Rayleigh PEP. ``pep_rayleigh`` computes the
-same average by adaptive quadrature and serves as its oracle; it and
-``q_function`` import scipy's integrator and erfc only when called.
-"""
+"""Analytical error rates: the closed-form pairwise error probability over
+Rayleigh fading and the bit-weighted union bound on BER for an enumerated
+superimposed alphabet."""
 
 from __future__ import annotations
 
@@ -21,38 +17,12 @@ _ROW_BLOCK = 64
 PAIR_BUDGET = 2 ** 32
 
 
-def q_function(t: float) -> float:
-    """Gaussian tail probability Q(t) = 0.5 * erfc(t / sqrt(2))."""
-    from scipy.special import erfc
-    return 0.5 * erfc(t / np.sqrt(2))
-
-
-def pep_rayleigh(delta: complex, sigma2: float, rel_tol: float = 1e-10) -> float:
-    """Average pairwise error probability over unit-mean Rayleigh fading power.
-
-    Integrates Q(sqrt(|delta|^2 * u / (2 sigma^2))) against the exponential
-    density of the channel power u = |h|^2 by adaptive quadrature.
-    """
-    from scipy.integrate import quad
-    if sigma2 <= 0:
-        raise ValueError("noise variance must be positive")
-    d2 = abs(delta) ** 2
-    if d2 == 0:
-        return 0.5
-    scale = d2 / (2 * sigma2)
-
-    def integrand(u):
-        return q_function(np.sqrt(scale * u)) * np.exp(-u)
-
-    value, _ = quad(integrand, 0.0, np.inf, epsabs=0.0, epsrel=rel_tol, limit=200)
-    return value
-
-
 def pep_rayleigh_closed_form(delta, sigma2: float):
-    """Closed form of the same average, elementwise over ``delta``:
-    0.5 * (1 - sqrt(c / (1 + c))) with c = |delta|^2 / (4 sigma^2) (Simon and
-    Alouini), evaluated as 0.5 / ((1 + c) * (1 + sqrt(c / (1 + c)))) so that
-    no digits cancel at large c. delta = 0 gives 0.5."""
+    """Average pairwise error probability over unit-mean Rayleigh fading power,
+    elementwise over ``delta``: 0.5 * (1 - sqrt(c / (1 + c))) with
+    c = |delta|^2 / (4 sigma^2) (Simon and Alouini), evaluated as
+    0.5 / ((1 + c) * (1 + sqrt(c / (1 + c)))) so that no digits cancel at
+    large c. delta = 0 gives 0.5."""
     c = abs(delta) ** 2 / (4 * sigma2)
     return 0.5 / ((1.0 + c) * (1.0 + np.sqrt(c / (1.0 + c))))
 

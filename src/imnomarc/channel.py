@@ -1,25 +1,8 @@
-"""Per-subcarrier Rayleigh fading, AWGN, and the OFDM time-domain framing path."""
+"""Channel-layer constants: the AWGN variance of a system SNR."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass
-class ChannelRealization:
-    """Frequency response per (user, subcarrier) plus the shared noise variance."""
-
-    h: np.ndarray       # (n_users, L) complex, i.i.d. CN(0, 1)
-    noise_var: float    # sigma^2, identical at every user; 0 disables noise
-
-    def __post_init__(self):
-        self.h = np.asarray(self.h, dtype=complex)
-        if not np.all(np.isfinite(self.h)):
-            raise ValueError("channel response must be finite")
-        if self.noise_var < 0:
-            raise ValueError("noise variance must be non-negative")
 
 
 def noise_variance(snr_db: float, total_power: float = 1.0) -> float:
@@ -27,49 +10,3 @@ def noise_variance(snr_db: float, total_power: float = 1.0) -> float:
     if np.isinf(snr_db):
         return 0.0
     return total_power / 10 ** (snr_db / 10)
-
-
-def draw_channel(n_users: int, n_subcarriers: int, snr_db: float,
-                 total_power: float = 1.0,
-                 rng: np.random.Generator | None = None) -> ChannelRealization:
-    """Draw i.i.d. CN(0,1) frequency responses for every user and subcarrier."""
-    rng = rng or np.random.default_rng()
-    h = (rng.standard_normal((n_users, n_subcarriers))
-         + 1j * rng.standard_normal((n_users, n_subcarriers))) / np.sqrt(2)
-    return ChannelRealization(h=h, noise_var=noise_variance(snr_db, total_power))
-
-
-def apply_channel(x: np.ndarray, ch: ChannelRealization, user: int,
-                  rng: np.random.Generator | None = None) -> np.ndarray:
-    """Received signal y = h*x + w at the given (1-based) user; fresh noise per call."""
-    x = np.asarray(x, dtype=complex)
-    if not 1 <= user <= ch.h.shape[0]:
-        raise ValueError(f"user {user} out of range")
-    if x.shape != (ch.h.shape[1],):
-        raise ValueError(f"expected {ch.h.shape[1]} subcarriers, got {x.shape}")
-    y = ch.h[user - 1] * x
-    if ch.noise_var > 0:
-        rng = rng or np.random.default_rng()
-        w = (rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape))
-        y = y + np.sqrt(ch.noise_var / 2) * w
-    return y
-
-
-def ofdm_modulate(freq_symbols: np.ndarray, cp_len: int) -> np.ndarray:
-    """Unitary IFFT plus cyclic-prefix prepend."""
-    freq_symbols = np.asarray(freq_symbols, dtype=complex)
-    L = len(freq_symbols)
-    if L & (L - 1):
-        raise ValueError("subcarrier count must be a power of two")
-    if not 0 <= cp_len < L:
-        raise ValueError("cyclic prefix must satisfy 0 <= cp_len < L")
-    time = np.fft.ifft(freq_symbols, norm="ortho")
-    return np.concatenate([time[L - cp_len:], time])
-
-
-def ofdm_demodulate(time_samples: np.ndarray, n_subcarriers: int, cp_len: int) -> np.ndarray:
-    """Strip the cyclic prefix and apply the unitary FFT."""
-    time_samples = np.asarray(time_samples, dtype=complex)
-    if len(time_samples) != n_subcarriers + cp_len:
-        raise ValueError(f"expected {n_subcarriers + cp_len} samples, got {len(time_samples)}")
-    return np.fft.fft(time_samples[cp_len:], norm="ortho")

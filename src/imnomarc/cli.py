@@ -75,7 +75,10 @@ def load_config(path: str | None) -> configparser.ConfigParser:
     if path is not None:
         if not Path(path).is_file():
             raise ConfigError(f"config file not found: {path}")
-        parser.read(path)
+        try:
+            parser.read(path)
+        except configparser.Error as exc:  # no section header, duplicate option, ...
+            raise ConfigError(str(exc)) from exc
     return parser
 
 
@@ -114,8 +117,10 @@ def _experiment_specs(conf, args) -> list[ExperimentSpec]:
                     detector=detector,
                     snr_grid_db=snr,
                     n_subcarriers=sweep.getint("n_subcarriers"),
-                    max_bits=args.max_bits or sweep.getint("max_bits"),
-                    min_bit_errors=args.min_errors or sweep.getint("min_bit_errors"),
+                    max_bits=(args.max_bits if args.max_bits is not None
+                              else sweep.getint("max_bits")),
+                    min_bit_errors=(args.min_errors if args.min_errors is not None
+                                    else sweep.getint("min_bit_errors")),
                     master_seed=args.seed if args.seed is not None else sweep.getint("seed"),
                     ofdm_order=conf["ofdm"].getint("mod_order"),
                     ofdm_family=conf["ofdm"].get("family"),

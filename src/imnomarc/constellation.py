@@ -1,4 +1,4 @@
-"""Base M-ary constellations: construction, Gray labeling, and rotation."""
+"""Base M-ary constellations: construction, Gray labeling, and rotation angles."""
 
 from __future__ import annotations
 
@@ -6,60 +6,40 @@ from dataclasses import dataclass
 
 import numpy as np
 
-POWER_TOL = 1e-12
 
-
-def _gray_code(i: int) -> int:
-    return i ^ (i >> 1)
-
-
-def _int_to_bits(value: int, width: int) -> tuple[int, ...]:
-    return tuple((value >> (width - 1 - k)) & 1 for k in range(width))
+def bit_rows(values, width: int) -> np.ndarray:
+    """(len(values), width) uint8 table of each integer's bits, MSB first."""
+    values = np.asarray(values)
+    return ((values[:, None] >> np.arange(width - 1, -1, -1)) & 1).astype(np.uint8)
 
 
 @dataclass
 class Constellation:
-    """An ordered set of unit-average-power complex points with a bit-label map.
+    """An ordered set of unit-average-power complex points with their bit labels.
 
-    ``labels`` maps each length-log2(M) bit tuple to a point index; the map is
-    a bijection over all M points. ``bits`` is its inverse as an (M, log2 M)
-    uint8 table, the one every bit mapping reads.
+    ``bits`` is the (M, log2 M) uint8 table whose row k labels point k; its
+    rows are distinct, so the labeling is a bijection over all M points.
     """
 
     points: np.ndarray
-    labels: dict[tuple[int, ...], int]
-    order: int
+    bits: np.ndarray
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=complex)
-        if self.order < 2 or self.order & (self.order - 1):
-            raise ValueError(f"order must be a power of two, got {self.order}")
-        if len(self.points) != self.order:
-            raise ValueError("point count does not match order")
+        self.bits = np.asarray(self.bits, dtype=np.uint8)
+        order = len(self.points)
+        if order < 2 or order & (order - 1):
+            raise ValueError(f"point count must be a power of two, got {order}")
         mean_power = np.mean(np.abs(self.points) ** 2)
         if abs(mean_power - 1.0) > 1e-9:
             raise ValueError(f"constellation not unit power: {mean_power}")
-        if len(self.labels) != self.order or set(self.labels.values()) != set(range(self.order)):
-            raise ValueError("labels must form a bijection over all points")
-        self.bits = np.zeros((self.order, self.bits_per_symbol), dtype=np.uint8)
-        for label, idx in self.labels.items():
-            self.bits[idx] = label
+        if (self.bits.shape != (order, self.bits_per_symbol) or self.bits.max() > 1
+                or len(np.unique(self.bits, axis=0)) != order):
+            raise ValueError("bit labels must form a bijection over all points")
 
     @property
     def bits_per_symbol(self) -> int:
-        return int(np.log2(self.order))
-
-    def bits_for_index(self, index: int) -> tuple[int, ...]:
-        return tuple(int(b) for b in self.bits[index])
-
-    def index_for_bits(self, bits) -> int:
-        key = tuple(int(b) for b in bits)
-        if len(key) != self.bits_per_symbol:
-            raise ValueError(f"expected {self.bits_per_symbol} bits, got {len(key)}")
-        return self.labels[key]
-
-    def average_power(self) -> float:
-        return float(np.mean(np.abs(self.points) ** 2))
+        return int(np.log2(len(self.points)))
 
 
 @dataclass
@@ -98,14 +78,18 @@ def build_constellation(order: int, family: str = "PSK") -> Constellation:
     raise ValueError(f"unsupported family {family!r}")
 
 
+def _gray_code(i: np.ndarray) -> np.ndarray:
+    return i ^ (i >> 1)
+
+
 def _build_psk(order: int) -> Constellation:
-    b = int(np.log2(order))
+    k = np.arange(order)
     offset = np.pi / 4 if order == 4 else 0.0
-    points = np.exp(1j * (2 * np.pi * np.arange(order) / order + offset))
+    points = np.exp(1j * (2 * np.pi * k / order + offset))
     if order == 2:
         points = np.array([1.0 + 0j, -1.0 + 0j])
-    labels = {_int_to_bits(_gray_code(k), b): k for k in range(order)}
-    return Constellation(points=points, labels=labels, order=order)
+    # point k carries the Gray code of k
+    return Constellation(points=points, bits=bit_rows(_gray_code(k), int(np.log2(order))))
 
 
 def _build_qam(order: int) -> Constellation:
@@ -113,25 +97,9 @@ def _build_qam(order: int) -> Constellation:
     re_bits = (b + 1) // 2
     im_bits = b - re_bits
     n_re, n_im = 2 ** re_bits, 2 ** im_bits
-    re_levels = 2 * np.arange(n_re) - (n_re - 1)
-    im_levels = 2 * np.arange(n_im) - (n_im - 1)
-    points = np.empty(order, dtype=complex)
-    labels = {}
-    for col in range(n_re):
-        for row in range(n_im):
-            idx = col * n_im + row
-            points[idx] = re_levels[col] + 1j * im_levels[row]
-            bits = _int_to_bits(_gray_code(col), re_bits) + _int_to_bits(_gray_code(row), im_bits)
-            labels[bits] = idx
-    points /= np.sqrt(np.mean(np.abs(points) ** 2))
-    return Constellation(points=points, labels=labels, order=order)
-
-
-def rotate(c: Constellation, angle: float) -> Constellation:
-    """Rotate every point by ``angle`` radians; labels and power are preserved."""
-    return Constellation(points=c.points * np.exp(1j * angle), labels=dict(c.labels), order=c.order)
-
-
-def map_bits(c: Constellation, bits) -> complex:
-    """Map a length-log2(M) bit sequence to its labeled point."""
-    return complex(c.points[c.index_for_bits(bits)])
+    # point col * n_im + row: Gray-coded column bits, then Gray-coded row bits
+    col, row = np.divmod(np.arange(order), n_im)
+    points = (2 * col - (n_re - 1)) + 1j * (2 * row - (n_im - 1))
+    points = points / np.sqrt(np.mean(np.abs(points) ** 2))
+    gray = (_gray_code(col) << im_bits) | _gray_code(row)
+    return Constellation(points=points, bits=bit_rows(gray, b))

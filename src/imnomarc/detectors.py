@@ -2,8 +2,8 @@
 
 Detectors are pure functions of (received signal, channel, config/alphabet)
 and are deterministic: argmin ties always break toward the lowest hypothesis
-index. Block variants operate on whole subcarrier vectors at once and are the
-fast path used by the Monte Carlo harness.
+index. Both operate on whole subcarrier vectors at once; a single subcarrier is
+a 1-row call.
 
 Every decision goes through one kernel, ``_scan``, the argmin of |y - g x|^2
 over a hypothesis set x: an ML scan, the k-d tree's candidate rescoring, and
@@ -19,8 +19,6 @@ indices and metric bits, ties included.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -40,24 +38,6 @@ _TOL = 1e-9
 # magnitudes stay inside (_TINY, _HUGE).
 _TINY = np.sqrt(np.finfo(float).tiny)
 _HUGE = np.sqrt(np.finfo(float).max) / 2
-
-
-@dataclass
-class DetectionResult:
-    """Outcome of one per-subcarrier detection for a given user.
-
-    ``symbol_indices`` holds the constellation point index decided at each SIC
-    stage l = 1..n (the ML detector fills all N). ``theta_indices`` holds the
-    rotation-angle decision per near-user stage, ``phi_hat`` the recovered
-    pattern index when the full near-user pattern is available.
-    """
-
-    user: int
-    symbol_indices: tuple[int, ...]
-    symbols: tuple[complex, ...]
-    theta_indices: tuple[int, ...] | None
-    phi_hat: int | None
-    metric: float
 
 
 def _scan(y: np.ndarray, h: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -128,35 +108,13 @@ def ml_block(y: np.ndarray, h: np.ndarray, alphabet: SuperAlphabet) -> tuple[np.
     return idx, metric
 
 
-def detect_ml(y: complex, h: complex, alphabet: SuperAlphabet) -> DetectionResult:
-    """Minimum-distance decision over every (symbol vector, pattern) realization."""
-    idx, metric = ml_block(np.array([y]), np.array([h]), alphabet)
-    i = int(idx[0])
-    sym_idx = tuple(int(k) for k in alphabet.symbol_indices[i])
-    points = alphabet.cfg.constellation.points
-    return DetectionResult(
-        user=0,
-        symbol_indices=sym_idx,
-        symbols=tuple(complex(points[k]) for k in sym_idx),
-        theta_indices=None,
-        phi_hat=int(alphabet.phis[i]),
-        metric=float(metric[0]),
-    )
-
-
-def angles_to_phi(theta_flags, cfg: SystemConfig) -> int:
-    """Project per-user rotation decisions onto the nearest valid pattern index.
-
-    ``theta_flags`` holds one entry per near user ordered from user B+1 to N;
-    any nonzero value (an angle in radians or a 0/1 flag) marks that user as
-    rotated. Non-suffix patterns are mapped to the valid pattern at minimum
-    Hamming distance, ties toward the smaller index.
-    """
-    flags = (np.asarray(theta_flags, dtype=float).reshape(1, -1) != 0).astype(int)
-    return int(angles_to_phi_block(flags, cfg)[0])
-
-
 def angles_to_phi_block(theta_flags: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+    """Project per-user rotation flags onto the nearest valid pattern index.
+
+    ``theta_flags`` is (L, n_near), one 0/1 column per near user from user
+    B+1 to N, 1 marking a rotated user. A non-suffix row maps to the valid
+    pattern at minimum Hamming distance, ties toward the smaller index.
+    """
     flags = np.asarray(theta_flags, dtype=int)
     n_near = cfg.n_users - cfg.n_far
     if flags.shape[1] != n_near:
@@ -207,52 +165,6 @@ def sic_block(y: np.ndarray, h: np.ndarray, cfg: SystemConfig, user: int):
     if n_stages == cfg.n_users and user > cfg.n_far and cfg.n_index_bits > 0:
         phi_hat = angles_to_phi_block(theta_idx != 0, cfg)
     return sym_idx, theta_idx, phi_hat, metric
-
-
-def detect_sic(y: complex, h: complex, cfg: SystemConfig, user: int) -> DetectionResult:
-    """Per-subcarrier SIC detection for a far, near, or virtual user."""
-    sym_idx, theta_idx, phi_hat, metric = sic_block(
-        np.array([y]), np.array([h]), cfg, user)
-    points = cfg.constellation.points
-    syms = tuple(complex(points[k]) for k in sym_idx[0])
-    return DetectionResult(
-        user=user,
-        symbol_indices=tuple(int(k) for k in sym_idx[0]),
-        symbols=syms,
-        theta_indices=tuple(int(t) for t in theta_idx[0]) if theta_idx.size else None,
-        phi_hat=int(phi_hat[0]) if phi_hat is not None else None,
-        metric=float(metric[0]),
-    )
-
-
-def extract_user_bits(result: DetectionResult, cfg: SystemConfig, user: int) -> np.ndarray:
-    """Bits owned by ``user`` in the detected hypothesis.
-
-    Far and near users get their log2(M) symbol bits; in "near" mode a near
-    user additionally appends the index bits. The virtual user N+1 gets the
-    index bits only.
-    """
-    const = cfg.constellation
-    if user == cfg.n_users + 1:
-        if cfg.index_user_mode != "virtual":
-            raise ValueError("virtual user requires index_user_mode='virtual'")
-        if result.phi_hat is None:
-            raise ValueError("result does not resolve the rotation pattern")
-        return _phi_bits(result.phi_hat, cfg.n_index_bits)
-    if not 1 <= user <= cfg.n_users:
-        raise ValueError(f"user {user} out of range")
-    if user > len(result.symbol_indices):
-        raise ValueError(f"result has no stage for user {user}")
-    bits = list(const.bits_for_index(result.symbol_indices[user - 1]))
-    if user > cfg.n_far and cfg.index_user_mode == "near" and cfg.n_index_bits > 0:
-        if result.phi_hat is None:
-            raise ValueError("result does not resolve the rotation pattern")
-        bits.extend(_phi_bits(result.phi_hat, cfg.n_index_bits))
-    return np.array(bits, dtype=int)
-
-
-def _phi_bits(phi: int, width: int) -> np.ndarray:
-    return np.array([(phi >> k) & 1 for k in range(width - 1, -1, -1)], dtype=int)
 
 
 def flops_ml(cfg: SystemConfig) -> int:

@@ -23,10 +23,10 @@ import numpy as np
 
 from . import __version__
 from .channel import noise_variance
-from .constellation import build_constellation
+from .constellation import RotationSet, bit_rows, build_constellation
 from .detectors import ml_block, sic_block
-from .superposition import (DEFAULT_ALPHABET_CAP, SystemConfig, alphabet_size,
-                            build_super_alphabet, user_bit_positions)
+from .superposition import (SystemConfig, alphabet_size, build_super_alphabet,
+                            user_bit_positions)
 
 SCHEMES = ("imnomarc", "pdnoma", "ofdm")
 DETECTORS = ("ml", "sic")
@@ -50,7 +50,6 @@ class ExperimentSpec:
     ofdm_order: int = 8
     ofdm_family: str = "QAM"
     noiseless: bool = False
-    alphabet_cap: int = DEFAULT_ALPHABET_CAP
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -62,12 +61,16 @@ class ExperimentSpec:
             raise ValueError("SNR grid entries must be finite")
         if any(a >= b for a, b in zip(self.snr_grid_db, self.snr_grid_db[1:])):
             raise ValueError("SNR grid must be strictly increasing")
+        if self.min_bit_errors < 1:
+            raise ValueError("min_bit_errors must be at least 1")
         if self.max_bits < 10 * self.min_bit_errors:
             raise ValueError("max_bits must be at least 10x min_bit_errors")
         if self.n_subcarriers < 1:
             raise ValueError("n_subcarriers must be positive")
-        if self.scheme != "ofdm":
-            alphabet_size(self.scheme_cfg(), self.alphabet_cap)
+        if self.scheme == "ofdm":
+            build_constellation(self.ofdm_order, self.ofdm_family)
+        else:
+            alphabet_size(self.scheme_cfg())
 
     def scheme_cfg(self) -> SystemConfig:
         """The system the scheme transmits: PD-NOMA is the config without IM."""
@@ -114,7 +117,7 @@ class _PointContext:
             self.channels = [("1", np.arange(self.alphabet.bits.shape[1]), 1)]
         else:
             self.cfg = cfg = spec.scheme_cfg()
-            self.alphabet = build_super_alphabet(cfg, cap=spec.alphabet_cap)
+            self.alphabet = build_super_alphabet(cfg)
             self.total_power = cfg.total_power
             self.channels = [(str(u), np.array(user_bit_positions(cfg, u)), u)
                              for u in range(1, cfg.n_users + 1)]
@@ -141,8 +144,7 @@ def _decide(ctx: _PointContext, y: np.ndarray, h: np.ndarray, rx: int) -> np.nda
     stage_bits = cfg.constellation.bits[sym_idx].reshape(len(y), -1)
     bits[:, :stage_bits.shape[1]] = stage_bits
     if phi_hat is not None:
-        shifts = np.arange(cfg.n_index_bits - 1, -1, -1)
-        bits[:, cfg.n_symbol_bits:] = (phi_hat[:, None] >> shifts) & 1
+        bits[:, cfg.n_symbol_bits:] = bit_rows(phi_hat, cfg.n_index_bits)
     return bits
 
 
@@ -151,9 +153,8 @@ def _run_batch(ctx: _PointContext, snr_db: float, first_block: int) -> dict[str,
 
     Each block draws from its own stream L tx entries, then one Gaussian array:
     h real and imaginary (R rows each), then each receiver's noise, real and
-    imaginary, if there is noise. These are the variates of ``draw_channel``
-    and R ``apply_channel`` calls in their order, combined with their
-    expressions, so every y is bit-identical to theirs.
+    imaginary, if there is noise. Receiver rx sees h = (g_re + j g_im) / sqrt(2)
+    and y = h x + sqrt(sigma^2 / 2) (w_re + j w_im) with its own rows.
     """
     spec = ctx.spec
     L = spec.n_subcarriers
@@ -225,20 +226,15 @@ def _version_string() -> str:
                              text=True, timeout=5)
         if out.returncode == 0:
             return f"{__version__}+{out.stdout.strip()}"
-    except OSError:
+    except (OSError, subprocess.SubprocessError):  # no git, or it hung
         pass
     return __version__
-
-
-def spec_to_dict(spec: ExperimentSpec) -> dict:
-    return asdict(spec)
 
 
 def spec_from_dict(d: dict) -> ExperimentSpec:
     d = dict(d)
     cfg = dict(d.pop("cfg"))
     rotation = cfg.pop("rotation")
-    from .constellation import RotationSet
     cfg["rotation"] = RotationSet(tuple(rotation["angles"]))
     cfg["power_coeffs"] = tuple(cfg["power_coeffs"])
     d["cfg"] = SystemConfig(**cfg)
@@ -256,7 +252,7 @@ def run_sweep(spec: ExperimentSpec) -> tuple[list[BerRecord], dict]:
         records.extend(recs)
         points[f"{snr_db:g}"] = recs[0].wall_time if recs else 0.0
     manifest = {
-        "spec": spec_to_dict(spec),
+        "spec": asdict(spec),
         "master_seed": spec.master_seed,
         "version": _version_string(),
         "started_at": started,

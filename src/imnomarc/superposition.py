@@ -1,5 +1,6 @@
-"""Transmit-side model: bit partitioning, power-domain superposition, and the
-rotation-pattern lookup used for index modulation on the near-user group."""
+"""Transmit-side model: the system config, the rotation-pattern table used for
+index modulation on the near-user group, the per-user bit positions, and the
+enumerated super-alphabet of power-domain superpositions."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constellation import Constellation, RotationSet, build_constellation
+from .constellation import Constellation, RotationSet, bit_rows, build_constellation
 
 DEFAULT_ALPHABET_CAP = 2 ** 20
 
@@ -82,21 +83,6 @@ class SystemConfig:
         return self.rotation.angles[1]
 
 
-@dataclass
-class ImPattern:
-    """One row of the IM lookup table: pattern index and the rotated suffix."""
-
-    phi: int
-    rotated_set: tuple[int, ...]
-
-
-def im_pattern(cfg: SystemConfig, phi: int) -> ImPattern:
-    if not 0 <= phi < cfg.n_patterns:
-        raise ValueError(f"pattern index {phi} out of range [0, {cfg.n_patterns})")
-    rotated = tuple(range(cfg.n_users - phi + 1, cfg.n_users + 1))
-    return ImPattern(phi=phi, rotated_set=rotated)
-
-
 def rotation_flags(cfg: SystemConfig) -> np.ndarray:
     """(n_patterns, N) table of rotated users: row phi flags the last phi users."""
     return np.arange(cfg.n_users) >= cfg.n_users - np.arange(cfg.n_patterns)[:, None]
@@ -105,62 +91,6 @@ def rotation_flags(cfg: SystemConfig) -> np.ndarray:
 def spectral_efficiency(cfg: SystemConfig) -> int:
     """Bits per subcarrier: N*log2(M) symbol bits plus the index bits."""
     return cfg.n_symbol_bits + cfg.n_index_bits
-
-
-def superimpose(cfg: SystemConfig, s, phi: int) -> complex:
-    """Power-weighted superposition of the per-user symbols for pattern phi.
-
-    The last ``phi`` near users' symbols are rotated by the IM angle before
-    the amplitude weighting; everyone else transmits unrotated.
-    """
-    s = np.asarray(s, dtype=complex)
-    if s.shape != (cfg.n_users,):
-        raise ValueError(f"expected {cfg.n_users} symbols, got shape {s.shape}")
-    if not 0 <= phi < cfg.n_patterns:
-        raise ValueError(f"pattern index {phi} out of range [0, {cfg.n_patterns})")
-    for sym in s:
-        if np.min(np.abs(cfg.constellation.points - sym)) > 1e-9:
-            raise ValueError(f"symbol {sym} not in the base constellation")
-    rot = np.ones(cfg.n_users, dtype=complex)
-    if phi > 0:
-        rot[cfg.n_users - phi:] = np.exp(1j * cfg.rotation_angle)
-    return complex(np.sum(cfg.amplitudes * rot * s))
-
-
-def pack_bits(cfg: SystemConfig, p1_bits, p2_bits) -> tuple[np.ndarray, int]:
-    """Map symbol bits (user order 1..N) and index bits to (symbol vector, phi).
-
-    Index bits are read MSB-first as the natural-binary pattern index.
-    """
-    p1_bits = np.asarray(p1_bits, dtype=int)
-    p2_bits = np.asarray(p2_bits, dtype=int)
-    if p1_bits.shape != (cfg.n_symbol_bits,):
-        raise ValueError(f"expected {cfg.n_symbol_bits} symbol bits, got {p1_bits.shape}")
-    if p2_bits.shape != (cfg.n_index_bits,):
-        raise ValueError(f"expected {cfg.n_index_bits} index bits, got {p2_bits.shape}")
-    b = cfg.bits_per_symbol
-    const = cfg.constellation
-    s = np.array([const.points[const.index_for_bits(p1_bits[n * b:(n + 1) * b])]
-                  for n in range(cfg.n_users)])
-    phi = 0
-    for bit in p2_bits:
-        phi = (phi << 1) | int(bit)
-    return s, phi
-
-
-def unpack_bits(cfg: SystemConfig, s, phi: int) -> np.ndarray:
-    """Exact inverse of pack_bits."""
-    s = np.asarray(s, dtype=complex)
-    const = cfg.constellation
-    bits = []
-    for sym in s:
-        idx = int(np.argmin(np.abs(const.points - sym)))
-        if abs(const.points[idx] - sym) > 1e-9:
-            raise ValueError(f"symbol {sym} not in the base constellation")
-        bits.extend(const.bits_for_index(idx))
-    for k in range(cfg.n_index_bits - 1, -1, -1):
-        bits.append((phi >> k) & 1)
-    return np.array(bits, dtype=int)
 
 
 def user_bit_positions(cfg: SystemConfig, user) -> range:
@@ -195,9 +125,6 @@ class SuperAlphabet:
     def __len__(self) -> int:
         return len(self.x)
 
-    def entry(self, i: int):
-        return (self.symbol_indices[i], int(self.phis[i]), complex(self.x[i]), self.bits[i])
-
 
 def symbol_indices_to_x(cfg: SystemConfig, indices: np.ndarray, phis: np.ndarray) -> np.ndarray:
     """Vectorized superposition for arrays of point indices (L, N) and patterns (L,)."""
@@ -208,23 +135,24 @@ def symbol_indices_to_x(cfg: SystemConfig, indices: np.ndarray, phis: np.ndarray
     return (syms * factors * cfg.amplitudes[None, :]).sum(axis=1)
 
 
-def alphabet_size(cfg: SystemConfig, cap: int = DEFAULT_ALPHABET_CAP) -> int:
-    """Entry count M^N * 2^p2 of the super-alphabet; ValueError above ``cap``."""
+def alphabet_size(cfg: SystemConfig) -> int:
+    """Entry count M^N * 2^p2 of the super-alphabet; ValueError above
+    ``DEFAULT_ALPHABET_CAP``."""
     size = cfg.mod_order ** cfg.n_users * cfg.n_patterns
-    if size > cap:
-        raise ValueError(f"alphabet size {size} exceeds enumeration cap {cap}")
+    if size > DEFAULT_ALPHABET_CAP:
+        raise ValueError(f"alphabet size {size} exceeds enumeration cap {DEFAULT_ALPHABET_CAP}")
     return size
 
 
-def build_super_alphabet(cfg: SystemConfig, cap: int = DEFAULT_ALPHABET_CAP) -> SuperAlphabet:
+def build_super_alphabet(cfg: SystemConfig) -> SuperAlphabet:
     """Enumerate all M^N * 2^p2 superimposed symbols with bit-strings attached.
 
     Entry i is the bit-string i: user n's label is its n-th b-bit field, phi its low p2 bits.
     """
-    size = alphabet_size(cfg, cap)
+    size = alphabet_size(cfg)
     p = spectral_efficiency(cfg)
     i = np.arange(size)
-    bits = ((i[:, None] >> np.arange(p - 1, -1, -1)[None, :]) & 1).astype(np.uint8)
+    bits = bit_rows(i, p)
     b = cfg.bits_per_symbol
     point_of_label = np.argsort(cfg.constellation.bits @ (1 << np.arange(b - 1, -1, -1)))
     shifts = p - b * np.arange(1, cfg.n_users + 1)

@@ -1,0 +1,279 @@
+"""Independent reference paths the tests check the package against.
+
+Each one computes a result the package computes on its production path, but
+one symbol, subcarrier or pair at a time: scalar bit mapping and
+superposition, the per-call channel draws, OFDM framing, the quadrature PEP,
+exhaustive ML scans and one block through the channel layer.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+from scipy.integrate import quad
+from scipy.special import erfc
+
+from imnomarc.channel import noise_variance
+from imnomarc.constellation import Constellation
+from imnomarc.harness import _decide
+from imnomarc.superposition import SystemConfig, spectral_efficiency
+
+
+# --- constellation -----------------------------------------------------------
+
+def index_for_bits(c: Constellation, bits) -> int:
+    """Index of the point whose label is ``bits``."""
+    key = np.asarray(bits, dtype=int)
+    if key.shape != (c.bits_per_symbol,):
+        raise ValueError(f"expected {c.bits_per_symbol} bits, got {len(key)}")
+    return int(np.flatnonzero((c.bits == key).all(axis=1))[0])
+
+
+def rotate(c: Constellation, angle: float) -> Constellation:
+    """Rotate every point by ``angle`` radians; labels and power are preserved."""
+    return Constellation(points=c.points * np.exp(1j * angle), bits=c.bits.copy())
+
+
+def map_bits(c: Constellation, bits) -> complex:
+    """Map a length-log2(M) bit sequence to its labeled point."""
+    return complex(c.points[index_for_bits(c, bits)])
+
+
+# --- superposition -----------------------------------------------------------
+
+@dataclass
+class ImPattern:
+    """One row of the IM lookup table: pattern index and the rotated suffix."""
+
+    phi: int
+    rotated_set: tuple[int, ...]
+
+
+def im_pattern(cfg: SystemConfig, phi: int) -> ImPattern:
+    if not 0 <= phi < cfg.n_patterns:
+        raise ValueError(f"pattern index {phi} out of range [0, {cfg.n_patterns})")
+    rotated = tuple(range(cfg.n_users - phi + 1, cfg.n_users + 1))
+    return ImPattern(phi=phi, rotated_set=rotated)
+
+
+def superimpose(cfg: SystemConfig, s, phi: int) -> complex:
+    """Power-weighted superposition of the per-user symbols for pattern phi.
+
+    The last ``phi`` near users' symbols are rotated by the IM angle before
+    the amplitude weighting; everyone else transmits unrotated.
+    """
+    s = np.asarray(s, dtype=complex)
+    if s.shape != (cfg.n_users,):
+        raise ValueError(f"expected {cfg.n_users} symbols, got shape {s.shape}")
+    if not 0 <= phi < cfg.n_patterns:
+        raise ValueError(f"pattern index {phi} out of range [0, {cfg.n_patterns})")
+    for sym in s:
+        if np.min(np.abs(cfg.constellation.points - sym)) > 1e-9:
+            raise ValueError(f"symbol {sym} not in the base constellation")
+    rot = np.ones(cfg.n_users, dtype=complex)
+    if phi > 0:
+        rot[cfg.n_users - phi:] = np.exp(1j * cfg.rotation_angle)
+    return complex(np.sum(cfg.amplitudes * rot * s))
+
+
+def pack_bits(cfg: SystemConfig, p1_bits, p2_bits) -> tuple[np.ndarray, int]:
+    """Map symbol bits (user order 1..N) and index bits to (symbol vector, phi).
+
+    Index bits are read MSB-first as the natural-binary pattern index.
+    """
+    p1_bits = np.asarray(p1_bits, dtype=int)
+    p2_bits = np.asarray(p2_bits, dtype=int)
+    if p1_bits.shape != (cfg.n_symbol_bits,):
+        raise ValueError(f"expected {cfg.n_symbol_bits} symbol bits, got {p1_bits.shape}")
+    if p2_bits.shape != (cfg.n_index_bits,):
+        raise ValueError(f"expected {cfg.n_index_bits} index bits, got {p2_bits.shape}")
+    b = cfg.bits_per_symbol
+    const = cfg.constellation
+    s = np.array([const.points[index_for_bits(const, p1_bits[n * b:(n + 1) * b])]
+                  for n in range(cfg.n_users)])
+    phi = 0
+    for bit in p2_bits:
+        phi = (phi << 1) | int(bit)
+    return s, phi
+
+
+def unpack_bits(cfg: SystemConfig, s, phi: int) -> np.ndarray:
+    """Exact inverse of pack_bits."""
+    s = np.asarray(s, dtype=complex)
+    const = cfg.constellation
+    bits = []
+    for sym in s:
+        idx = int(np.argmin(np.abs(const.points - sym)))
+        if abs(const.points[idx] - sym) > 1e-9:
+            raise ValueError(f"symbol {sym} not in the base constellation")
+        bits.extend(int(v) for v in const.bits[idx])
+    for k in range(cfg.n_index_bits - 1, -1, -1):
+        bits.append((phi >> k) & 1)
+    return np.array(bits, dtype=int)
+
+
+# --- channel -----------------------------------------------------------------
+
+@dataclass
+class ChannelRealization:
+    """Frequency response per (user, subcarrier) plus the shared noise variance."""
+
+    h: np.ndarray       # (n_users, L) complex, i.i.d. CN(0, 1)
+    noise_var: float    # sigma^2, identical at every user; 0 disables noise
+
+    def __post_init__(self):
+        self.h = np.asarray(self.h, dtype=complex)
+        if not np.all(np.isfinite(self.h)):
+            raise ValueError("channel response must be finite")
+        if self.noise_var < 0:
+            raise ValueError("noise variance must be non-negative")
+
+
+def draw_channel(n_users: int, n_subcarriers: int, snr_db: float,
+                 total_power: float = 1.0,
+                 rng: np.random.Generator | None = None) -> ChannelRealization:
+    """Draw i.i.d. CN(0,1) frequency responses for every user and subcarrier."""
+    rng = rng or np.random.default_rng()
+    h = (rng.standard_normal((n_users, n_subcarriers))
+         + 1j * rng.standard_normal((n_users, n_subcarriers))) / np.sqrt(2)
+    return ChannelRealization(h=h, noise_var=noise_variance(snr_db, total_power))
+
+
+def apply_channel(x: np.ndarray, ch: ChannelRealization, user: int,
+                  rng: np.random.Generator | None = None) -> np.ndarray:
+    """Received signal y = h*x + w at the given (1-based) user; fresh noise per call."""
+    x = np.asarray(x, dtype=complex)
+    if not 1 <= user <= ch.h.shape[0]:
+        raise ValueError(f"user {user} out of range")
+    if x.shape != (ch.h.shape[1],):
+        raise ValueError(f"expected {ch.h.shape[1]} subcarriers, got {x.shape}")
+    y = ch.h[user - 1] * x
+    if ch.noise_var > 0:
+        rng = rng or np.random.default_rng()
+        w = (rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape))
+        y = y + np.sqrt(ch.noise_var / 2) * w
+    return y
+
+
+def ofdm_modulate(freq_symbols: np.ndarray, cp_len: int) -> np.ndarray:
+    """Unitary IFFT plus cyclic-prefix prepend."""
+    freq_symbols = np.asarray(freq_symbols, dtype=complex)
+    L = len(freq_symbols)
+    if L & (L - 1):
+        raise ValueError("subcarrier count must be a power of two")
+    if not 0 <= cp_len < L:
+        raise ValueError("cyclic prefix must satisfy 0 <= cp_len < L")
+    time = np.fft.ifft(freq_symbols, norm="ortho")
+    return np.concatenate([time[L - cp_len:], time])
+
+
+def ofdm_demodulate(time_samples: np.ndarray, n_subcarriers: int, cp_len: int) -> np.ndarray:
+    """Strip the cyclic prefix and apply the unitary FFT."""
+    time_samples = np.asarray(time_samples, dtype=complex)
+    if len(time_samples) != n_subcarriers + cp_len:
+        raise ValueError(f"expected {n_subcarriers + cp_len} samples, got {len(time_samples)}")
+    return np.fft.fft(time_samples[cp_len:], norm="ortho")
+
+
+# --- analysis ----------------------------------------------------------------
+
+def q_function(t: float) -> float:
+    """Gaussian tail probability Q(t) = 0.5 * erfc(t / sqrt(2))."""
+    return 0.5 * erfc(t / np.sqrt(2))
+
+
+def pep_rayleigh(delta: complex, sigma2: float, rel_tol: float = 1e-10) -> float:
+    """Average pairwise error probability over unit-mean Rayleigh fading power.
+
+    Integrates Q(sqrt(|delta|^2 * u / (2 sigma^2))) against the exponential
+    density of the channel power u = |h|^2 by adaptive quadrature.
+    """
+    if sigma2 <= 0:
+        raise ValueError("noise variance must be positive")
+    d2 = abs(delta) ** 2
+    if d2 == 0:
+        return 0.5
+    scale = d2 / (2 * sigma2)
+
+    def integrand(u):
+        return q_function(np.sqrt(scale * u)) * np.exp(-u)
+
+    value, _ = quad(integrand, 0.0, np.inf, epsabs=0.0, epsrel=rel_tol, limit=200)
+    return value
+
+
+# --- detection ---------------------------------------------------------------
+
+def exhaustive_ml(y, h, alphabet):
+    """Exhaustive scan of |y - h x|^2 over the whole alphabet, lowest index on ties."""
+    y = np.asarray(y, dtype=complex)
+    h = np.asarray(h, dtype=complex)
+    d = np.abs(y[:, None] - h[:, None] * alphabet.x[None, :]) ** 2
+    idx = np.argmin(d, axis=1)
+    return idx, d[np.arange(len(y)), idx]
+
+
+def brute_force_scan(y, h, cfg):
+    """Independent exhaustive hypothesis scan with inline superposition math."""
+    points = cfg.constellation.points
+    best = None
+    hyp_index = 0
+    for bits_int in range(2 ** spectral_efficiency(cfg)):
+        # decode the packed bit-string exactly as the transmitter would
+        p = spectral_efficiency(cfg)
+        bits = [(bits_int >> (p - 1 - k)) & 1 for k in range(p)]
+        b = cfg.bits_per_symbol
+        s = []
+        for n in range(cfg.n_users):
+            chunk = tuple(bits[n * b:(n + 1) * b])
+            s.append(points[index_for_bits(cfg.constellation, chunk)])
+        phi = 0
+        for bit in bits[cfg.n_symbol_bits:]:
+            phi = phi * 2 + bit
+        x = 0j
+        for n in range(cfg.n_users):
+            factor = 1j if (n + 1) > cfg.n_users - phi else 1.0
+            x += np.sqrt(cfg.power_coeffs[n] * cfg.total_power) * factor * s[n]
+        metric = abs(y - h * x) ** 2
+        if best is None or metric < best[1]:
+            best = (hyp_index, metric)
+        hyp_index += 1
+    return best[0]
+
+
+def canonical_entry(alphabet, idx):
+    """Lowest alphabet index transmitting the same physical symbol.
+
+    Rotation can map a constellation onto itself (QPSK under pi/2), so
+    distinct (symbols, pattern) entries may share one superimposed value;
+    decisions are only defined up to that physical value.
+    """
+    return int(np.flatnonzero(np.abs(alphabet.x - alphabet.x[idx]) < 1e-9)[0])
+
+
+# --- harness -----------------------------------------------------------------
+
+def run_block_oracle(ctx, snr_db, block):
+    """One block through the channel layer: draw_channel, then one
+    apply_channel and one detection per receiver."""
+    spec = ctx.spec
+    L = spec.n_subcarriers
+    ss = np.random.SeedSequence(entropy=spec.master_seed,
+                                spawn_key=(int(round(snr_db * 1e6)) & 0xFFFFFFFF, block))
+    rng = np.random.default_rng(ss)
+    eff_snr = np.inf if spec.noiseless else snr_db
+
+    tx_entry = rng.integers(0, len(ctx.alphabet.x), size=L)
+    tx_bits = ctx.alphabet.bits[tx_entry]
+    x = ctx.alphabet.x[tx_entry]
+    ch = draw_channel(ctx.n_receivers, L, eff_snr, ctx.total_power, rng)
+
+    errors = {}
+    for rx in range(1, ctx.n_receivers + 1):
+        y = apply_channel(x, ch, rx, rng)
+        rx_bits = _decide(ctx, y, ch.h[rx - 1], rx)
+        for name, pos, owner in ctx.channels:
+            if owner == rx:
+                errors[name] = int(np.count_nonzero(rx_bits[:, pos] != tx_bits[:, pos]))
+    return errors

@@ -11,7 +11,7 @@ from imnomarc.channel import noise_variance
 from imnomarc.cli import main as cli_main
 from imnomarc.detectors import ml_block
 
-from test_detectors import brute_force_scan, canonical_entry
+from oracles import brute_force_scan, canonical_entry, pep_rayleigh
 
 TWO_USER = dict(n_users=2, n_far=1, mod_order=2, power_coeffs=(0.9, 0.1))
 
@@ -114,7 +114,7 @@ def test_criterion_5_pep_quadrature_vs_closed_form():
     worst = 0.0
     for c in np.logspace(-3, 3, 20):
         delta = np.sqrt(4 * sigma2 * c)
-        got = im.pep_rayleigh(delta, sigma2)
+        got = pep_rayleigh(delta, sigma2)
         want = im.pep_rayleigh_closed_form(delta, sigma2)
         worst = max(worst, abs(got - want) / want)
     elapsed = time.perf_counter() - t0

@@ -139,9 +139,17 @@ OVER_CAP_INI = ("[system]\nn_users = 5\nn_far = 2\nmod_order = 16\nfamily = QAM\
     ("se", "[se]\nsubblock_size = 0\nactive_subcarriers = 0\n", []),
     ("bound", OVER_CAP_INI, []),
     ("ber", OVER_CAP_INI, []),
+    ("ber", "[sweep]\nmin_bit_errors = 0\n", []),
+    ("ber", None, ["--snr", "10", "--min-errors", "1", "--max-bits", "0"]),
+    ("ber", None, ["--snr", "10", "--min-errors", "0"]),
+    ("ber", "[ofdm]\nmod_order = 3\n", ["--scheme", "ofdm"]),
+    ("ber", "max_bits = 10000\n", []),
+    ("ber", "[sweep]\nmax_bits = 10000\nmax_bits = 20000\n", []),
 ], ids=["bound-snr-grid", "bound-snr-list", "ber-snr-list", "power-coeffs",
         "n-users", "se-tuple", "flops-tuple", "se-subblock", "se-active-over",
-        "se-zero-subblock", "bound-alphabet-cap", "ber-alphabet-cap"])
+        "se-zero-subblock", "bound-alphabet-cap", "ber-alphabet-cap",
+        "ini-zero-min-errors", "zero-max-bits-flag", "zero-min-errors-flag",
+        "ofdm-order", "no-section-header", "duplicate-option"])
 def test_malformed_numbers_are_config_errors(tmp_path, capsys, command, ini, args):
     if ini is not None:
         cfg = tmp_path / "exp.ini"
@@ -169,3 +177,4 @@ def test_bound_refuses_pair_count_over_budget(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "config error" in err and f"alphabet size {size}" in err
     assert not (tmp_path / "out").exists()
+

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
-from imnomarc.constellation import (Constellation, RotationSet,
-                                    build_constellation, map_bits, rotate)
+from imnomarc.constellation import Constellation, RotationSet, build_constellation
+
+from oracles import map_bits, rotate
+
+
+def mean_power(c):
+    return float(np.mean(np.abs(c.points) ** 2))
 
 
 def test_bpsk_points_and_labels():
@@ -33,7 +38,7 @@ def test_8qam_scale_factor():
                                           (4, "QAM"), (8, "QAM"), (16, "QAM"), (64, "QAM")])
 def test_unit_average_power(order, family):
     c = build_constellation(order, family)
-    assert abs(c.average_power() - 1.0) < 1e-12
+    assert abs(mean_power(c) - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("order,family", [(3, "PSK"), (2, "QAM"), (32, "QAM"), (4, "APSK")])
@@ -63,7 +68,7 @@ def test_rotate_inverse_roundtrip():
 def test_rotate_preserves_power():
     c = build_constellation(16, "QAM")
     for theta in np.linspace(0, 2 * np.pi, 13):
-        assert abs(rotate(c, theta).average_power() - c.average_power()) < 1e-12
+        assert abs(mean_power(rotate(c, theta)) - mean_power(c)) < 1e-12
 
 
 def test_qpsk_pi_half_symmetry():
@@ -92,7 +97,7 @@ def test_psk_gray_property(order):
     for i in range(order):
         for j in range(order):
             if i < j and np.isclose(dists[i, j], dmin):
-                hamming = sum(a != b for a, b in zip(c.bits_for_index(i), c.bits_for_index(j)))
+                hamming = sum(a != b for a, b in zip(c.bits[i], c.bits[j]))
                 assert hamming == 1
 
 
@@ -126,4 +131,33 @@ def test_rotation_set_validation():
 
 def test_constellation_rejects_nonunit_power():
     with pytest.raises(ValueError):
-        Constellation(points=np.array([2.0, -2.0]), labels={(0,): 0, (1,): 1}, order=2)
+        Constellation(points=np.array([2.0, -2.0]), bits=np.array([[0], [1]]))
+
+
+# Label rows of point 0, 1, ..., M-1, as built from the Gray code.
+LABEL_TABLES = {
+    (2, "PSK"): [[0], [1]],
+    (4, "PSK"): [[0, 0], [0, 1], [1, 1], [1, 0]],
+    (8, "PSK"): [[0, 0, 0], [0, 0, 1], [0, 1, 1], [0, 1, 0],
+                 [1, 1, 0], [1, 1, 1], [1, 0, 1], [1, 0, 0]],
+    (8, "QAM"): [[0, 0, 0], [0, 0, 1], [0, 1, 0], [0, 1, 1],
+                 [1, 1, 0], [1, 1, 1], [1, 0, 0], [1, 0, 1]],
+    (16, "QAM"): [[0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 1], [0, 0, 1, 0],
+                  [0, 1, 0, 0], [0, 1, 0, 1], [0, 1, 1, 1], [0, 1, 1, 0],
+                  [1, 1, 0, 0], [1, 1, 0, 1], [1, 1, 1, 1], [1, 1, 1, 0],
+                  [1, 0, 0, 0], [1, 0, 0, 1], [1, 0, 1, 1], [1, 0, 1, 0]],
+}
+
+
+@pytest.mark.parametrize("order,family", LABEL_TABLES)
+def test_label_tables_are_pinned(order, family):
+    c = build_constellation(order, family)
+    assert c.bits.dtype == np.uint8
+    assert c.bits.tolist() == LABEL_TABLES[(order, family)]
+
+
+@pytest.mark.parametrize("bits", [[[0], [0]], [[0, 0], [1, 1]], [[0], [2]]],
+                         ids=["repeated-row", "wrong-width", "not-a-bit"])
+def test_constellation_rejects_labels_that_are_not_a_bijection(bits):
+    with pytest.raises(ValueError, match="bijection"):
+        Constellation(points=np.array([1.0, -1.0]), bits=np.array(bits))

@@ -6,63 +6,35 @@ import numpy as np
 import pytest
 
 from imnomarc.constellation import RotationSet
-from imnomarc.detectors import (SCAN_MAX, angles_to_phi, detect_ml, detect_sic,
-                                extract_user_bits, flops_ml, flops_sic,
-                                ml_block, sic_block)
-from imnomarc.harness import _OfdmAlphabet
+from imnomarc.detectors import (SCAN_MAX, angles_to_phi_block, flops_ml,
+                                flops_sic, ml_block, sic_block)
+from imnomarc.harness import ExperimentSpec, _decide, _OfdmAlphabet, _PointContext
 from imnomarc.superposition import (SystemConfig, build_super_alphabet,
-                                    spectral_efficiency)
+                                    user_bit_positions)
+
+from oracles import brute_force_scan, canonical_entry, exhaustive_ml
 
 TWO_USER = dict(n_users=2, n_far=1, mod_order=2, power_coeffs=(0.9, 0.1))
 FOUR_USER_QPSK = dict(n_users=4, n_far=1, mod_order=4,
                       power_coeffs=(0.75, 0.18, 0.05, 0.02))
 
 
-def exhaustive_ml(y, h, alphabet):
-    """Exhaustive scan of |y - h x|^2 over the whole alphabet, lowest index on ties."""
-    y = np.asarray(y, dtype=complex)
-    h = np.asarray(h, dtype=complex)
-    d = np.abs(y[:, None] - h[:, None] * alphabet.x[None, :]) ** 2
-    idx = np.argmin(d, axis=1)
-    return idx, d[np.arange(len(y)), idx]
+def one(value):
+    """A single subcarrier as a 1-row block."""
+    return np.array([value], dtype=complex)
 
 
-def brute_force_scan(y, h, cfg):
-    """Independent exhaustive hypothesis scan with inline superposition math."""
-    points = cfg.constellation.points
-    best = None
-    hyp_index = 0
-    for bits_int in range(2 ** spectral_efficiency(cfg)):
-        # decode the packed bit-string exactly as the transmitter would
-        p = spectral_efficiency(cfg)
-        bits = [(bits_int >> (p - 1 - k)) & 1 for k in range(p)]
-        b = cfg.bits_per_symbol
-        s = []
-        for n in range(cfg.n_users):
-            chunk = tuple(bits[n * b:(n + 1) * b])
-            s.append(points[cfg.constellation.labels[chunk]])
-        phi = 0
-        for bit in bits[cfg.n_symbol_bits:]:
-            phi = phi * 2 + bit
-        x = 0j
-        for n in range(cfg.n_users):
-            factor = 1j if (n + 1) > cfg.n_users - phi else 1.0
-            x += np.sqrt(cfg.power_coeffs[n] * cfg.total_power) * factor * s[n]
-        metric = abs(y - h * x) ** 2
-        if best is None or metric < best[1]:
-            best = (hyp_index, metric)
-        hyp_index += 1
-    return best[0]
+def user_bits(cfg, detector, y, h, user):
+    """Bits ``user`` owns in the decision of its receiver, for one subcarrier.
 
-
-def canonical_entry(alphabet, idx):
-    """Lowest alphabet index transmitting the same physical symbol.
-
-    Rotation can map a constellation onto itself (QPSK under pi/2), so
-    distinct (symbols, pattern) entries may share one superimposed value;
-    decisions are only defined up to that physical value.
+    A near user in "near" mode owns the index bits too; the virtual user N+1
+    owns only the index bits.
     """
-    return int(np.flatnonzero(np.abs(alphabet.x - alphabet.x[idx]) < 1e-9)[0])
+    ctx = _PointContext(ExperimentSpec(cfg=cfg, detector=detector))
+    pos = [] if user == cfg.n_users + 1 else list(user_bit_positions(cfg, user))
+    if user == cfg.n_users + 1 or (user > cfg.n_far and cfg.index_user_mode == "near"):
+        pos += list(user_bit_positions(cfg, "index"))
+    return _decide(ctx, one(y), one(h), user)[0, pos]
 
 
 def test_ml_noiseless_recovers_every_entry():
@@ -70,18 +42,19 @@ def test_ml_noiseless_recovers_every_entry():
     alphabet = build_super_alphabet(cfg)
     h = 0.3 - 0.7j
     for i in range(len(alphabet)):
-        r = detect_ml(h * alphabet.x[i], h, alphabet)
-        assert r.symbol_indices == tuple(alphabet.symbol_indices[i])
-        assert r.phi_hat == alphabet.phis[i]
-        assert r.metric < 1e-20
+        idx, metric = ml_block(one(h * alphabet.x[i]), one(h), alphabet)
+        assert np.array_equal(alphabet.symbol_indices[idx[0]], alphabet.symbol_indices[i])
+        assert alphabet.phis[idx[0]] == alphabet.phis[i]
+        assert metric[0] < 1e-20
 
 
 def test_ml_two_user_rotated_case():
     cfg = SystemConfig(**TWO_USER)
     alphabet = build_super_alphabet(cfg)
     y = np.sqrt(0.9) + 1j * np.sqrt(0.1)
-    r = detect_ml(y, 1 + 0j, alphabet)
-    assert r.symbols == (1 + 0j, 1 + 0j) and r.phi_hat == 1
+    idx, _ = ml_block(one(y), one(1), alphabet)
+    symbols = cfg.constellation.points[alphabet.symbol_indices[idx[0]]]
+    assert symbols.tolist() == [1 + 0j, 1 + 0j] and alphabet.phis[idx[0]] == 1
 
 
 @pytest.mark.parametrize("mod_order", [2, 4])
@@ -177,9 +150,9 @@ def test_detect_ml_on_a_tree_searched_alphabet():
     alphabet = build_super_alphabet(cfg)
     h = 0.4 + 0.9j
     for i in (0, 517, len(alphabet) - 1):
-        r = detect_ml(h * alphabet.x[i], h, alphabet)
-        assert r.symbol_indices == tuple(alphabet.symbol_indices[i])
-        assert r.phi_hat == alphabet.phis[i]
+        idx, _ = ml_block(one(h * alphabet.x[i]), one(h), alphabet)
+        assert np.array_equal(alphabet.symbol_indices[idx[0]], alphabet.symbol_indices[i])
+        assert alphabet.phis[idx[0]] == alphabet.phis[i]
 
 
 def test_ml_block_memory_does_not_scale_with_rows_times_alphabet():
@@ -207,20 +180,20 @@ def test_sic_far_user_noiseless():
     cfg = SystemConfig(**TWO_USER)
     h = 1.0 + 0j
     y = h * (np.sqrt(0.9) * 1 + np.sqrt(0.1) * -1)
-    r = detect_sic(y, h, cfg, 1)
-    assert r.symbols == (1 + 0j,)
-    assert r.theta_indices is None and r.phi_hat is None
+    sym_idx, theta_idx, phi_hat, _ = sic_block(one(y), one(h), cfg, 1)
+    assert cfg.constellation.points[sym_idx[0]].tolist() == [1 + 0j]
+    assert theta_idx.size == 0 and phi_hat is None
 
 
 def test_sic_near_user_noiseless_rotated():
     cfg = SystemConfig(**TWO_USER)
     h = 1.0 + 0j
     y = h * (np.sqrt(0.9) + 1j * np.sqrt(0.1))
-    r = detect_sic(y, h, cfg, 2)
-    assert r.symbol_indices == (0, 0)
-    assert r.theta_indices == (1,)
-    assert r.phi_hat == 1
-    assert np.array_equal(extract_user_bits(r, cfg, 2), [0])
+    sym_idx, theta_idx, phi_hat, _ = sic_block(one(y), one(h), cfg, 2)
+    assert sym_idx.tolist() == [[0, 0]]
+    assert theta_idx.tolist() == [[1]]
+    assert phi_hat.tolist() == [1]
+    assert np.array_equal(user_bits(cfg, "sic", y, h, 2), [0])
 
 
 def test_sic_matches_ml_at_high_snr():
@@ -245,11 +218,11 @@ def test_angles_to_phi_basic():
     alphas = (0.5, 0.3, 0.2)
     cfg = SystemConfig(n_users=3, n_far=1, mod_order=2, power_coeffs=alphas)
     assert cfg.n_index_bits == 1
-    assert angles_to_phi([0.0, 0.0], cfg) == 0
-    assert angles_to_phi([0.0, np.pi / 2], cfg) == 1
+    assert angles_to_phi_block(np.array([[0, 0]]), cfg).tolist() == [0]
+    assert angles_to_phi_block(np.array([[0, 1]]), cfg).tolist() == [1]
     # inconsistent non-suffix pattern: both valid patterns at distance 1,
     # tie breaks toward the smaller index
-    assert angles_to_phi([np.pi / 2, 0.0], cfg) == 0
+    assert angles_to_phi_block(np.array([[1, 0]]), cfg).tolist() == [0]
 
 
 def test_angles_to_phi_exhaustive_projection():
@@ -258,7 +231,7 @@ def test_angles_to_phi_exhaustive_projection():
     assert cfg.n_index_bits == 2
     valid = {0: (0, 0, 0), 1: (0, 0, 1), 2: (0, 1, 1), 3: (1, 1, 1)}
     for flags in itertools.product((0, 1), repeat=3):
-        got = angles_to_phi(flags, cfg)
+        got = int(angles_to_phi_block(np.array([flags]), cfg)[0])
         dists = {phi: sum(a != b for a, b in zip(flags, pat))
                  for phi, pat in valid.items()}
         best = min(dists.values())
@@ -268,27 +241,15 @@ def test_angles_to_phi_exhaustive_projection():
 
 def test_extract_user_bits_from_ml():
     cfg = SystemConfig(**TWO_USER, index_user_mode="near")
-    alphabet = build_super_alphabet(cfg)
     y = np.sqrt(0.9) * 1 + 1j * np.sqrt(0.1) * -1
-    r = detect_ml(y, 1 + 0j, alphabet)
-    assert np.array_equal(extract_user_bits(r, cfg, 1), [0])
-    assert np.array_equal(extract_user_bits(r, cfg, 2), [1, 1])
+    assert np.array_equal(user_bits(cfg, "ml", y, 1, 1), [0])
+    assert np.array_equal(user_bits(cfg, "ml", y, 1, 2), [1, 1])
 
 
 def test_extract_virtual_user_bits():
     cfg = SystemConfig(**TWO_USER, index_user_mode="virtual")
-    alphabet = build_super_alphabet(cfg)
-    r = detect_ml(np.sqrt(0.9) + 1j * np.sqrt(0.1), 1 + 0j, alphabet)
-    assert np.array_equal(extract_user_bits(r, cfg, 3), [1])
-
-
-def test_extract_user_bits_errors():
-    cfg = SystemConfig(**TWO_USER)
-    r = detect_sic(np.sqrt(0.9) + 0j, 1 + 0j, cfg, 1)
-    with pytest.raises(ValueError):
-        extract_user_bits(r, cfg, 2)
-    with pytest.raises(ValueError):
-        extract_user_bits(r, cfg, 5)
+    y = np.sqrt(0.9) + 1j * np.sqrt(0.1)
+    assert np.array_equal(user_bits(cfg, "ml", y, 1, 3), [1])
 
 
 def test_flops_worked_values():
@@ -349,6 +310,6 @@ def test_pdnoma_sic_searches_no_rotation():
 def test_sic_rejects_bad_users():
     cfg = SystemConfig(**TWO_USER, index_user_mode="near")
     with pytest.raises(ValueError):
-        detect_sic(0j, 1 + 0j, cfg, 0)
+        sic_block(one(0), one(1), cfg, 0)
     with pytest.raises(ValueError):
-        detect_sic(0j, 1 + 0j, cfg, 3)  # virtual user needs virtual mode
+        sic_block(one(0), one(1), cfg, 3)  # virtual user needs virtual mode

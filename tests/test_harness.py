@@ -1,16 +1,20 @@
 import json
 import math
+import subprocess
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from imnomarc.channel import apply_channel, draw_channel
+from imnomarc import __version__, harness
 from imnomarc.constellation import RotationSet
 from imnomarc.harness import (BATCH_BLOCKS, CSV_HEADER, BerRecord,
-                              ExperimentSpec, _decide, _PointContext,
-                              _run_batch, load_results, persist, run_point,
-                              run_sweep, spec_from_dict, spec_to_dict)
+                              ExperimentSpec, _PointContext, _run_batch,
+                              load_results, persist, run_point, run_sweep,
+                              spec_from_dict)
 from imnomarc.superposition import SystemConfig
+
+from oracles import run_block_oracle
 
 TWO_USER = dict(n_users=2, n_far=1, mod_order=2, power_coeffs=(0.9, 0.1))
 
@@ -139,31 +143,6 @@ def test_run_point_matches_golden_counts(case):
         assert got == want
 
 
-def run_block_oracle(ctx, snr_db, block):
-    """One block through the channel layer: draw_channel, then one
-    apply_channel and one detection per receiver."""
-    spec = ctx.spec
-    L = spec.n_subcarriers
-    ss = np.random.SeedSequence(entropy=spec.master_seed,
-                                spawn_key=(int(round(snr_db * 1e6)) & 0xFFFFFFFF, block))
-    rng = np.random.default_rng(ss)
-    eff_snr = np.inf if spec.noiseless else snr_db
-
-    tx_entry = rng.integers(0, len(ctx.alphabet.x), size=L)
-    tx_bits = ctx.alphabet.bits[tx_entry]
-    x = ctx.alphabet.x[tx_entry]
-    ch = draw_channel(ctx.n_receivers, L, eff_snr, ctx.total_power, rng)
-
-    errors = {}
-    for rx in range(1, ctx.n_receivers + 1):
-        y = apply_channel(x, ch, rx, rng)
-        rx_bits = _decide(ctx, y, ch.h[rx - 1], rx)
-        for name, pos, owner in ctx.channels:
-            if owner == rx:
-                errors[name] = int(np.count_nonzero(rx_bits[:, pos] != tx_bits[:, pos]))
-    return errors
-
-
 BATCH_CASES = {
     "2:1:2-ml-virtual": dict(cfg=("2:1:2", "virtual"), detector="ml"),
     "2:1:2-ml-near": dict(cfg=("2:1:2", "near"), detector="ml"),
@@ -246,7 +225,7 @@ def test_empty_grid_gives_empty_results_and_valid_manifest():
 def test_manifest_echo_roundtrips():
     spec = small_spec(snr_grid_db=(5.0, 10.0), detector="sic")
     _, manifest = run_sweep(small_spec(snr_grid_db=()))
-    assert spec_from_dict(spec_to_dict(spec)) == spec
+    assert spec_from_dict(asdict(spec)) == spec
     assert spec_from_dict(manifest["spec"]) == small_spec(snr_grid_db=())
 
 
@@ -291,6 +270,20 @@ def test_spec_validation():
         ExperimentSpec(snr_grid_db=(10.0, 5.0))
     with pytest.raises(ValueError):
         ExperimentSpec(max_bits=100, min_bit_errors=200)
+    for min_bit_errors in (0, -1):
+        with pytest.raises(ValueError, match="min_bit_errors"):
+            ExperimentSpec(min_bit_errors=min_bit_errors)
+    with pytest.raises(ValueError, match="unsupported order 3"):
+        ExperimentSpec(scheme="ofdm", ofdm_order=3)
+    ExperimentSpec(scheme="imnomarc", ofdm_order=3)  # read by the OFDM scheme only
+
+
+def test_version_string_survives_a_git_timeout(monkeypatch):
+    def hang(cmd, **kwargs):
+        raise subprocess.TimeoutExpired(cmd, kwargs.get("timeout"))
+
+    monkeypatch.setattr(subprocess, "run", hang)
+    assert harness._version_string() == __version__
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])

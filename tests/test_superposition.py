@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from imnomarc.superposition import (SystemConfig, build_super_alphabet,
-                                    im_pattern, pack_bits, rotation_flags,
-                                    spectral_efficiency, superimpose,
-                                    symbol_indices_to_x, unpack_bits,
-                                    user_bit_positions)
+                                    rotation_flags, spectral_efficiency,
+                                    symbol_indices_to_x, user_bit_positions)
+
+from oracles import im_pattern, pack_bits, superimpose, unpack_bits
 
 TWO_USER = dict(n_users=2, n_far=1, mod_order=2, power_coeffs=(0.9, 0.1))
 
@@ -123,9 +123,11 @@ def test_alphabet_sizes():
 
 
 def test_alphabet_cap():
-    cfg = SystemConfig(n_users=2, n_far=1, mod_order=4, power_coeffs=(0.9, 0.1))
+    # 5:2:16 QAM: A = 16^5 * 4 = 2^22, refused before anything is allocated
+    cfg = SystemConfig(n_users=5, n_far=2, mod_order=16, family="QAM",
+                       power_coeffs=(0.5, 0.25, 0.15, 0.07, 0.03))
     with pytest.raises(ValueError):
-        build_super_alphabet(cfg, cap=16)
+        build_super_alphabet(cfg)
 
 
 def test_alphabet_matches_hand_evaluated_two_user_diagram():
@@ -141,9 +143,8 @@ def test_alphabet_entries_match_superimpose():
     cfg = three_user_cfg()
     alphabet = build_super_alphabet(cfg)
     points = cfg.constellation.points
-    for i in range(len(alphabet)):
-        sym_idx, phi, x, _ = alphabet.entry(i)
-        assert abs(x - superimpose(cfg, points[sym_idx], phi)) < 1e-12
+    for sym_idx, phi, x in zip(alphabet.symbol_indices, alphabet.phis, alphabet.x):
+        assert abs(x - superimpose(cfg, points[sym_idx], int(phi))) < 1e-12
 
 
 def test_alphabet_mean_power_equals_total_power():
@@ -159,8 +160,7 @@ def test_far_marginal_invariant_under_patterns():
     cfg = three_user_cfg()
     alphabet = build_super_alphabet(cfg)
     far_terms = {}
-    for i in range(len(alphabet)):
-        sym_idx, phi, _, _ = alphabet.entry(i)
+    for sym_idx, phi in zip(alphabet.symbol_indices, alphabet.phis.tolist()):
         contribution = complex(np.round(
             cfg.amplitudes[0] * cfg.constellation.points[sym_idx[0]], 12))
         far_terms.setdefault(phi, []).append(contribution)
