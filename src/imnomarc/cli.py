@@ -39,7 +39,7 @@ def _parse_floats(text: str, sep: str | None = None) -> tuple[float, ...]:
 
 
 def _parse_snr(text: str) -> tuple[float, ...]:
-    """Grid syntax start:step:stop (inclusive) or a comma-separated list."""
+    """Grid start:step:stop, ending at the last step within 1e-9 steps of stop, or a list."""
     grid = ":" in text
     values = _parse_floats(text, ":" if grid else None)
     if not all(math.isfinite(v) for v in values):
@@ -50,7 +50,7 @@ def _parse_snr(text: str) -> tuple[float, ...]:
         start, step, stop = values
         if step <= 0 or stop < start:
             raise ConfigError(f"bad SNR grid {text!r}")
-        n = int(round((stop - start) / step)) + 1
+        n = math.floor((stop - start) / step + 1e-9) + 1
         return tuple(start + k * step for k in range(n))
     return values
 

@@ -23,10 +23,10 @@ import numpy as np
 
 from . import __version__
 from .channel import noise_variance
-from .constellation import RotationSet, bit_rows, build_constellation
+from .constellation import RotationSet, build_constellation
 from .detectors import ml_block, sic_block
 from .superposition import (SystemConfig, alphabet_size, build_super_alphabet,
-                            user_bit_positions)
+                            entry_index, user_bit_positions)
 
 SCHEMES = ("imnomarc", "pdnoma", "ofdm")
 DETECTORS = ("ml", "sic")
@@ -63,6 +63,8 @@ class ExperimentSpec:
             raise ValueError("SNR grid must be strictly increasing")
         if self.min_bit_errors < 1:
             raise ValueError("min_bit_errors must be at least 1")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be non-negative")
         if self.max_bits < 10 * self.min_bit_errors:
             raise ValueError("max_bits must be at least 10x min_bit_errors")
         if self.n_subcarriers < 1:
@@ -104,7 +106,8 @@ class _PointContext:
     ``channels`` lists each tracked error curve once as (name, bit positions
     in the packed per-subcarrier string, receiver that decides it). The index
     bits are decided by the virtual receiver N+1 in "virtual" mode and by the
-    nearest user N in "near" mode.
+    nearest user N in "near" mode. ``weights`` maps each curve to its (A,)
+    weight table: entry k carries weights[name][k] of the curve's bits set.
     """
 
     def __init__(self, spec: ExperimentSpec):
@@ -126,26 +129,21 @@ class _PointContext:
                 self.channels.append(
                     ("index", np.array(user_bit_positions(cfg, "index")), rx))
         self.n_receivers = max(rx for _, _, rx in self.channels)
+        self.weights = {name: self.alphabet.bits[:, pos].sum(axis=1, dtype=np.int64)
+                        for name, pos, _ in self.channels}
 
 
 def _decide(ctx: _PointContext, y: np.ndarray, h: np.ndarray, rx: int) -> np.ndarray:
-    """Decided (L, p) bit-strings at receiver ``rx``.
+    """Decided (L,) alphabet entries at receiver ``rx``.
 
-    ML decides whole alphabet entries. SIC fills the symbol bits of the stages
-    it ran and, once it resolves the rotation pattern, the index bits; the
-    positions it does not decide stay 0 and belong to no channel of ``rx``.
+    ML decides whole entries. SIC encodes the symbols of the stages it ran
+    and, once it resolves the rotation pattern, the pattern; the fields it
+    does not decide stay 0 and belong to no channel of ``rx``.
     """
     if ctx.cfg is None or ctx.spec.detector == "ml":
-        idx, _ = ml_block(y, h, ctx.alphabet)
-        return ctx.alphabet.bits[idx]
-    cfg = ctx.cfg
-    sym_idx, _, phi_hat, _ = sic_block(y, h, cfg, rx)
-    bits = np.zeros((len(y), ctx.alphabet.bits.shape[1]), dtype=np.uint8)
-    stage_bits = cfg.constellation.bits[sym_idx].reshape(len(y), -1)
-    bits[:, :stage_bits.shape[1]] = stage_bits
-    if phi_hat is not None:
-        bits[:, cfg.n_symbol_bits:] = bit_rows(phi_hat, cfg.n_index_bits)
-    return bits
+        return ml_block(y, h, ctx.alphabet)[0]
+    sym_idx, _, phi_hat, _ = sic_block(y, h, ctx.cfg, rx)
+    return entry_index(ctx.cfg, sym_idx, phi_hat)
 
 
 def _run_batch(ctx: _PointContext, snr_db: float, first_block: int) -> dict[str, int]:
@@ -155,6 +153,8 @@ def _run_batch(ctx: _PointContext, snr_db: float, first_block: int) -> dict[str,
     h real and imaginary (R rows each), then each receiver's noise, real and
     imaginary, if there is noise. Receiver rx sees h = (g_re + j g_im) / sqrt(2)
     and y = h x + sqrt(sigma^2 / 2) (w_re + j w_im) with its own rows.
+    Bit labels are linear over XOR in the entry index, so a channel's errors
+    on a subcarrier are its weight table at (decided entry ^ sent entry).
     """
     spec = ctx.spec
     L = spec.n_subcarriers
@@ -171,7 +171,6 @@ def _run_batch(ctx: _PointContext, snr_db: float, first_block: int) -> dict[str,
         tx_entry[b * L:(b + 1) * L] = rng.integers(0, len(ctx.alphabet.x), size=L)
         rng.standard_normal((rows, L), out=g[b])
 
-    tx_bits = ctx.alphabet.bits[tx_entry]
     x = ctx.alphabet.x[tx_entry]
     errors: dict[str, int] = {}
     for rx in range(1, R + 1):
@@ -181,10 +180,10 @@ def _run_batch(ctx: _PointContext, snr_db: float, first_block: int) -> dict[str,
             n = 2 * (R + rx - 1)  # this receiver's noise rows, real then imaginary
             w = g[:, n] + 1j * g[:, n + 1]
             y = y + np.sqrt(sigma2 / 2) * w.reshape(-1)
-        rx_bits = _decide(ctx, y, h, rx)
-        for name, pos, owner in ctx.channels:
+        diff = _decide(ctx, y, h, rx) ^ tx_entry
+        for name, _, owner in ctx.channels:
             if owner == rx:
-                errors[name] = int(np.count_nonzero(rx_bits[:, pos] != tx_bits[:, pos]))
+                errors[name] = int(ctx.weights[name][diff].sum())
     return errors
 
 

@@ -113,26 +113,16 @@ class SuperAlphabet:
     """Exhaustive enumeration of superimposed symbols over (symbols, pattern).
 
     Entry i corresponds to the packed bit-string whose integer value is i, so
-    the alphabet index doubles as the transmitted bit pattern.
+    the alphabet index doubles as the transmitted bit pattern; ``entry_index``
+    encodes (symbols, pattern) as that index.
     """
 
     cfg: SystemConfig
-    symbol_indices: np.ndarray  # (A, N) constellation point indices
-    phis: np.ndarray            # (A,)
     x: np.ndarray               # (A,) superimposed complex values
     bits: np.ndarray            # (A, p) 0/1
 
     def __len__(self) -> int:
         return len(self.x)
-
-
-def symbol_indices_to_x(cfg: SystemConfig, indices: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """Vectorized superposition for arrays of point indices (L, N) and patterns (L,)."""
-    indices = np.asarray(indices, dtype=int)
-    phis = np.asarray(phis, dtype=int)
-    syms = cfg.constellation.points[indices]  # (L, N)
-    factors = np.where(rotation_flags(cfg)[phis], np.exp(1j * cfg.rotation_angle), 1.0 + 0j)
-    return (syms * factors * cfg.amplitudes[None, :]).sum(axis=1)
 
 
 def alphabet_size(cfg: SystemConfig) -> int:
@@ -144,19 +134,33 @@ def alphabet_size(cfg: SystemConfig) -> int:
     return size
 
 
+def _label_fields(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Label integer of each constellation point, and each user's field shift in an entry."""
+    b = cfg.bits_per_symbol
+    return (cfg.constellation.bits @ (1 << np.arange(b - 1, -1, -1)),
+            spectral_efficiency(cfg) - b * np.arange(1, cfg.n_users + 1))
+
+
+def entry_index(cfg: SystemConfig, sym_idx: np.ndarray,
+                phis: np.ndarray | None = None) -> np.ndarray:
+    """Alphabet entries of point indices (L, k) for users 1..k and patterns (L,),
+    the inverse of build_super_alphabet's decode. The fields of users past k,
+    and the index bits when ``phis`` is None, stay 0."""
+    labels, shifts = _label_fields(cfg)
+    entries = (labels[sym_idx] << shifts[:sym_idx.shape[1]]).sum(axis=1)
+    return entries if phis is None else entries | phis
+
+
 def build_super_alphabet(cfg: SystemConfig) -> SuperAlphabet:
     """Enumerate all M^N * 2^p2 superimposed symbols with bit-strings attached.
 
     Entry i is the bit-string i: user n's label is its n-th b-bit field, phi its low p2 bits.
     """
-    size = alphabet_size(cfg)
-    p = spectral_efficiency(cfg)
-    i = np.arange(size)
-    bits = bit_rows(i, p)
-    b = cfg.bits_per_symbol
-    point_of_label = np.argsort(cfg.constellation.bits @ (1 << np.arange(b - 1, -1, -1)))
-    shifts = p - b * np.arange(1, cfg.n_users + 1)
-    sym_idx = point_of_label[(i[:, None] >> shifts) & (cfg.mod_order - 1)]
-    phis = i & (cfg.n_patterns - 1)
-    x = symbol_indices_to_x(cfg, sym_idx, phis)
-    return SuperAlphabet(cfg=cfg, symbol_indices=sym_idx, phis=phis, x=x, bits=bits)
+    i = np.arange(alphabet_size(cfg))
+    labels, shifts = _label_fields(cfg)
+    point_of_label = np.argsort(labels)
+    syms = cfg.constellation.points[point_of_label[(i[:, None] >> shifts) & (cfg.mod_order - 1)]]
+    factors = np.where(rotation_flags(cfg)[i & (cfg.n_patterns - 1)],
+                       np.exp(1j * cfg.rotation_angle), 1.0 + 0j)
+    x = (syms * factors * cfg.amplitudes).sum(axis=1)
+    return SuperAlphabet(cfg=cfg, x=x, bits=bit_rows(i, spectral_efficiency(cfg)))

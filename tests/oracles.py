@@ -272,7 +272,7 @@ def run_block_oracle(ctx, snr_db, block):
     errors = {}
     for rx in range(1, ctx.n_receivers + 1):
         y = apply_channel(x, ch, rx, rng)
-        rx_bits = _decide(ctx, y, ch.h[rx - 1], rx)
+        rx_bits = ctx.alphabet.bits[_decide(ctx, y, ch.h[rx - 1], rx)]
         for name, pos, owner in ctx.channels:
             if owner == rx:
                 errors[name] = int(np.count_nonzero(rx_bits[:, pos] != tx_bits[:, pos]))

@@ -82,8 +82,6 @@ def test_union_bound_degenerate_antipodal_pair():
     amp = 0.8
     alphabet = SuperAlphabet(
         cfg=cfg,
-        symbol_indices=np.array([[0, 0], [1, 1]]),
-        phis=np.array([0, 0]),
         x=np.array([amp, -amp], dtype=complex),
         bits=np.array([[0], [1]], dtype=np.uint8))
     sigma2 = 0.25
@@ -145,8 +143,6 @@ def test_union_bound_rejects_inconsistent_alphabet():
     cfg = SystemConfig(**TWO_USER)
     broken = SuperAlphabet(
         cfg=cfg,
-        symbol_indices=np.zeros((3, 2), dtype=int),
-        phis=np.zeros(3, dtype=int),
         x=np.array([1, 2, 3], dtype=complex),
         bits=np.zeros((3, 2), dtype=np.uint8))
     with pytest.raises(ValueError):

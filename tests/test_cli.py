@@ -57,6 +57,21 @@ def test_bound_command(tmp_path):
         assert curve[10.0] >= curve[30.0]
 
 
+@pytest.mark.parametrize("grid, want", [
+    ("0:6:10", (0.0, 6.0)),
+    ("0:0.1:1", tuple(k / 10 for k in range(11))),
+    # 0.3 / 0.1 = 2.9999999999999996 in floats
+    ("0:0.1:0.3", (0.0, 0.1, 0.2, 0.3)),
+], ids=["stop-between-steps", "fractional-step", "step-count-rounds-down"])
+def test_snr_grid_ends_at_its_stop(tmp_path, grid, want):
+    # the grid includes stop when a step lands on it, to rounding, and never
+    # passes it
+    assert run_cli(["bound", "--out", str(tmp_path), "--snr", grid]) == 0
+    rows = (tmp_path / "bound.csv").read_text().splitlines()[1:]
+    snrs = sorted({float(r.split(",")[3]) for r in rows})
+    assert snrs == pytest.approx(want, rel=0, abs=1e-9)
+
+
 def test_ber_smoke(tmp_path):
     rc = run_cli(["ber", "--out", str(tmp_path), "--snr", "10:5:15",
                   "--min-errors", "20", "--max-bits", "10000", "--seed", "7"])
@@ -145,11 +160,14 @@ OVER_CAP_INI = ("[system]\nn_users = 5\nn_far = 2\nmod_order = 16\nfamily = QAM\
     ("ber", "[ofdm]\nmod_order = 3\n", ["--scheme", "ofdm"]),
     ("ber", "max_bits = 10000\n", []),
     ("ber", "[sweep]\nmax_bits = 10000\nmax_bits = 20000\n", []),
+    ("ber", None, ["--snr", "10", "--seed", "-1"]),
+    ("ber", "[sweep]\nseed = -1\n", ["--snr", "10"]),
 ], ids=["bound-snr-grid", "bound-snr-list", "ber-snr-list", "power-coeffs",
         "n-users", "se-tuple", "flops-tuple", "se-subblock", "se-active-over",
         "se-zero-subblock", "bound-alphabet-cap", "ber-alphabet-cap",
         "ini-zero-min-errors", "zero-max-bits-flag", "zero-min-errors-flag",
-        "ofdm-order", "no-section-header", "duplicate-option"])
+        "ofdm-order", "no-section-header", "duplicate-option",
+        "negative-seed-flag", "ini-negative-seed"])
 def test_malformed_numbers_are_config_errors(tmp_path, capsys, command, ini, args):
     if ini is not None:
         cfg = tmp_path / "exp.ini"

@@ -161,3 +161,13 @@ def test_label_tables_are_pinned(order, family):
 def test_constellation_rejects_labels_that_are_not_a_bijection(bits):
     with pytest.raises(ValueError, match="bijection"):
         Constellation(points=np.array([1.0, -1.0]), bits=np.array(bits))
+
+
+@pytest.mark.parametrize("order,family", [(2 ** k, "PSK") for k in range(1, 9)]
+                         + [(m, "QAM") for m in (4, 8, 16, 64)])
+def test_labels_are_linear_over_xor(order, family):
+    # The harness and the bound count bit errors as a weight table at i ^ j;
+    # that needs bits[i ^ j] == bits[i] ^ bits[j] for every pair of points.
+    bits = build_constellation(order, family).bits
+    i = np.arange(order)
+    assert np.array_equal(bits[i[:, None] ^ i], bits[:, None, :] ^ bits[None, :, :])

@@ -10,7 +10,7 @@ from imnomarc.detectors import (SCAN_MAX, angles_to_phi_block, flops_ml,
                                 flops_sic, ml_block, sic_block)
 from imnomarc.harness import ExperimentSpec, _decide, _OfdmAlphabet, _PointContext
 from imnomarc.superposition import (SystemConfig, build_super_alphabet,
-                                    user_bit_positions)
+                                    entry_index, user_bit_positions)
 
 from oracles import brute_force_scan, canonical_entry, exhaustive_ml
 
@@ -34,7 +34,7 @@ def user_bits(cfg, detector, y, h, user):
     pos = [] if user == cfg.n_users + 1 else list(user_bit_positions(cfg, user))
     if user == cfg.n_users + 1 or (user > cfg.n_far and cfg.index_user_mode == "near"):
         pos += list(user_bit_positions(cfg, "index"))
-    return _decide(ctx, one(y), one(h), user)[0, pos]
+    return ctx.alphabet.bits[_decide(ctx, one(y), one(h), user)][0, pos]
 
 
 def test_ml_noiseless_recovers_every_entry():
@@ -43,8 +43,7 @@ def test_ml_noiseless_recovers_every_entry():
     h = 0.3 - 0.7j
     for i in range(len(alphabet)):
         idx, metric = ml_block(one(h * alphabet.x[i]), one(h), alphabet)
-        assert np.array_equal(alphabet.symbol_indices[idx[0]], alphabet.symbol_indices[i])
-        assert alphabet.phis[idx[0]] == alphabet.phis[i]
+        assert idx[0] == i
         assert metric[0] < 1e-20
 
 
@@ -53,8 +52,8 @@ def test_ml_two_user_rotated_case():
     alphabet = build_super_alphabet(cfg)
     y = np.sqrt(0.9) + 1j * np.sqrt(0.1)
     idx, _ = ml_block(one(y), one(1), alphabet)
-    symbols = cfg.constellation.points[alphabet.symbol_indices[idx[0]]]
-    assert symbols.tolist() == [1 + 0j, 1 + 0j] and alphabet.phis[idx[0]] == 1
+    # both users send point 0 (1 + 0j) and the near user is rotated
+    assert idx.tolist() == entry_index(cfg, np.array([[0, 0]]), np.array([1])).tolist()
 
 
 @pytest.mark.parametrize("mod_order", [2, 4])
@@ -151,8 +150,7 @@ def test_detect_ml_on_a_tree_searched_alphabet():
     h = 0.4 + 0.9j
     for i in (0, 517, len(alphabet) - 1):
         idx, _ = ml_block(one(h * alphabet.x[i]), one(h), alphabet)
-        assert np.array_equal(alphabet.symbol_indices[idx[0]], alphabet.symbol_indices[i])
-        assert alphabet.phis[idx[0]] == alphabet.phis[i]
+        assert idx[0] == i
 
 
 def test_ml_block_memory_does_not_scale_with_rows_times_alphabet():
@@ -208,10 +206,7 @@ def test_sic_matches_ml_at_high_snr():
     y = h * alphabet.x[idx_tx] + w
     ml_idx, _ = ml_block(y, h, alphabet)
     sym_idx, _, phi_hat, _ = sic_block(y, h, cfg, cfg.n_users + 1)
-    agree = np.logical_and(
-        np.all(sym_idx == alphabet.symbol_indices[ml_idx], axis=1),
-        phi_hat == alphabet.phis[ml_idx])
-    assert np.mean(agree) >= 0.999
+    assert np.mean(entry_index(cfg, sym_idx, phi_hat) == ml_idx) >= 0.999
 
 
 def test_angles_to_phi_basic():
@@ -239,14 +234,14 @@ def test_angles_to_phi_exhaustive_projection():
         assert got == expected
 
 
-def test_extract_user_bits_from_ml():
+def test_ml_decision_bits_near_mode():
     cfg = SystemConfig(**TWO_USER, index_user_mode="near")
     y = np.sqrt(0.9) * 1 + 1j * np.sqrt(0.1) * -1
     assert np.array_equal(user_bits(cfg, "ml", y, 1, 1), [0])
     assert np.array_equal(user_bits(cfg, "ml", y, 1, 2), [1, 1])
 
 
-def test_extract_virtual_user_bits():
+def test_ml_decision_bits_virtual_user():
     cfg = SystemConfig(**TWO_USER, index_user_mode="virtual")
     y = np.sqrt(0.9) + 1j * np.sqrt(0.1)
     assert np.array_equal(user_bits(cfg, "ml", y, 1, 3), [1])

@@ -270,6 +270,8 @@ def test_spec_validation():
         ExperimentSpec(snr_grid_db=(10.0, 5.0))
     with pytest.raises(ValueError):
         ExperimentSpec(max_bits=100, min_bit_errors=200)
+    with pytest.raises(ValueError, match="master_seed"):
+        ExperimentSpec(master_seed=-1)
     for min_bit_errors in (0, -1):
         with pytest.raises(ValueError, match="min_bit_errors"):
             ExperimentSpec(min_bit_errors=min_bit_errors)

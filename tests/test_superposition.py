@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from imnomarc.superposition import (SystemConfig, build_super_alphabet,
-                                    rotation_flags, spectral_efficiency,
-                                    symbol_indices_to_x, user_bit_positions)
+                                    entry_index, rotation_flags,
+                                    spectral_efficiency, user_bit_positions)
 
-from oracles import im_pattern, pack_bits, superimpose, unpack_bits
+from oracles import im_pattern, index_for_bits, pack_bits, superimpose, unpack_bits
 
 TWO_USER = dict(n_users=2, n_far=1, mod_order=2, power_coeffs=(0.9, 0.1))
 
@@ -142,9 +142,10 @@ def test_alphabet_matches_hand_evaluated_two_user_diagram():
 def test_alphabet_entries_match_superimpose():
     cfg = three_user_cfg()
     alphabet = build_super_alphabet(cfg)
-    points = cfg.constellation.points
-    for sym_idx, phi, x in zip(alphabet.symbol_indices, alphabet.phis, alphabet.x):
-        assert abs(x - superimpose(cfg, points[sym_idx], int(phi))) < 1e-12
+    nsb = cfg.n_symbol_bits
+    for bits, x in zip(alphabet.bits, alphabet.x):
+        s, phi = pack_bits(cfg, bits[:nsb], bits[nsb:])
+        assert abs(x - superimpose(cfg, s, phi)) < 1e-12
 
 
 def test_alphabet_mean_power_equals_total_power():
@@ -159,22 +160,24 @@ def test_alphabet_mean_power_equals_total_power():
 def test_far_marginal_invariant_under_patterns():
     cfg = three_user_cfg()
     alphabet = build_super_alphabet(cfg)
+    nsb = cfg.n_symbol_bits
     far_terms = {}
-    for sym_idx, phi in zip(alphabet.symbol_indices, alphabet.phis.tolist()):
-        contribution = complex(np.round(
-            cfg.amplitudes[0] * cfg.constellation.points[sym_idx[0]], 12))
+    for bits in alphabet.bits:
+        s, phi = pack_bits(cfg, bits[:nsb], bits[nsb:])
+        contribution = complex(np.round(cfg.amplitudes[0] * s[0], 12))
         far_terms.setdefault(phi, []).append(contribution)
     reference = sorted(far_terms[0], key=lambda z: (z.real, z.imag))
     for phi, terms in far_terms.items():
         assert sorted(terms, key=lambda z: (z.real, z.imag)) == reference
 
 
-def test_symbol_indices_to_x_matches_scalar_path():
+def test_entry_index_selects_the_superimposed_point():
     cfg = three_user_cfg()
+    alphabet = build_super_alphabet(cfg)
     rng = np.random.default_rng(3)
     idx = rng.integers(0, cfg.mod_order, size=(50, 3))
     phis = rng.integers(0, cfg.n_patterns, size=50)
-    x = symbol_indices_to_x(cfg, idx, phis)
+    x = alphabet.x[entry_index(cfg, idx, phis)]
     points = cfg.constellation.points
     for k in range(50):
         assert abs(x[k] - superimpose(cfg, points[idx[k]], int(phis[k]))) < 1e-12
@@ -220,17 +223,30 @@ ALPHABET_TABLE_CONFIGS = {
 
 @pytest.mark.parametrize("name", ALPHABET_TABLE_CONFIGS)
 def test_alphabet_entry_fields_decode_its_bit_string(name):
-    # pack_bits is the scalar oracle: entry i transmits the bit-string i
+    # pack_bits is the scalar oracle: entry i transmits the bit-string i, and
+    # entry_index encodes its symbols and pattern back to i
     cfg = SystemConfig(**ALPHABET_TABLE_CONFIGS[name])
     alphabet = build_super_alphabet(cfg)
     weights = 1 << np.arange(spectral_efficiency(cfg) - 1, -1, -1)
     assert np.array_equal(alphabet.bits @ weights, np.arange(len(alphabet)))
-    nsb = cfg.n_symbol_bits
-    points = cfg.constellation.points
+    nsb, b = cfg.n_symbol_bits, cfg.bits_per_symbol
+    const = cfg.constellation
+    sym_idx = np.empty((len(alphabet), cfg.n_users), dtype=int)
+    phis = np.empty(len(alphabet), dtype=int)
     for i, bits in enumerate(alphabet.bits):
-        s, phi = pack_bits(cfg, bits[:nsb], bits[nsb:])
-        assert np.array_equal(s, points[alphabet.symbol_indices[i]])
-        assert phi == alphabet.phis[i]
+        s, phis[i] = pack_bits(cfg, bits[:nsb], bits[nsb:])
+        sym_idx[i] = [index_for_bits(const, bits[n * b:(n + 1) * b]) for n in range(cfg.n_users)]
+        assert np.array_equal(s, const.points[sym_idx[i]])
+        assert abs(alphabet.x[i] - superimpose(cfg, s, phis[i])) < 1e-12
+    assert np.array_equal(entry_index(cfg, sym_idx, phis), np.arange(len(alphabet)))
+
+
+def test_entry_index_leaves_undecided_fields_zero():
+    # the SIC receiver of user 2 of 3 decides two symbols and no pattern
+    cfg = three_user_cfg()
+    entries = entry_index(cfg, np.array([[1, 1], [0, 1]]))
+    assert entries.tolist() == [0b1100, 0b0100]
+    assert entry_index(cfg, np.array([[1, 1, 1]]), np.array([1])).tolist() == [0b1111]
 
 
 @pytest.mark.parametrize("n, b", [(2, 1), (3, 1), (4, 1), (5, 2)])
