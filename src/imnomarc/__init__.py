@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .constellation import Constellation, RotationSet, build_constellation
+from .constellation import Constellation, build_constellation
 from .superposition import (SuperAlphabet, SystemConfig, build_super_alphabet,
                             spectral_efficiency, user_bit_positions)
 from .channel import noise_variance

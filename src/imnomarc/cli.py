@@ -14,7 +14,6 @@ import numpy as np
 
 from .analysis import PAIR_BUDGET, union_bound_ber
 from .channel import noise_variance
-from .constellation import RotationSet
 from .detectors import flops_ml, flops_sic
 from .harness import CSV_HEADER, ExperimentSpec, persist, run_sweep
 from .superposition import (SystemConfig, alphabet_size, build_super_alphabet,
@@ -91,11 +90,14 @@ def _system_config(conf: configparser.ConfigParser) -> SystemConfig:
             mod_order=sec.getint("mod_order"),
             family=sec.get("family"),
             power_coeffs=_parse_floats(sec.get("power_coeffs")),
-            total_power=sec.getfloat("total_power"),
             index_user_mode=sec.get("index_user_mode"),
         )
         if sec.get("rotation_angles", None):
-            kwargs["rotation"] = RotationSet(_parse_floats(sec.get("rotation_angles")))
+            angles = _parse_floats(sec.get("rotation_angles"))
+            if len(angles) != 2 or angles[0] != 0.0:
+                raise ConfigError(f"rotation_angles must be 0 and the rotated users' angle, "
+                                  f"got {sec.get('rotation_angles')!r}")
+            kwargs["rotation_angle"] = angles[1]
         return SystemConfig(**kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -182,13 +184,16 @@ def cmd_bound(conf, args) -> int:
     if size * (size - 1) > PAIR_BUDGET:
         raise ConfigError(f"alphabet size {size} has {size * (size - 1)} ordered pairs, "
                           f"over the bound's budget of {PAIR_BUDGET}")
+    try:
+        sigma2s = [noise_variance(snr_db) for snr_db in snr]
+    except ValueError as exc:  # an SNR past the float range
+        raise ConfigError(str(exc)) from exc
     alphabet = build_super_alphabet(cfg)
     users = [str(u) for u in range(1, cfg.n_users + 1)]
     if cfg.n_index_bits:
         users.append("index")
     lines = [CSV_HEADER]
-    for snr_db in snr:
-        sigma2 = noise_variance(snr_db, cfg.total_power)
+    for snr_db, sigma2 in zip(snr, sigma2s):
         for user in users:
             key = int(user) if user != "index" else "index"
             bound = union_bound_ber(alphabet, sigma2, user=key)
@@ -208,8 +213,7 @@ def cmd_ber(conf, args) -> int:
         records, manifest = run_sweep(spec)
         all_records.extend(records)
         manifests.append(manifest)
-    top = dict(manifests[0]) if len(manifests) == 1 else {"runs": manifests}
-    csv_path, manifest_path = persist(all_records, top, out)
+    csv_path, manifest_path = persist(all_records, {"runs": manifests}, out)
     print(f"wrote {csv_path} and {manifest_path}")
     return EXIT_OK
 
@@ -256,13 +260,15 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="config file path")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--snr", default=None, help="SNR grid start:step:stop in dB")
-        p.add_argument("--detector", action="append", choices=["ml", "sic"])
-        p.add_argument("--scheme", action="append",
-                       choices=["imnomarc", "pdnoma", "ofdm"])
-        p.add_argument("--max-bits", type=int, default=None)
-        p.add_argument("--min-errors", type=int, default=None)
+        if name in ("bound", "ber"):
+            p.add_argument("--snr", default=None, help="SNR grid start:step:stop in dB")
+        if name == "ber":
+            p.add_argument("--seed", type=int, default=None)
+            p.add_argument("--detector", action="append", choices=["ml", "sic"])
+            p.add_argument("--scheme", action="append",
+                           choices=["imnomarc", "pdnoma", "ofdm"])
+            p.add_argument("--max-bits", type=int, default=None)
+            p.add_argument("--min-errors", type=int, default=None)
     return parser
 
 

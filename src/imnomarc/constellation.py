@@ -1,4 +1,4 @@
-"""Base M-ary constellations: construction, Gray labeling, and rotation angles."""
+"""Base M-ary constellations: construction and Gray labeling."""
 
 from __future__ import annotations
 
@@ -40,24 +40,6 @@ class Constellation:
     @property
     def bits_per_symbol(self) -> int:
         return int(np.log2(len(self.points)))
-
-
-@dataclass
-class RotationSet:
-    """The two rotation angles (radians) of the IM operation: 0 for unrotated
-    users and the angle applied to the rotated suffix."""
-
-    angles: tuple[float, ...] = (0.0, np.pi / 2)
-
-    def __post_init__(self):
-        self.angles = tuple(float(a) for a in self.angles)
-        if len(self.angles) != 2:
-            raise ValueError(f"expected exactly two rotation angles, got {len(self.angles)}")
-        if self.angles[0] != 0.0:
-            raise ValueError("first rotation angle must be exactly 0")
-        reduced = np.mod(self.angles, 2 * np.pi)
-        if len(np.unique(np.round(reduced, 12))) != len(self.angles):
-            raise ValueError("rotation angles must be distinct modulo 2*pi")
 
 
 def build_constellation(order: int, family: str = "PSK") -> Constellation:

@@ -129,8 +129,9 @@ def sic_block(y: np.ndarray, h: np.ndarray, cfg: SystemConfig, user: int):
 
     Stage l is one ``_scan`` of the residual with gain amplitude_l * h and
     cancels the chosen hypothesis. Far stages search the base constellation;
-    near stages search (symbol, rotation angle) pairs when the config carries
-    index bits and the base constellation otherwise (a transmitter without
+    near stages search (symbol, rotation) pairs, the rotation factor being 1
+    (theta index 0) or e^{j rotation_angle} (theta index 1), when the config
+    carries index bits and the base constellation otherwise (a transmitter without
     index bits never rotates; theta index 0). Detection stops at the user's
     own stage; the virtual user N+1 runs every stage and recovers the pattern.
 
@@ -144,7 +145,7 @@ def sic_block(y: np.ndarray, h: np.ndarray, cfg: SystemConfig, user: int):
     y = np.asarray(y, dtype=complex)
     h = np.asarray(h, dtype=complex)
     points = cfg.constellation.points
-    n_angles = len(cfg.rotation.angles) if cfg.n_index_bits else 1
+    n_angles = 2 if cfg.n_index_bits else 1
     n_stages = min(user, cfg.n_users)
 
     residual = y
@@ -154,7 +155,7 @@ def sic_block(y: np.ndarray, h: np.ndarray, cfg: SystemConfig, user: int):
             hyp = points
         elif l == cfg.n_far:  # built at the first near stage, kept for the rest
             # near hypothesis index = symbol index * n_angles + angle index
-            rot = np.exp(1j * np.asarray(cfg.rotation.angles[:n_angles]))
+            rot = np.exp(1j * np.array([0.0, cfg.rotation_angle][:n_angles]))
             hyp = (points[:, None] * rot).reshape(-1)
         gain = cfg.amplitudes[l] * h
         sym_idx[:, l], metric = _scan(residual, gain, hyp)

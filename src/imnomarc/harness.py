@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .channel import noise_variance
-from .constellation import RotationSet, build_constellation
+from .constellation import build_constellation
 from .detectors import ml_block, sic_block
 from .superposition import (SystemConfig, alphabet_size, build_super_alphabet,
                             entry_index, user_bit_positions)
@@ -59,6 +59,8 @@ class ExperimentSpec:
         self.snr_grid_db = tuple(float(v) for v in self.snr_grid_db)
         if not all(np.isfinite(self.snr_grid_db)):
             raise ValueError("SNR grid entries must be finite")
+        for snr_db in self.snr_grid_db:
+            noise_variance(snr_db)  # ValueError past the float range
         if any(a >= b for a, b in zip(self.snr_grid_db, self.snr_grid_db[1:])):
             raise ValueError("SNR grid must be strictly increasing")
         if self.min_bit_errors < 1:
@@ -70,6 +72,8 @@ class ExperimentSpec:
         if self.n_subcarriers < 1:
             raise ValueError("n_subcarriers must be positive")
         if self.scheme == "ofdm":
+            if self.detector != "ml":
+                raise ValueError("the ofdm scheme is detected by ml only")
             build_constellation(self.ofdm_order, self.ofdm_family)
         else:
             alphabet_size(self.scheme_cfg())
@@ -92,11 +96,11 @@ class BerRecord:
 
 
 class _OfdmAlphabet:
-    """Single-user alphabet: plain constellation scaled to the power budget."""
+    """Single-user alphabet: the plain constellation."""
 
-    def __init__(self, order, family, total_power):
+    def __init__(self, order, family):
         const = build_constellation(order, family)
-        self.x = const.points * np.sqrt(total_power)
+        self.x = const.points
         self.bits = const.bits
 
 
@@ -114,14 +118,11 @@ class _PointContext:
         self.spec = spec
         if spec.scheme == "ofdm":
             self.cfg = None
-            self.alphabet = _OfdmAlphabet(spec.ofdm_order, spec.ofdm_family,
-                                          spec.cfg.total_power)
-            self.total_power = spec.cfg.total_power
+            self.alphabet = _OfdmAlphabet(spec.ofdm_order, spec.ofdm_family)
             self.channels = [("1", np.arange(self.alphabet.bits.shape[1]), 1)]
         else:
             self.cfg = cfg = spec.scheme_cfg()
             self.alphabet = build_super_alphabet(cfg)
-            self.total_power = cfg.total_power
             self.channels = [(str(u), np.array(user_bit_positions(cfg, u)), u)
                              for u in range(1, cfg.n_users + 1)]
             if cfg.n_index_bits:
@@ -140,7 +141,7 @@ def _decide(ctx: _PointContext, y: np.ndarray, h: np.ndarray, rx: int) -> np.nda
     and, once it resolves the rotation pattern, the pattern; the fields it
     does not decide stay 0 and belong to no channel of ``rx``.
     """
-    if ctx.cfg is None or ctx.spec.detector == "ml":
+    if ctx.spec.detector == "ml":
         return ml_block(y, h, ctx.alphabet)[0]
     sym_idx, _, phi_hat, _ = sic_block(y, h, ctx.cfg, rx)
     return entry_index(ctx.cfg, sym_idx, phi_hat)
@@ -159,7 +160,7 @@ def _run_batch(ctx: _PointContext, snr_db: float, first_block: int) -> dict[str,
     spec = ctx.spec
     L = spec.n_subcarriers
     R = ctx.n_receivers
-    sigma2 = noise_variance(np.inf if spec.noiseless else snr_db, ctx.total_power)
+    sigma2 = noise_variance(np.inf if spec.noiseless else snr_db)
     rows = 4 * R if sigma2 > 0 else 2 * R
     snr_key = int(round(snr_db * 1e6)) & 0xFFFFFFFF
     tx_entry = np.empty(BATCH_BLOCKS * L, dtype=np.int64)
@@ -231,14 +232,7 @@ def _version_string() -> str:
 
 
 def spec_from_dict(d: dict) -> ExperimentSpec:
-    d = dict(d)
-    cfg = dict(d.pop("cfg"))
-    rotation = cfg.pop("rotation")
-    cfg["rotation"] = RotationSet(tuple(rotation["angles"]))
-    cfg["power_coeffs"] = tuple(cfg["power_coeffs"])
-    d["cfg"] = SystemConfig(**cfg)
-    d["snr_grid_db"] = tuple(d["snr_grid_db"])
-    return ExperimentSpec(**d)
+    return ExperimentSpec(**{**d, "cfg": SystemConfig(**d["cfg"])})
 
 
 def run_sweep(spec: ExperimentSpec) -> tuple[list[BerRecord], dict]:

@@ -4,11 +4,12 @@ enumerated super-alphabet of power-domain superpositions."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .constellation import Constellation, RotationSet, bit_rows, build_constellation
+from .constellation import Constellation, bit_rows, build_constellation
 
 DEFAULT_ALPHABET_CAP = 2 ** 20
 
@@ -24,6 +25,9 @@ class SystemConfig:
     index_user_mode:
         "near"    - index bits belong to the near users' own payload;
         "virtual" - index bits carry a separate (N+1)-th user's data.
+
+    ``rotation_angle`` (radians) rotates the selected suffix, and the other
+    users stay unrotated, so it must be finite and nonzero modulo 2*pi.
     """
 
     n_users: int = 2
@@ -31,10 +35,13 @@ class SystemConfig:
     mod_order: int = 2
     family: str = "PSK"
     power_coeffs: tuple[float, ...] = (0.9, 0.1)
-    total_power: float = 1.0
-    rotation: RotationSet = field(default_factory=RotationSet)
+    rotation_angle: float = np.pi / 2
     index_user_mode: str = "virtual"
     im_enabled: bool = True
+
+    # Total transmit power P_T. The SNR is P_T over the noise power, so every
+    # BER and bound depends on P_T only through the SNR, and P_T stays fixed.
+    total_power: ClassVar[float] = 1.0
 
     def __post_init__(self):
         if self.n_users < 2:
@@ -44,19 +51,21 @@ class SystemConfig:
         self.power_coeffs = tuple(float(a) for a in self.power_coeffs)
         if len(self.power_coeffs) != self.n_users:
             raise ValueError("one power coefficient per user required")
-        if any(a <= 0 for a in self.power_coeffs):
-            raise ValueError("power coefficients must be positive")
+        if not all(0 < a < np.inf for a in self.power_coeffs):
+            raise ValueError("power coefficients must be positive and finite")
         if any(a <= b for a, b in zip(self.power_coeffs, self.power_coeffs[1:])):
             raise ValueError("power coefficients must be strictly decreasing")
         if abs(sum(self.power_coeffs) - 1.0) > 1e-12:
             raise ValueError("power coefficients must sum to 1")
-        if self.total_power <= 0:
-            raise ValueError("total_power must be positive")
+        self.rotation_angle = float(self.rotation_angle)
+        if not np.isfinite(self.rotation_angle) or np.round(
+                np.mod(self.rotation_angle, 2 * np.pi), 12) == 0:
+            raise ValueError("rotation angle must be finite and nonzero modulo 2*pi")
         if self.index_user_mode not in ("near", "virtual"):
             raise ValueError(f"unknown index_user_mode {self.index_user_mode!r}")
         self.constellation: Constellation = build_constellation(self.mod_order, self.family)
-        # amplitude weight sqrt(alpha_n * P_T) per user
-        self.amplitudes = np.sqrt(np.array(self.power_coeffs) * self.total_power)
+        # amplitude weight sqrt(alpha_n * P_T) per user, P_T = 1
+        self.amplitudes = np.sqrt(np.array(self.power_coeffs))
 
     @property
     def bits_per_symbol(self) -> int:
@@ -76,11 +85,6 @@ class SystemConfig:
     @property
     def n_patterns(self) -> int:
         return 1 << self.n_index_bits
-
-    @property
-    def rotation_angle(self) -> float:
-        # angle applied to the rotated suffix for every nonzero pattern
-        return self.rotation.angles[1]
 
 
 def rotation_flags(cfg: SystemConfig) -> np.ndarray:

@@ -267,7 +267,7 @@ def run_block_oracle(ctx, snr_db, block):
     tx_entry = rng.integers(0, len(ctx.alphabet.x), size=L)
     tx_bits = ctx.alphabet.bits[tx_entry]
     x = ctx.alphabet.x[tx_entry]
-    ch = draw_channel(ctx.n_receivers, L, eff_snr, ctx.total_power, rng)
+    ch = draw_channel(ctx.n_receivers, L, eff_snr, rng=rng)
 
     errors = {}
     for rx in range(1, ctx.n_receivers + 1):

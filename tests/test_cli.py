@@ -80,7 +80,7 @@ def test_ber_smoke(tmp_path):
     assert lines[0] == "scheme,detector,user,snr_db,bits_sent,bit_errors,ber"
     assert len(lines) == 1 + 2 * 3  # 2 SNR points x (2 users + index)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert manifest["master_seed"] == 7
+    assert [run["master_seed"] for run in manifest["runs"]] == [7]
 
 
 def test_ber_multiple_detectors(tmp_path):
@@ -120,7 +120,7 @@ def test_config_file_overrides(tmp_path):
     assert snrs == {"5", "10"}
 
 
-@pytest.mark.parametrize("angles", ["0.5, 1.0", "0", "0, 1.0, 2.0"])
+@pytest.mark.parametrize("angles", ["0.5, 1.0", "0", "0, 1.0, 2.0", "0, nan"])
 def test_bad_rotation_angles_are_config_errors(tmp_path, capsys, angles):
     cfg = tmp_path / "exp.ini"
     cfg.write_text(f"[system]\nrotation_angles = {angles}\n")
@@ -129,7 +129,8 @@ def test_bad_rotation_angles_are_config_errors(tmp_path, capsys, angles):
 
 
 @pytest.mark.parametrize("command", ["ber", "bound"])
-@pytest.mark.parametrize("snr", ["inf", "nan", "0:5:inf"])
+# 3085 dB is finite, but 10^308.5 overflows a float
+@pytest.mark.parametrize("snr", ["inf", "nan", "0:5:inf", "3085"])
 def test_non_finite_snr_is_config_error(tmp_path, capsys, command, snr):
     assert run_cli([command, "--out", str(tmp_path), "--snr", snr]) == 1
     assert "config error" in capsys.readouterr().err
@@ -162,12 +163,16 @@ OVER_CAP_INI = ("[system]\nn_users = 5\nn_far = 2\nmod_order = 16\nfamily = QAM\
     ("ber", "[sweep]\nmax_bits = 10000\nmax_bits = 20000\n", []),
     ("ber", None, ["--snr", "10", "--seed", "-1"]),
     ("ber", "[sweep]\nseed = -1\n", ["--snr", "10"]),
+    ("ber", "[system]\npower_coeffs = nan, nan\n", ["--snr", "10"]),
+    ("bound", "[system]\npower_coeffs = nan, nan\n", ["--snr", "10"]),
+    ("ber", None, ["--snr", "10", "--scheme", "ofdm", "--detector", "sic"]),
 ], ids=["bound-snr-grid", "bound-snr-list", "ber-snr-list", "power-coeffs",
         "n-users", "se-tuple", "flops-tuple", "se-subblock", "se-active-over",
         "se-zero-subblock", "bound-alphabet-cap", "ber-alphabet-cap",
         "ini-zero-min-errors", "zero-max-bits-flag", "zero-min-errors-flag",
         "ofdm-order", "no-section-header", "duplicate-option",
-        "negative-seed-flag", "ini-negative-seed"])
+        "negative-seed-flag", "ini-negative-seed", "ber-nan-power-coeffs",
+        "bound-nan-power-coeffs", "ofdm-sic"])
 def test_malformed_numbers_are_config_errors(tmp_path, capsys, command, ini, args):
     if ini is not None:
         cfg = tmp_path / "exp.ini"
@@ -175,6 +180,28 @@ def test_malformed_numbers_are_config_errors(tmp_path, capsys, command, ini, arg
         args = ["--config", str(cfg), *args]
     assert run_cli([command, "--out", str(tmp_path / "out"), *args]) == 1
     assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# Every flag of the CLI with a valid value; subcommand c reads the first
+# READ_FLAGS[c] of them.
+ALL_FLAGS = {"--config": "x.ini", "--out": "out", "--snr": "0:5:10", "--seed": "3",
+             "--detector": "sic", "--scheme": "pdnoma", "--max-bits": "1000",
+             "--min-errors": "10"}
+READ_FLAGS = {"se": 2, "flops": 2, "bound": 3, "ber": 8}
+
+
+@pytest.mark.parametrize("command, n", READ_FLAGS.items())
+def test_help_lists_only_read_flags(capsys, command, n):
+    assert run_cli([command, "--help"]) == 0
+    out = capsys.readouterr().out
+    assert [flag for flag in ALL_FLAGS if flag in out] == list(ALL_FLAGS)[:n]
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, n in READ_FLAGS.items() for flag in list(ALL_FLAGS)[n:]])
+def test_unread_flag_is_config_error(tmp_path, command, flag):
+    assert run_cli([command, "--out", str(tmp_path / "out"), flag, ALL_FLAGS[flag]]) == 1
     assert not (tmp_path / "out").exists()
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from imnomarc.constellation import Constellation, RotationSet, build_constellation
+from imnomarc.constellation import Constellation, build_constellation
 
 from oracles import map_bits, rotate
 
@@ -114,19 +114,6 @@ def test_qpsk_gray_neighbor_of_00():
     dists = np.abs(c.points[:, None] - c.points[None, :])
     np.fill_diagonal(dists, np.inf)
     assert np.isclose(abs(p00 - p01), dists.min())
-
-
-def test_rotation_set_validation():
-    RotationSet((0.0, np.pi / 2))
-    with pytest.raises(ValueError):
-        RotationSet((np.pi / 2, 0.0))
-    with pytest.raises(ValueError):
-        RotationSet((0.0, np.pi, np.pi - 2 * np.pi + 2 * np.pi))
-    with pytest.raises(ValueError):
-        RotationSet((0.0, 2 * np.pi))
-    for wrong_count in ((0.0,), (0.0, 1.0, 2.0)):
-        with pytest.raises(ValueError, match="exactly two"):
-            RotationSet(wrong_count)
 
 
 def test_constellation_rejects_nonunit_power():

@@ -5,7 +5,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from imnomarc.constellation import RotationSet
 from imnomarc.detectors import (SCAN_MAX, angles_to_phi_block, flops_ml,
                                 flops_sic, ml_block, sic_block)
 from imnomarc.harness import ExperimentSpec, _decide, _OfdmAlphabet, _PointContext
@@ -112,17 +111,17 @@ def _ml_edge_inputs(x, rng):
 def _twice_128psk():
     """Every point of 128-PSK stored twice, bit-identical: exact metric ties
     that only the lowest-index rule settles."""
-    return SimpleNamespace(x=np.tile(_OfdmAlphabet(128, "PSK", 1.0).x, 2))
+    return SimpleNamespace(x=np.tile(_OfdmAlphabet(128, "PSK").x, 2))
 
 
 # name -> (builder, largest number of entries sharing a point)
 ML_ALPHABETS = {
     "4:1:4-qpsk-pi/4": (lambda: build_super_alphabet(SystemConfig(
-        **FOUR_USER_QPSK, rotation=RotationSet((0.0, np.pi / 4)))), 1),
+        **FOUR_USER_QPSK, rotation_angle=np.pi / 4)), 1),
     "4:1:4-qpsk-pi/2": (lambda: build_super_alphabet(SystemConfig(**FOUR_USER_QPSK)), 4),
     "4:2:2-bpsk": (lambda: build_super_alphabet(SystemConfig(
         n_users=4, n_far=2, mod_order=2, power_coeffs=(0.5, 0.3, 0.15, 0.05))), 1),
-    "ofdm-256psk": (lambda: _OfdmAlphabet(256, "PSK", 1.0), 1),
+    "ofdm-256psk": (lambda: _OfdmAlphabet(256, "PSK"), 1),
     "128psk-twice": (_twice_128psk, 2),
 }
 
@@ -145,7 +144,7 @@ def test_ml_block_matches_exhaustive_oracle_bit_for_bit(name):
 
 
 def test_detect_ml_on_a_tree_searched_alphabet():
-    cfg = SystemConfig(**FOUR_USER_QPSK, rotation=RotationSet((0.0, np.pi / 4)))
+    cfg = SystemConfig(**FOUR_USER_QPSK, rotation_angle=np.pi / 4)
     alphabet = build_super_alphabet(cfg)
     h = 0.4 + 0.9j
     for i in (0, 517, len(alphabet) - 1):

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from imnomarc import __version__, harness
-from imnomarc.constellation import RotationSet
 from imnomarc.harness import (BATCH_BLOCKS, CSV_HEADER, BerRecord,
                               ExperimentSpec, _PointContext, _run_batch,
                               load_results, persist, run_point, run_sweep,
@@ -45,7 +44,7 @@ def test_same_seed_is_bit_identical():
 GOLDEN_CONFIGS = {
     "2:1:2": TWO_USER,
     "4:1:4": dict(n_users=4, n_far=1, mod_order=4, power_coeffs=(0.75, 0.18, 0.05, 0.02),
-                  rotation=RotationSet((0.0, math.pi / 4))),
+                  rotation_angle=math.pi / 4),
     "3:2:2": dict(n_users=3, n_far=2, mod_order=2, power_coeffs=(0.6, 0.3, 0.1)),
 }
 
@@ -93,14 +92,6 @@ GOLDEN = {
         (15.0, [('1', 1536, 54)]),
     ],
     ('2:1:2', 'ofdm', 'ml', 'near'): [
-        (5.0, [('1', 1536, 289)]),
-        (15.0, [('1', 1536, 54)]),
-    ],
-    ('2:1:2', 'ofdm', 'sic', 'virtual'): [
-        (5.0, [('1', 1536, 289)]),
-        (15.0, [('1', 1536, 54)]),
-    ],
-    ('2:1:2', 'ofdm', 'sic', 'near'): [
         (5.0, [('1', 1536, 289)]),
         (15.0, [('1', 1536, 54)]),
     ],
@@ -277,6 +268,8 @@ def test_spec_validation():
             ExperimentSpec(min_bit_errors=min_bit_errors)
     with pytest.raises(ValueError, match="unsupported order 3"):
         ExperimentSpec(scheme="ofdm", ofdm_order=3)
+    with pytest.raises(ValueError, match="ofdm"):
+        ExperimentSpec(scheme="ofdm", detector="sic")
     ExperimentSpec(scheme="imnomarc", ofdm_order=3)  # read by the OFDM scheme only
 
 
@@ -288,7 +281,7 @@ def test_version_string_survives_a_git_timeout(monkeypatch):
     assert harness._version_string() == __version__
 
 
-@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 3085.0, -3085.0])
 def test_spec_rejects_non_finite_snr(bad):
     with pytest.raises(ValueError, match="finite"):
         ExperimentSpec(snr_grid_db=(0.0, bad))

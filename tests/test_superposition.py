@@ -16,6 +16,21 @@ def three_user_cfg():
     return SystemConfig(n_users=3, n_far=1, mod_order=2, power_coeffs=(0.8, 0.15, 0.05))
 
 
+def test_rotation_angle_validation():
+    for angle in (np.pi / 2, np.pi / 4, -np.pi / 2, 2 * np.pi - 1e-6):
+        assert SystemConfig(**TWO_USER, rotation_angle=angle).rotation_angle == angle
+    # the unrotated users' angle is 0, so the rotated users' must differ from it
+    for angle in (0.0, 2 * np.pi, -4 * np.pi, np.nan, np.inf):
+        with pytest.raises(ValueError, match="rotation angle"):
+            SystemConfig(**TWO_USER, rotation_angle=angle)
+
+
+def test_total_power_is_a_constant():
+    assert SystemConfig.total_power == SystemConfig().total_power == 1.0
+    with pytest.raises(TypeError):
+        SystemConfig(total_power=2.0)
+
+
 def test_se_two_user_bpsk():
     assert spectral_efficiency(SystemConfig(**TWO_USER)) == 3
 
@@ -149,10 +164,7 @@ def test_alphabet_entries_match_superimpose():
 
 
 def test_alphabet_mean_power_equals_total_power():
-    for cfg in (SystemConfig(**TWO_USER, total_power=1.0),
-                SystemConfig(n_users=2, n_far=1, mod_order=4,
-                             power_coeffs=(0.8, 0.2), total_power=2.5),
-                three_user_cfg()):
+    for cfg in (SystemConfig(**TWO_USER), three_user_cfg()):
         alphabet = build_super_alphabet(cfg)
         assert abs(np.mean(np.abs(alphabet.x) ** 2) - cfg.total_power) < 1e-10
 
