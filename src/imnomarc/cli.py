@@ -15,7 +15,7 @@ import numpy as np
 from .analysis import PAIR_BUDGET, union_bound_ber
 from .channel import noise_variance
 from .detectors import flops_ml, flops_sic
-from .harness import CSV_HEADER, ExperimentSpec, persist, run_sweep
+from .harness import CSV_HEADER, ExperimentSpec, check_snr_grid, persist, run_sweep
 from .superposition import (SystemConfig, alphabet_size, build_super_alphabet,
                             spectral_efficiency)
 
@@ -39,19 +39,18 @@ def _parse_floats(text: str, sep: str | None = None) -> tuple[float, ...]:
 
 def _parse_snr(text: str) -> tuple[float, ...]:
     """Grid start:step:stop, ending at the last step within 1e-9 steps of stop, or a list."""
-    grid = ":" in text
-    values = _parse_floats(text, ":" if grid else None)
+    if ":" not in text:
+        return _parse_floats(text)
+    values = _parse_floats(text, ":")
+    if len(values) != 3:
+        raise ConfigError(f"bad SNR grid {text!r}, expected start:step:stop")
     if not all(math.isfinite(v) for v in values):
         raise ConfigError(f"bad SNR grid {text!r}, values must be finite")
-    if grid:
-        if len(values) != 3:
-            raise ConfigError(f"bad SNR grid {text!r}, expected start:step:stop")
-        start, step, stop = values
-        if step <= 0 or stop < start:
-            raise ConfigError(f"bad SNR grid {text!r}")
-        n = math.floor((stop - start) / step + 1e-9) + 1
-        return tuple(start + k * step for k in range(n))
-    return values
+    start, step, stop = values
+    if step <= 0 or stop < start:
+        raise ConfigError(f"bad SNR grid {text!r}")
+    n = math.floor((stop - start) / step + 1e-9) + 1
+    return tuple(start + k * step for k in range(n))
 
 
 def _parse_tuples(text: str) -> list[tuple[int, int, int]]:
@@ -109,6 +108,7 @@ def _experiment_specs(conf, args) -> list[ExperimentSpec]:
     snr = _parse_snr(args.snr) if args.snr else _parse_snr(sweep.get("snr_db"))
     schemes = args.scheme or [s.strip() for s in sweep.get("schemes").split(",")]
     detectors = args.detector or [d.strip() for d in sweep.get("detectors").split(",")]
+    schemes, detectors = dict.fromkeys(schemes), dict.fromkeys(detectors)  # distinct, in order
     specs = []
     for scheme in schemes:
         for detector in detectors:
@@ -178,27 +178,24 @@ def cmd_bound(conf, args) -> int:
     cfg = _system_config(conf)
     snr = _parse_snr(args.snr) if args.snr else _parse_snr(conf["sweep"].get("snr_db"))
     try:
+        snr = check_snr_grid(snr)
         size = alphabet_size(cfg)
-    except ValueError as exc:  # over the enumeration cap
+    except ValueError as exc:  # a bad SNR grid, or over the enumeration cap
         raise ConfigError(str(exc)) from exc
     if size * (size - 1) > PAIR_BUDGET:
         raise ConfigError(f"alphabet size {size} has {size * (size - 1)} ordered pairs, "
                           f"over the bound's budget of {PAIR_BUDGET}")
-    try:
-        sigma2s = [noise_variance(snr_db) for snr_db in snr]
-    except ValueError as exc:  # an SNR past the float range
-        raise ConfigError(str(exc)) from exc
+    out = _out_dir(args.out or ".")
     alphabet = build_super_alphabet(cfg)
     users = [str(u) for u in range(1, cfg.n_users + 1)]
     if cfg.n_index_bits:
         users.append("index")
     lines = [CSV_HEADER]
-    for snr_db, sigma2 in zip(snr, sigma2s):
+    for snr_db in snr:
+        sigma2 = noise_variance(snr_db)
         for user in users:
-            key = int(user) if user != "index" else "index"
-            bound = union_bound_ber(alphabet, sigma2, user=key)
+            bound = union_bound_ber(alphabet, sigma2, user=user)
             lines.append(f"imnomarc,bound,{user},{snr_db:g},0,0,{bound:.5e}")
-    out = args.out or "."
     path = _maybe_write(out, "bound.csv", lines)
     print(f"wrote {path}")
     return EXIT_OK
@@ -206,7 +203,7 @@ def cmd_bound(conf, args) -> int:
 
 def cmd_ber(conf, args) -> int:
     specs = _experiment_specs(conf, args)
-    out = Path(args.out or ".")
+    out = _out_dir(args.out or ".")
     all_records = []
     manifests = []
     for spec in specs:
@@ -236,12 +233,20 @@ def _default_alphas(n: int) -> tuple[float, ...]:
     return tuple(float(a) for a in alphas)
 
 
+def _out_dir(out) -> Path:
+    """The output directory, created if missing; a config error if it cannot be."""
+    path = Path(out)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, no permission, ...
+        raise ConfigError(f"cannot create output directory: {exc}") from exc
+    return path
+
+
 def _maybe_write(out, name, lines):
     if out is None:
         return None
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    target = path / name
+    target = _out_dir(out) / name
     target.write_text("\n".join(lines) + "\n")
     return target
 

@@ -2,8 +2,8 @@
 
 Detectors are pure functions of (received signal, channel, config/alphabet)
 and are deterministic: argmin ties always break toward the lowest hypothesis
-index. Both operate on whole subcarrier vectors at once; a single subcarrier is
-a 1-row call.
+index. Both operate on whole subcarrier vectors at once, a single subcarrier
+being a 1-row call, and both return (alphabet entry indices, metrics).
 
 Every decision goes through one kernel, ``_scan``, the argmin of |y - g x|^2
 over a hypothesis set x: an ML scan, the k-d tree's candidate rescoring, and
@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .superposition import SuperAlphabet, SystemConfig, rotation_flags
+from .superposition import SuperAlphabet, SystemConfig, entry_index, rotation_flags
 
 # Largest alphabet scanned exhaustively. One ML call at L = 128, median of 7
 # runs on a 2-vCPU Xeon (numpy 2.4, scipy 1.17): A = 64 scans in 58-68 us
@@ -124,8 +124,8 @@ def angles_to_phi_block(theta_flags: np.ndarray, cfg: SystemConfig) -> np.ndarra
     return np.argmin(dist, axis=1)
 
 
-def sic_block(y: np.ndarray, h: np.ndarray, cfg: SystemConfig, user: int):
-    """Successive cancellation over subcarrier vectors for the given user.
+def sic_block(y: np.ndarray, h: np.ndarray, cfg: SystemConfig, user: int) -> tuple[np.ndarray, np.ndarray]:
+    """Successive cancellation per subcarrier; returns (entry indices, metrics).
 
     Stage l is one ``_scan`` of the residual with gain amplitude_l * h and
     cancels the chosen hypothesis. Far stages search the base constellation;
@@ -135,8 +135,8 @@ def sic_block(y: np.ndarray, h: np.ndarray, cfg: SystemConfig, user: int):
     index bits never rotates; theta index 0). Detection stops at the user's
     own stage; the virtual user N+1 runs every stage and recovers the pattern.
 
-    Returns (symbol indices (L, n_stages), theta indices (L, n_near_stages),
-    phi estimates (L,) or None, final-stage metrics (L,)).
+    Entries hold the run stages' symbols and, after all N stages with index bits,
+    the nearest rotation pattern; other fields stay 0. Metrics are the last stage's.
     """
     if not 1 <= user <= cfg.n_users + 1:
         raise ValueError(f"user {user} out of range")
@@ -163,9 +163,9 @@ def sic_block(y: np.ndarray, h: np.ndarray, cfg: SystemConfig, user: int):
     sym_idx[:, cfg.n_far:], theta_idx = np.divmod(sym_idx[:, cfg.n_far:], n_angles)
 
     phi_hat = None
-    if n_stages == cfg.n_users and user > cfg.n_far and cfg.n_index_bits > 0:
+    if n_stages == cfg.n_users and cfg.n_index_bits > 0:
         phi_hat = angles_to_phi_block(theta_idx != 0, cfg)
-    return sym_idx, theta_idx, phi_hat, metric
+    return entry_index(cfg, sym_idx, phi_hat), metric
 
 
 def flops_ml(cfg: SystemConfig) -> int:

@@ -26,13 +26,26 @@ from .channel import noise_variance
 from .constellation import build_constellation
 from .detectors import ml_block, sic_block
 from .superposition import (SystemConfig, alphabet_size, build_super_alphabet,
-                            entry_index, user_bit_positions)
+                            user_bit_positions)
 
 SCHEMES = ("imnomarc", "pdnoma", "ofdm")
 DETECTORS = ("ml", "sic")
 # Stop-rule granularity. Fixed: bits_sent is a multiple of it, so changing it
 # changes results.csv at every seed.
 BATCH_BLOCKS = 16
+
+
+def check_snr_grid(snr_grid_db) -> tuple[float, ...]:
+    """The grid as floats. ValueError unless every entry is finite, has a
+    positive finite noise variance, and exceeds the one before it."""
+    grid = tuple(float(v) for v in snr_grid_db)
+    if not all(np.isfinite(grid)):
+        raise ValueError("SNR grid entries must be finite")
+    for snr_db in grid:
+        noise_variance(snr_db)  # ValueError past the float range
+    if any(a >= b for a, b in zip(grid, grid[1:])):
+        raise ValueError("SNR grid must be strictly increasing")
+    return grid
 
 
 @dataclass
@@ -56,13 +69,7 @@ class ExperimentSpec:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.detector not in DETECTORS:
             raise ValueError(f"unknown detector {self.detector!r}")
-        self.snr_grid_db = tuple(float(v) for v in self.snr_grid_db)
-        if not all(np.isfinite(self.snr_grid_db)):
-            raise ValueError("SNR grid entries must be finite")
-        for snr_db in self.snr_grid_db:
-            noise_variance(snr_db)  # ValueError past the float range
-        if any(a >= b for a, b in zip(self.snr_grid_db, self.snr_grid_db[1:])):
-            raise ValueError("SNR grid must be strictly increasing")
+        self.snr_grid_db = check_snr_grid(self.snr_grid_db)
         if self.min_bit_errors < 1:
             raise ValueError("min_bit_errors must be at least 1")
         if self.master_seed < 0:
@@ -92,7 +99,6 @@ class BerRecord:
     bits_sent: int
     bit_errors: int
     ber: float
-    wall_time: float = 0.0
 
 
 class _OfdmAlphabet:
@@ -137,23 +143,21 @@ class _PointContext:
 def _decide(ctx: _PointContext, y: np.ndarray, h: np.ndarray, rx: int) -> np.ndarray:
     """Decided (L,) alphabet entries at receiver ``rx``.
 
-    ML decides whole entries. SIC encodes the symbols of the stages it ran
-    and, once it resolves the rotation pattern, the pattern; the fields it
-    does not decide stay 0 and belong to no channel of ``rx``.
+    ML decides whole entries; the fields SIC leaves undecided belong to no
+    channel of ``rx``.
     """
     if ctx.spec.detector == "ml":
         return ml_block(y, h, ctx.alphabet)[0]
-    sym_idx, _, phi_hat, _ = sic_block(y, h, ctx.cfg, rx)
-    return entry_index(ctx.cfg, sym_idx, phi_hat)
+    return sic_block(y, h, ctx.cfg, rx)[0]
 
 
 def _run_batch(ctx: _PointContext, snr_db: float, first_block: int) -> dict[str, int]:
     """Error counts per channel over the BATCH_BLOCKS blocks from ``first_block``.
 
-    Each block draws from its own stream L tx entries, then one Gaussian array:
-    h real and imaginary (R rows each), then each receiver's noise, real and
-    imaginary, if there is noise. Receiver rx sees h = (g_re + j g_im) / sqrt(2)
-    and y = h x + sqrt(sigma^2 / 2) (w_re + j w_im) with its own rows.
+    Each block draws from its own stream L tx entries, then one (4R, L) Gaussian
+    array: h real and imaginary (R rows each), then each receiver's noise, real
+    and imaginary. Receiver rx sees h = (g_re + j g_im) / sqrt(2) and
+    y = h x + sqrt(sigma^2 / 2) (w_re + j w_im), exactly h x without noise.
     Bit labels are linear over XOR in the entry index, so a channel's errors
     on a subcarrier are its weight table at (decided entry ^ sent entry).
     """
@@ -161,26 +165,23 @@ def _run_batch(ctx: _PointContext, snr_db: float, first_block: int) -> dict[str,
     L = spec.n_subcarriers
     R = ctx.n_receivers
     sigma2 = noise_variance(np.inf if spec.noiseless else snr_db)
-    rows = 4 * R if sigma2 > 0 else 2 * R
     snr_key = int(round(snr_db * 1e6)) & 0xFFFFFFFF
     tx_entry = np.empty(BATCH_BLOCKS * L, dtype=np.int64)
-    g = np.empty((BATCH_BLOCKS, rows, L))
+    g = np.empty((BATCH_BLOCKS, 4 * R, L))
     for b in range(BATCH_BLOCKS):
         ss = np.random.SeedSequence(entropy=spec.master_seed,
                                     spawn_key=(snr_key, first_block + b))
         rng = np.random.default_rng(ss)
         tx_entry[b * L:(b + 1) * L] = rng.integers(0, len(ctx.alphabet.x), size=L)
-        rng.standard_normal((rows, L), out=g[b])
+        rng.standard_normal((4 * R, L), out=g[b])
 
     x = ctx.alphabet.x[tx_entry]
     errors: dict[str, int] = {}
     for rx in range(1, R + 1):
         h = ((g[:, rx - 1] + 1j * g[:, R + rx - 1]) / np.sqrt(2)).reshape(-1)
-        y = h * x
-        if sigma2 > 0:
-            n = 2 * (R + rx - 1)  # this receiver's noise rows, real then imaginary
-            w = g[:, n] + 1j * g[:, n + 1]
-            y = y + np.sqrt(sigma2 / 2) * w.reshape(-1)
+        n = 2 * (R + rx - 1)  # this receiver's noise rows, real then imaginary
+        w = (g[:, n] + 1j * g[:, n + 1]).reshape(-1)
+        y = h * x + np.sqrt(sigma2 / 2) * w
         diff = _decide(ctx, y, h, rx) ^ tx_entry
         for name, _, owner in ctx.channels:
             if owner == rx:
@@ -194,7 +195,6 @@ def run_point(spec: ExperimentSpec, snr_db: float) -> list[BerRecord]:
     L = spec.n_subcarriers
     totals = {name: 0 for name, _, _ in ctx.channels}
     blocks_run = 0
-    t0 = time.perf_counter()
 
     def done() -> bool:
         for name, pos, _ in ctx.channels:
@@ -208,14 +208,13 @@ def run_point(spec: ExperimentSpec, snr_db: float) -> list[BerRecord]:
             totals[name] += errs
         blocks_run += BATCH_BLOCKS
 
-    elapsed = time.perf_counter() - t0
     records = []
     for name, pos, _ in ctx.channels:
         sent = blocks_run * L * len(pos)
         records.append(BerRecord(
             scheme=spec.scheme, detector=spec.detector, user=name,
             snr_db=snr_db, bits_sent=sent, bit_errors=totals[name],
-            ber=totals[name] / sent, wall_time=elapsed))
+            ber=totals[name] / sent))
     return records
 
 
@@ -236,14 +235,14 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
 
 
 def run_sweep(spec: ExperimentSpec) -> tuple[list[BerRecord], dict]:
-    """Run every grid point; returns records plus a reproducibility manifest."""
+    """Run every grid point; returns records plus a manifest timing each point."""
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     records: list[BerRecord] = []
     points: dict[str, float] = {}
     for snr_db in spec.snr_grid_db:
-        recs = run_point(spec, snr_db)
-        records.extend(recs)
-        points[f"{snr_db:g}"] = recs[0].wall_time if recs else 0.0
+        t0 = time.perf_counter()
+        records.extend(run_point(spec, snr_db))
+        points[f"{snr_db:g}"] = time.perf_counter() - t0
     manifest = {
         "spec": asdict(spec),
         "master_seed": spec.master_seed,

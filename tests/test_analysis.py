@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -151,8 +152,10 @@ def test_union_bound_rejects_inconsistent_alphabet():
 
 def test_import_leaves_quadrature_unloaded():
     code = "import sys, imnomarc; print('scipy.integrate' in sys.modules)"
+    # the child imports imnomarc from wherever this process found it
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True)
+                         text=True, check=True, env=env)
     assert out.stdout.strip() == "False"
 
 

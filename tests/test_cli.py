@@ -62,11 +62,13 @@ def test_bound_command(tmp_path):
     ("0:0.1:1", tuple(k / 10 for k in range(11))),
     # 0.3 / 0.1 = 2.9999999999999996 in floats
     ("0:0.1:0.3", (0.0, 0.1, 0.2, 0.3)),
-], ids=["stop-between-steps", "fractional-step", "step-count-rounds-down"])
+    ("-5:4:5", (-5.0, -1.0, 3.0)),
+], ids=["stop-between-steps", "fractional-step", "step-count-rounds-down",
+        "negative-start"])
 def test_snr_grid_ends_at_its_stop(tmp_path, grid, want):
     # the grid includes stop when a step lands on it, to rounding, and never
-    # passes it
-    assert run_cli(["bound", "--out", str(tmp_path), "--snr", grid]) == 0
+    # passes it; the --snr= form takes a grid that starts with a minus sign
+    assert run_cli(["bound", "--out", str(tmp_path), f"--snr={grid}"]) == 0
     rows = (tmp_path / "bound.csv").read_text().splitlines()[1:]
     snrs = sorted({float(r.split(",")[3]) for r in rows})
     assert snrs == pytest.approx(want, rel=0, abs=1e-9)
@@ -91,6 +93,35 @@ def test_ber_multiple_detectors(tmp_path):
     lines = (tmp_path / "results.csv").read_text().splitlines()[1:]
     detectors = {l.split(",")[1] for l in lines}
     assert detectors == {"ml", "sic"}
+
+
+def test_repeated_sweeps_run_once(tmp_path):
+    # one SNR point of imnomarc/ml: users 1, 2 and index, each once
+    args = ["--snr", "10", "--min-errors", "20", "--max-bits", "10000"]
+    assert run_cli(["ber", "--out", str(tmp_path / "flags"), *args,
+                    "--detector", "ml", "--detector", "ml"]) == 0
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("[sweep]\nschemes = imnomarc, imnomarc\ndetectors = ml, ml\n")
+    assert run_cli(["ber", "--config", str(cfg), "--out", str(tmp_path / "ini"), *args]) == 0
+    for out in ("flags", "ini"):
+        lines = (tmp_path / out / "results.csv").read_text().splitlines()[1:]
+        assert [l.split(",")[2] for l in lines] == ["1", "2", "index"]
+        manifest = json.loads((tmp_path / out / "manifest.json").read_text())
+        assert len(manifest["runs"]) == 1
+
+
+@pytest.mark.parametrize("command, work", [("ber", "run_sweep"),
+                                           ("bound", "build_super_alphabet")])
+def test_unusable_out_is_config_error_before_any_work(tmp_path, capsys, monkeypatch,
+                                                      command, work):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{work} ran before the output directory was checked")
+
+    monkeypatch.setattr(cli, work, refuse)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert run_cli([command, "--out", str(blocker), "--snr", "10"]) == 1
+    assert "config error" in capsys.readouterr().err
 
 
 def test_ber_seed_determinism(tmp_path):
@@ -145,6 +176,8 @@ OVER_CAP_INI = ("[system]\nn_users = 5\nn_far = 2\nmod_order = 16\nfamily = QAM\
 @pytest.mark.parametrize("command, ini, args", [
     ("bound", None, ["--snr", "0:a:5"]),
     ("bound", None, ["--snr", "1,x"]),
+    ("bound", None, ["--snr", "10,5,10"]),
+    ("bound", None, ["--snr", "5,5"]),
     ("ber", None, ["--snr", "1,x"]),
     ("ber", "[system]\npower_coeffs = 0.9, abc\n", []),
     ("ber", "[system]\nn_users = two\n", []),
@@ -166,7 +199,8 @@ OVER_CAP_INI = ("[system]\nn_users = 5\nn_far = 2\nmod_order = 16\nfamily = QAM\
     ("ber", "[system]\npower_coeffs = nan, nan\n", ["--snr", "10"]),
     ("bound", "[system]\npower_coeffs = nan, nan\n", ["--snr", "10"]),
     ("ber", None, ["--snr", "10", "--scheme", "ofdm", "--detector", "sic"]),
-], ids=["bound-snr-grid", "bound-snr-list", "ber-snr-list", "power-coeffs",
+], ids=["bound-snr-grid", "bound-snr-list", "bound-snr-decreasing",
+        "bound-snr-repeated", "ber-snr-list", "power-coeffs",
         "n-users", "se-tuple", "flops-tuple", "se-subblock", "se-active-over",
         "se-zero-subblock", "bound-alphabet-cap", "ber-alphabet-cap",
         "ini-zero-min-errors", "zero-max-bits-flag", "zero-min-errors-flag",

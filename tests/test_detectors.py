@@ -177,19 +177,19 @@ def test_sic_far_user_noiseless():
     cfg = SystemConfig(**TWO_USER)
     h = 1.0 + 0j
     y = h * (np.sqrt(0.9) * 1 + np.sqrt(0.1) * -1)
-    sym_idx, theta_idx, phi_hat, _ = sic_block(one(y), one(h), cfg, 1)
-    assert cfg.constellation.points[sym_idx[0]].tolist() == [1 + 0j]
-    assert theta_idx.size == 0 and phi_hat is None
+    entries, _ = sic_block(one(y), one(h), cfg, 1)
+    # the far user's point 0 (1 + 0j); the near user and the pattern stay 0
+    assert cfg.constellation.points[0] == 1 + 0j
+    assert entries.tolist() == entry_index(cfg, np.array([[0]])).tolist()
 
 
 def test_sic_near_user_noiseless_rotated():
     cfg = SystemConfig(**TWO_USER)
     h = 1.0 + 0j
     y = h * (np.sqrt(0.9) + 1j * np.sqrt(0.1))
-    sym_idx, theta_idx, phi_hat, _ = sic_block(one(y), one(h), cfg, 2)
-    assert sym_idx.tolist() == [[0, 0]]
-    assert theta_idx.tolist() == [[1]]
-    assert phi_hat.tolist() == [1]
+    entries, _ = sic_block(one(y), one(h), cfg, 2)
+    # both users send point 0 and the near user is rotated (pattern 1)
+    assert entries.tolist() == entry_index(cfg, np.array([[0, 0]]), np.array([1])).tolist()
     assert np.array_equal(user_bits(cfg, "sic", y, h, 2), [0])
 
 
@@ -204,8 +204,8 @@ def test_sic_matches_ml_at_high_snr():
     w = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * np.sqrt(sigma2 / 2)
     y = h * alphabet.x[idx_tx] + w
     ml_idx, _ = ml_block(y, h, alphabet)
-    sym_idx, _, phi_hat, _ = sic_block(y, h, cfg, cfg.n_users + 1)
-    assert np.mean(entry_index(cfg, sym_idx, phi_hat) == ml_idx) >= 0.999
+    sic_idx, _ = sic_block(y, h, cfg, cfg.n_users + 1)
+    assert np.mean(sic_idx == ml_idx) >= 0.999
 
 
 def test_angles_to_phi_basic():
@@ -285,9 +285,10 @@ def test_sic_far_decisions_identical_with_im_disabled():
     n = 5000
     h = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)
     y = (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    a_idx, _, _, _ = sic_block(y, h, cfg_im, 1)
-    b_idx, _, _, _ = sic_block(y, h, cfg_pd, 1)
-    assert np.array_equal(a_idx, b_idx)
+    far = list(user_bit_positions(cfg_im, 1))
+    a_bits = build_super_alphabet(cfg_im).bits[sic_block(y, h, cfg_im, 1)[0]][:, far]
+    b_bits = build_super_alphabet(cfg_pd).bits[sic_block(y, h, cfg_pd, 1)[0]][:, far]
+    assert np.array_equal(a_bits, b_bits)
 
 
 def test_pdnoma_sic_searches_no_rotation():
@@ -295,10 +296,8 @@ def test_pdnoma_sic_searches_no_rotation():
     # searches the base constellation: the rotated point j would be nearer.
     cfg = SystemConfig(**TWO_USER, im_enabled=False)
     y = np.array([np.sqrt(0.9) + np.sqrt(0.1) * (-0.2 + 0.9j)])
-    sym_idx, theta_idx, phi_hat, _ = sic_block(y, np.ones(1, dtype=complex), cfg, 2)
-    assert sym_idx.tolist() == [[0, 1]]
-    assert theta_idx.tolist() == [[0]]
-    assert phi_hat is None
+    entries, _ = sic_block(y, np.ones(1, dtype=complex), cfg, 2)
+    assert entries.tolist() == entry_index(cfg, np.array([[0, 1]])).tolist()
 
 
 def test_sic_rejects_bad_users():

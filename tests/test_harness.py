@@ -213,6 +213,12 @@ def test_empty_grid_gives_empty_results_and_valid_manifest():
     assert manifest["points"] == {}
 
 
+def test_manifest_times_every_point():
+    _, manifest = run_sweep(small_spec(snr_grid_db=(5.0, 10.0)))
+    assert list(manifest["points"]) == ["5", "10"]
+    assert all(t > 0 for t in manifest["points"].values())
+
+
 def test_manifest_echo_roundtrips():
     spec = small_spec(snr_grid_db=(5.0, 10.0), detector="sic")
     _, manifest = run_sweep(small_spec(snr_grid_db=()))
