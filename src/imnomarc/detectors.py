@@ -6,33 +6,49 @@ index. Both operate on whole subcarrier vectors at once, a single subcarrier
 being a 1-row call, and both return (alphabet entry indices, metrics).
 
 Every decision goes through one kernel, ``_scan``, the argmin of |y - g x|^2
-over a hypothesis set x: an ML scan, the k-d tree's candidate rescoring, and
+over a hypothesis set x: an ML scan, the ML searches' candidate scans, and
 each SIC stage, which scans its residual over that stage's hypotheses.
 
 ML detection is a nearest-point search: |y - h x|^2 = |h|^2 |y/h - x|^2, so
 each subcarrier's decision is the alphabet point closest to y/h. Alphabets of
-at most ``SCAN_MAX`` points are scanned exhaustively; larger ones are queried
-through a k-d tree built once per alphabet. The tree only proposes candidates:
-their metrics are recomputed with the scan's own expression and any row the
-candidates cannot settle goes to the scan, so both paths return the same
-indices and metric bits, ties included.
+at most ``SCAN_MAX`` points are scanned exhaustively. Larger ones are searched
+through a structure built once per alphabet: a cell table of candidate lists
+(Bentley, Weide and Yao, ACM TOMS 1980) up to ``TABLE_MAX`` points, a group
+bound (a branch-and-bound in the manner of Agrell et al., IEEE Trans. IT 2002)
+beyond. Both only narrow the scan to candidates that hold the nearest point
+and every point within a tie band of it, and a row they cannot settle is
+scanned in full, so every path returns the same indices and metric bits as
+the exhaustive scan, ties included.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .superposition import SuperAlphabet, SystemConfig, entry_index, rotation_flags
 
-# Largest alphabet scanned exhaustively. One ML call at L = 128, median of 7
-# runs on a 2-vCPU Xeon (numpy 2.4, scipy 1.17): A = 64 scans in 58-68 us
-# against 105-158 us through the tree, A = 128 in 98-109 us against 105-130 us,
-# A = 256 in 566-600 us against 100-180 us, A = 512 in 1266-1373 us against
-# 179-233 us.
-SCAN_MAX = 128
-# Relative width of the tie band: a row whose k-th candidate lies within
-# _TOL * (1 + |y/h| + max|x|) of its nearest is scanned.
+# Largest alphabet scanned exhaustively. One ML call on L = 2048 rows (a
+# 16-block batch of 128 subcarriers), median of 7 runs at 10 and 30 dB on a
+# 2-vCPU Xeon (numpy 2.4), scan against cell table: A = 16 in 0.3-0.4 ms
+# against 0.7-0.9 ms, A = 32 in 0.7 against 0.9-1.0, A = 64 in 1.3 against
+# 1.1, A = 128 in 2.4 against 0.9-1.0, A = 256 in 4.9-5.4 against 1.0-1.1 and
+# A = 512 in 11 against 0.7-1.0. The table costs ~0.15 ms a call, so on
+# L = 128 rows the scan stays faster up to A = 256.
+SCAN_MAX = 32
+# Largest alphabet searched through a cell table. Its build costs O(A^2) once
+# per alphabet, 39 ms at A = 1024, 0.15 s at 2048 and 0.64 s at 4096, where a
+# 2048-row call then takes 1.0-1.3 ms against 5.9-6.4 ms by the group bound.
+TABLE_MAX = 4096
+# Width of the cell table's margin around the points, in RMS amplitudes.
+_MARGIN = 0.5
+# Rows with |y/h| beyond _REACH box radii are scanned in full.
+_REACH = 1e3
+# Candidates scanned per chunk of rows: bounds the working memory.
+_CHUNK = 2 ** 16
+# Relative width of the tie band: every point within _TOL * (1 + |y/h| +
+# max|x|) of a row's nearest point is among its candidates.
 _TOL = 1e-9
 # Squared distances and metrics stay normal floats while the scaled
 # magnitudes stay inside (_TINY, _HUGE).
@@ -41,37 +57,174 @@ _HUGE = np.sqrt(np.finfo(float).max) / 2
 
 
 def _scan(y: np.ndarray, h: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Argmin of |y - h x|^2 over the last axis of ``x``, (A,) or (L, k)."""
-    d = np.abs(y[:, None] - h[:, None] * x) ** 2
+    """Argmin of |y - h x|^2 over the last axis of ``x``, (A,) or (L, k).
+
+    In place, so a call allocates one complex and one real (L, k) array.
+    """
+    d = h[:, None] * x
+    np.subtract(y[:, None], d, out=d)
+    d = np.abs(d)
+    d *= d
     idx = np.argmin(d, axis=1)
     return idx, d[np.arange(len(y)), idx]
 
 
-def _max_coincident(x: np.ndarray) -> int:
-    """Largest number of entries sharing one point, to 9 decimals.
+def _settle(y, h, x, rows, width, candidates, idx, metric):
+    """``_scan`` each of ``rows`` over its candidates into ``idx`` and
+    ``metric``, in chunks of about _CHUNK candidates. ``candidates(r)`` gives
+    the entries of rows r, (width,) or (len(r), width), sorted by index."""
+    step = max(1, _CHUNK // width)
+    for s in range(0, len(rows), step):
+        r = rows[s:s + step]
+        cand = candidates(r)
+        k, metric[r] = _scan(y[r], h[r], x[cand])
+        idx[r] = cand[k] if cand.ndim == 1 else cand[np.arange(len(r)), k]
 
-    Run lengths of the values sorted in place: half the peak memory of
-    np.unique, which matters at the 2^20 alphabet cap.
+
+class _CellTable:
+    """Nearest-point candidates of u = y/h from a grid of cells over ``x``.
+
+    A grid of about 4A square cells covers the points' bounding box plus a
+    margin. A cell with centre c lists each point p that
+    - lies within D(c) + diag + slack of c, D(c) being c's nearest-point
+      distance and diag the cell diagonal, and
+    - is not farther than q, the point nearest to c, by more than the slack
+      everywhere in the cell. |u - p|^2 - |u - q|^2 is linear in u, so its
+      least value over the cell lies at a corner.
+    A point p within slack of the nearest point of some u in the cell passes
+    both tests, the first as |c - p| <= |c - u| + D(u) + slack <=
+    D(c) + diag + slack, so one scan of the cell's list is exact.
+
+    A u outside the box reaches its nearest point p across the box edge at
+    some v, with |v - p| <= D(v) + slack, so p is listed for an edge cell;
+    ``hull`` holds those points. The slack, _TOL times the largest
+    1 + |u| + max|x| the table serves, is far wider than the rounding of
+    these distances.
+
+    Lists vary in length (the centre of a PSK ring lists every point), so rows
+    are scanned in buckets of cells whose list lengths round up to the same
+    power of two, each list padded by repeating its last entry.
     """
-    r = np.round(x, 9)
-    r.sort()
-    return int(np.diff(np.flatnonzero(np.r_[True, r[1:] != r[:-1], True])).max())
+
+    def __init__(self, x: np.ndarray):
+        self.x = x
+        self.xmax = float(np.abs(x).max())
+        margin = _MARGIN * np.sqrt(np.mean(np.abs(x) ** 2))
+        self.lo = np.array([x.real.min(), x.imag.min()]) - margin
+        hi = np.array([x.real.max(), x.imag.max()]) + margin
+        # about 4 square cells per point
+        side = math.sqrt(np.prod(hi - self.lo) / (4 * len(x)))
+        self.shape = G = np.ceil((hi - self.lo) / side).astype(int)
+        self.step = (hi - self.lo) / G
+        radius = float(np.hypot(*np.maximum(-self.lo, hi)))  # largest |u| in the box
+        self.reach = _REACH * radius
+        slack = _TOL * (1 + self.reach + self.xmax)
+        # |u - p| - |u - q| > slack where |u - p|^2 - |u - q|^2 exceeds this
+        beaten = 2 * slack * (radius + self.xmax)
+        power = np.abs(x) ** 2
+        c_re = self.lo[0] + (np.arange(G[0]) + 0.5) * self.step[0]
+        c_im = self.lo[1] + (np.arange(G[1]) + 0.5) * self.step[1]
+        d_im2 = (c_im[:, None] - x.imag) ** 2
+        cells, points = [], []
+        for i, c in enumerate(c_re):  # cells (i, 0..G[1]-1)
+            d2 = (c - x.real) ** 2 + d_im2
+            q = np.argmin(d2, axis=1)
+            near = np.sqrt(d2[np.arange(G[1]), q]) + np.hypot(*self.step) + slack
+            j, p = np.nonzero(d2 <= (near * near)[:, None])
+            dp = x[p] - x[q[j]]
+            least = (power[p] - power[q[j]] - 2 * (c * dp.real + c_im[j] * dp.imag)
+                     - self.step[0] * np.abs(dp.real) - self.step[1] * np.abs(dp.imag))
+            keep = least <= beaten
+            cells.append(i * G[1] + j[keep])
+            points.append(p[keep])
+        cell = np.concatenate(cells)
+        self.points = np.concatenate(points)  # by cell, then index
+        self.count = np.bincount(cell, minlength=G[0] * G[1])
+        self.first = np.cumsum(self.count) - self.count
+        self.width = 2 ** np.ceil(np.log2(self.count)).astype(np.intp)
+        i, j = np.divmod(cell, G[1])
+        edge = (i == 0) | (i == G[0] - 1) | (j == 0) | (j == G[1] - 1)
+        self.hull = np.unique(self.points[edge])
+
+    def settle(self, y, h, u, direct, idx, metric) -> np.ndarray:
+        """Settle the ``direct`` rows in the box or within reach of it; returns
+        the mask of rows left."""
+        G = self.shape
+        i = np.floor((u.real - self.lo[0]) / self.step[0])
+        j = np.floor((u.imag - self.lo[1]) / self.step[1])
+        in_box = direct & (i >= 0) & (i < G[0]) & (j >= 0) & (j < G[1])
+        cell = np.where(in_box, i * G[1] + j, 0).astype(np.intp)
+        rows = np.flatnonzero(in_box)
+        widths = self.width[cell[rows]]
+        for w in np.unique(widths):
+            def listed(r, w=w):
+                pos = np.minimum(np.arange(w), self.count[cell[r], None] - 1)
+                return self.points[self.first[cell[r], None] + pos]
+            _settle(y, h, self.x, rows[widths == w], w, listed, idx, metric)
+        hull = direct & ~in_box & (np.abs(u) <= self.reach)
+        _settle(y, h, self.x, np.flatnonzero(hull), len(self.hull),
+                lambda r: self.hull, idx, metric)
+        return ~(in_box | hull)
 
 
-def _nearest_points(alphabet) -> tuple[cKDTree, int, float]:
-    """The alphabet's k-d tree, candidate count k and max |x|, built on first use.
+class _GroupBound:
+    """Branch-and-bound nearest-point search of u = y/h over ``x``.
 
-    k is one more than the largest number of entries sharing a point, so the
-    k-th candidate of a well-separated sample lies past every copy of the
-    nearest point.
+    The points are cut into about sqrt(A) groups of nearby points, each with
+    its bounding box. A row visits the groups in order of the distance from
+    u to their boxes, scanning each, until the next box lies farther than its
+    best point plus the slack, _TOL * (1 + |u| + max|x|). Every point within
+    the slack of the nearest is then scanned, and the best is kept by (metric,
+    index), so ties go to the lowest index.
     """
-    cached = getattr(alphabet, "_nearest", None)
-    if cached is None:
-        x = alphabet.x
-        k = 1 + _max_coincident(x)
-        cached = (cKDTree(np.column_stack([x.real, x.imag])), k, float(np.abs(x).max()))
-        alphabet._nearest = cached
-    return cached
+
+    def __init__(self, x: np.ndarray):
+        self.x = x
+        self.xmax = float(np.abs(x).max())
+        A = len(x)
+        S = math.isqrt(A - 1) + 1
+        n_g = -(-A // S)
+        per_strip = math.isqrt(n_g - 1) + 1
+        strip = np.empty(A, dtype=np.intp)  # strips of nearby real parts
+        strip[np.argsort(x.real, kind="stable")] = np.arange(A) // (S * per_strip)
+        order = np.pad(np.lexsort((x.real, x.imag, strip)), (0, n_g * S - A), mode="edge")
+        self.groups = np.sort(order.reshape(n_g, S), axis=1)
+        re, im = x.real[self.groups], x.imag[self.groups]
+        self.lo = re.min(axis=1) + 1j * im.min(axis=1)
+        self.hi = re.max(axis=1) + 1j * im.max(axis=1)
+
+    def settle(self, y, h, u, direct, idx, metric) -> np.ndarray:
+        """Settle the ``direct`` rows; returns the mask of rows left."""
+        rows = np.flatnonzero(direct)
+        step = max(1, _CHUNK // len(self.groups))
+        for s in range(0, len(rows), step):
+            r = rows[s:s + step]
+            idx[r], metric[r] = self._search(y[r], h[r], u[r])
+        return ~direct
+
+    def _search(self, y, h, u):
+        slack = _TOL * (1 + np.abs(u) + self.xmax)
+        u = u[:, None]
+        dx = np.maximum(self.lo.real - u.real, 0) + np.maximum(u.real - self.hi.real, 0)
+        dy = np.maximum(self.lo.imag - u.imag, 0) + np.maximum(u.imag - self.hi.imag, 0)
+        bound = dx * dx + dy * dy  # squared distance from u to each box
+        best = np.full(len(y), np.inf)
+        idx = np.zeros(len(y), dtype=np.intp)
+        reach = np.full(len(y), np.inf)  # squared
+        r = np.arange(len(y))
+        while len(r):
+            g = np.argmin(bound[r], axis=1)
+            near = bound[r, g] <= reach[r]
+            r, g = r[near], g[near]
+            bound[r, g] = np.inf
+            m = self.groups[g]
+            k, d = _scan(y[r], h[r], self.x[m])
+            i = m[np.arange(len(r)), k]
+            better = (d < best[r]) | ((d == best[r]) & (i < idx[r]))
+            b, d = r[better], d[better]
+            best[b], idx[b] = d, i[better]
+            reach[b] = (np.sqrt(d) / np.abs(h[b]) + slack[b]) ** 2
+        return idx, best
 
 
 def ml_block(y: np.ndarray, h: np.ndarray, alphabet: SuperAlphabet) -> tuple[np.ndarray, np.ndarray]:
@@ -79,32 +232,31 @@ def ml_block(y: np.ndarray, h: np.ndarray, alphabet: SuperAlphabet) -> tuple[np.
 
     The result equals an exhaustive scan of |y - h x|^2 bit for bit, ties
     toward the lowest entry index. Alphabets of at most ``SCAN_MAX`` points
-    are scanned. Larger ones take the k nearest points to y/h from a k-d tree
-    and rescore them with the scan's expression. A row is scanned instead when
-    the k-th candidate lies within the tie band of the nearest (midpoints,
-    coincident entries) or when its metrics would leave the normal float range
-    (|h| = 0, y/h overflowing).
+    are scanned. Larger ones are searched through the alphabet's cell table
+    (up to ``TABLE_MAX`` points) or group bound, built on first use, which
+    scan only candidates that hold the nearest point to y/h and every point
+    within the tie band of it. A row is scanned in full instead when its
+    metrics would leave the normal float range (|h| = 0, y/h overflowing) or
+    y/h lies beyond the cell table's reach.
     """
     y = np.asarray(y, dtype=complex)
     h = np.asarray(h, dtype=complex)
     x = alphabet.x
     if len(x) <= SCAN_MAX:
         return _scan(y, h, x)
-    tree, k, xmax = _nearest_points(alphabet)
+    search = getattr(alphabet, "_search", None)
+    if search is None:
+        search = (_CellTable if len(x) <= TABLE_MAX else _GroupBound)(x)
+        alphabet._search = search
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         u = y / h
-        scale = 1 + np.abs(u) + xmax
+        scale = 1 + np.abs(u) + search.xmax
         hs = np.abs(h) * scale
         direct = (scale < _HUGE) & (hs < _HUGE) & (hs * _TOL > _TINY)
-    u = np.where(direct, u, 0)
-    dist, cand = tree.query(np.column_stack([u.real, u.imag]), k=k)
-    direct &= dist[:, -1] > dist[:, 0] + _TOL * scale
-    cand = np.sort(cand, axis=1)
-    j, metric = _scan(y, h, x[cand])
-    idx = cand[np.arange(len(y)), j]
-    if not direct.all():
-        rest = ~direct
-        idx[rest], metric[rest] = _scan(y[rest], h[rest], x)
+    idx = np.empty(len(y), dtype=np.intp)
+    metric = np.empty(len(y))
+    rest = search.settle(y, h, np.where(direct, u, 0), direct, idx, metric)
+    _settle(y, h, x, np.flatnonzero(rest), len(x), lambda r: np.arange(len(x)), idx, metric)
     return idx, metric
 
 

@@ -111,7 +111,7 @@ class _OfdmAlphabet:
 
 
 class _PointContext:
-    """Everything a block needs, built once per experiment.
+    """Everything a block needs, built once per sweep.
 
     ``channels`` lists each tracked error curve once as (name, bit positions
     in the packed per-subcarrier string, receiver that decides it). The index
@@ -189,9 +189,15 @@ def _run_batch(ctx: _PointContext, snr_db: float, first_block: int) -> dict[str,
     return errors
 
 
-def run_point(spec: ExperimentSpec, snr_db: float) -> list[BerRecord]:
-    """Simulate one SNR point until the stop rule fires for every tracked user."""
-    ctx = _PointContext(spec)
+def run_point(spec: ExperimentSpec, snr_db: float, *,
+              ctx: _PointContext | None = None) -> list[BerRecord]:
+    """Simulate one SNR point until the stop rule fires for every tracked user.
+
+    ``ctx`` is the context of ``spec`` built by ``run_sweep`` once for all of
+    its points; without it the point builds its own.
+    """
+    if ctx is None:
+        ctx = _PointContext(spec)
     L = spec.n_subcarriers
     totals = {name: 0 for name, _, _ in ctx.channels}
     blocks_run = 0
@@ -239,9 +245,10 @@ def run_sweep(spec: ExperimentSpec) -> tuple[list[BerRecord], dict]:
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     records: list[BerRecord] = []
     points: dict[str, float] = {}
+    ctx = _PointContext(spec)
     for snr_db in spec.snr_grid_db:
         t0 = time.perf_counter()
-        records.extend(run_point(spec, snr_db))
+        records.extend(run_point(spec, snr_db, ctx=ctx))
         points[f"{snr_db:g}"] = time.perf_counter() - t0
     manifest = {
         "spec": asdict(spec),

@@ -151,12 +151,12 @@ def test_union_bound_rejects_inconsistent_alphabet():
 
 
 def test_import_leaves_quadrature_unloaded():
-    code = "import sys, imnomarc; print('scipy.integrate' in sys.modules)"
+    code = "import sys, imnomarc; print([m for m in sys.modules if m.startswith('scipy')])"
     # the child imports imnomarc from wherever this process found it
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_union_bound_never_calls_quadrature(monkeypatch):

@@ -5,8 +5,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from imnomarc.detectors import (SCAN_MAX, angles_to_phi_block, flops_ml,
-                                flops_sic, ml_block, sic_block)
+from imnomarc.detectors import (SCAN_MAX, TABLE_MAX, _CellTable, _GroupBound,
+                                angles_to_phi_block, flops_ml, flops_sic,
+                                ml_block, sic_block)
 from imnomarc.harness import ExperimentSpec, _decide, _OfdmAlphabet, _PointContext
 from imnomarc.superposition import (SystemConfig, build_super_alphabet,
                                     entry_index, user_bit_positions)
@@ -131,7 +132,7 @@ def test_ml_block_matches_exhaustive_oracle_bit_for_bit(name):
     build, multiplicity = ML_ALPHABETS[name]
     alphabet = build()
     assert _multiplicity(alphabet.x) == multiplicity
-    # one alphabet takes the scan, the others the tree search
+    # one alphabet takes the scan, the others the cell-table search
     assert (len(alphabet.x) <= SCAN_MAX) == (name == "4:2:2-bpsk")
     y, h = _ml_edge_inputs(alphabet.x, np.random.default_rng(11))
     for rows in (slice(None), slice(0, 128), slice(-128, None)):
@@ -143,13 +144,72 @@ def test_ml_block_matches_exhaustive_oracle_bit_for_bit(name):
         assert np.array_equal(metric.view(np.int64), ref_metric.view(np.int64))
 
 
-def test_detect_ml_on_a_tree_searched_alphabet():
+def test_detect_ml_on_a_table_searched_alphabet():
     cfg = SystemConfig(**FOUR_USER_QPSK, rotation_angle=np.pi / 4)
     alphabet = build_super_alphabet(cfg)
     h = 0.4 + 0.9j
     for i in (0, 517, len(alphabet) - 1):
         idx, _ = ml_block(one(h * alphabet.x[i]), one(h), alphabet)
         assert idx[0] == i
+
+
+def _rayleigh(rng, n):
+    return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)
+
+
+def _assert_matches_exhaustive(y, h, alphabet, rows=512):
+    """ml_block equals exhaustive_ml bit for bit, compared ``rows`` at a time."""
+    for s in range(0, len(y), rows):
+        with np.errstate(over="ignore"):
+            idx, metric = ml_block(y[s:s + rows], h[s:s + rows], alphabet)
+            ref_idx, ref_metric = exhaustive_ml(y[s:s + rows], h[s:s + rows], alphabet)
+        assert np.array_equal(idx, ref_idx)
+        assert np.array_equal(metric.view(np.int64), ref_metric.view(np.int64))
+
+
+def test_ml_rows_outside_the_cell_table():
+    # 0 dB puts many y/h outside the table's box (answered from the hull);
+    # |h| = 1e-5 .. 1e-8 puts y/h beyond the table's reach (scanned in full)
+    alphabet = build_super_alphabet(SystemConfig(**FOUR_USER_QPSK, rotation_angle=np.pi / 4))
+    rng = np.random.default_rng(4)
+    n = 2048
+    h = _rayleigh(rng, n)
+    y = h * alphabet.x[rng.integers(0, len(alphabet), n)] + _rayleigh(rng, n)
+    h[:64] *= 10.0 ** -rng.uniform(5, 8, 64)
+    ml_block(y[:1], h[:1], alphabet)
+    table = alphabet._search
+    assert isinstance(table, _CellTable)
+    u = y / h
+    cell = np.floor((np.column_stack([u.real, u.imag]) - table.lo) / table.step)
+    outside = ((cell < 0) | (cell >= table.shape)).any(axis=1)
+    assert outside.mean() > 0.1
+    assert (np.abs(u) > table.reach).sum() >= 32
+    _assert_matches_exhaustive(y, h, alphabet)
+
+
+def test_ml_above_the_table_cap_takes_the_group_bound():
+    # 3:1:4 16-QAM: A = 16^3 * 2 = 8192
+    cfg = SystemConfig(n_users=3, n_far=1, mod_order=16, family="QAM",
+                       power_coeffs=(0.8, 0.15, 0.05))
+    alphabet = build_super_alphabet(cfg)
+    assert len(alphabet) > TABLE_MAX
+    y, h = _ml_edge_inputs(alphabet.x, np.random.default_rng(12))
+    _assert_matches_exhaustive(y, h, alphabet)
+    assert isinstance(alphabet._search, _GroupBound)
+
+
+def test_ml_on_coincident_points():
+    # pi/2 maps every 4:1:4 point onto 4 entries (equal to 9 decimals): the
+    # table lists all 4 copies, and the metrics decide between them
+    alphabet = build_super_alphabet(SystemConfig(**FOUR_USER_QPSK))
+    x = alphabet.x
+    rng = np.random.default_rng(6)
+    h = _rayleigh(rng, len(x))
+    decided = ml_block(h * x, h, alphabet)[0]
+    assert np.array_equal(np.round(x[decided], 9), np.round(x, 9))
+    assert isinstance(alphabet._search, _CellTable)
+    _assert_matches_exhaustive(h * x, h, alphabet)
+    _assert_matches_exhaustive(h * x + _rayleigh(rng, len(x)), h, alphabet)
 
 
 def test_ml_block_memory_does_not_scale_with_rows_times_alphabet():

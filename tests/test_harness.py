@@ -11,7 +11,7 @@ from imnomarc.harness import (BATCH_BLOCKS, CSV_HEADER, BerRecord,
                               ExperimentSpec, _PointContext, _run_batch,
                               load_results, persist, run_point, run_sweep,
                               spec_from_dict)
-from imnomarc.superposition import SystemConfig
+from imnomarc.superposition import SystemConfig, build_super_alphabet
 
 from oracles import run_block_oracle
 
@@ -139,7 +139,7 @@ BATCH_CASES = {
     "2:1:2-ml-near": dict(cfg=("2:1:2", "near"), detector="ml"),
     "2:1:2-sic-virtual": dict(cfg=("2:1:2", "virtual"), detector="sic"),
     "2:1:2-sic-near": dict(cfg=("2:1:2", "near"), detector="sic"),
-    # A = 1024: the k-d tree path of ml_block
+    # A = 1024: the cell-table path of ml_block
     "4:1:4-ml": dict(cfg=("4:1:4", "virtual"), detector="ml"),
     "4:1:4-sic": dict(cfg=("4:1:4", "virtual"), detector="sic"),
     "3:2:2-ml": dict(cfg=("3:2:2", "near"), detector="ml"),
@@ -217,6 +217,19 @@ def test_manifest_times_every_point():
     _, manifest = run_sweep(small_spec(snr_grid_db=(5.0, 10.0)))
     assert list(manifest["points"]) == ["5", "10"]
     assert all(t > 0 for t in manifest["points"].values())
+
+
+def test_sweep_builds_its_alphabet_once(monkeypatch):
+    builds = []
+
+    def counted(cfg):
+        builds.append(cfg)
+        return build_super_alphabet(cfg)
+
+    monkeypatch.setattr(harness, "build_super_alphabet", counted)
+    records, _ = run_sweep(small_spec(snr_grid_db=(0.0, 5.0, 10.0)))
+    assert len(builds) == 1
+    assert sorted({r.snr_db for r in records}) == [0.0, 5.0, 10.0]
 
 
 def test_manifest_echo_roundtrips():
