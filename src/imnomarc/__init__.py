@@ -8,5 +8,4 @@ from .superposition import (SuperAlphabet, SystemConfig, build_super_alphabet,
 from .channel import noise_variance
 from .detectors import flops_ml, flops_sic
 from .analysis import pep_rayleigh_closed_form, union_bound_ber
-from .harness import (BerRecord, ExperimentSpec, load_results, persist,
-                      run_point, run_sweep)
+from .harness import BerRecord, ExperimentSpec, persist, run_point, run_sweep

@@ -1,17 +1,16 @@
 """Monte Carlo experiment engine: transmit -> channel -> detect loops over SNR
-grids with per-user bit-error accounting and reproducible, block-seeded RNG.
+grids with per-user bit-error accounting and reproducible, batch-seeded RNG.
 
-Every OFDM block (L subcarriers) gets its own RNG stream derived from
-(master seed, SNR point, block index). The stop rule is evaluated on batches
-of ``BATCH_BLOCKS`` blocks: each batch draws its blocks from their own streams,
-then every receiver detects the whole batch in one call and each tracked
-channel counts its errors once. Detection draws no random numbers, so a fixed
-seed reproduces results.csv byte for byte.
+The stop rule is evaluated on batches of ``BATCH_BLOCKS`` OFDM blocks of L
+subcarriers. Every batch draws its symbols, channels and noise from one RNG
+stream derived from (master seed, SNR point, first block), then every receiver
+detects the whole batch in one call and each tracked channel counts its errors
+once. Detection draws no random numbers, so a fixed seed reproduces
+results.csv byte for byte.
 """
 
 from __future__ import annotations
 
-import csv
 import datetime
 import json
 import subprocess
@@ -30,14 +29,19 @@ from .superposition import (SystemConfig, alphabet_size, build_super_alphabet,
 
 SCHEMES = ("imnomarc", "pdnoma", "ofdm")
 DETECTORS = ("ml", "sic")
-# Stop-rule granularity. Fixed: bits_sent is a multiple of it, so changing it
-# changes results.csv at every seed.
+# Stop-rule and RNG granularity: bits_sent is a multiple of it and every batch
+# of it draws from one stream, so changing it changes results.csv at every seed.
 BATCH_BLOCKS = 16
 
 
+def _seed_key(snr_db: float) -> int:
+    """The SNR point's word in the spawn key of its batches' streams."""
+    return int(round(snr_db * 1e6)) & 0xFFFFFFFF
+
+
 def check_snr_grid(snr_grid_db) -> tuple[float, ...]:
-    """The grid as floats. ValueError unless every entry is finite, has a
-    positive finite noise variance, and exceeds the one before it."""
+    """The grid as floats. ValueError unless every entry is finite, has a positive
+    finite noise variance and a label and seed key of its own, and exceeds the last."""
     grid = tuple(float(v) for v in snr_grid_db)
     if not all(np.isfinite(grid)):
         raise ValueError("SNR grid entries must be finite")
@@ -45,6 +49,9 @@ def check_snr_grid(snr_grid_db) -> tuple[float, ...]:
         noise_variance(snr_db)  # ValueError past the float range
     if any(a >= b for a, b in zip(grid, grid[1:])):
         raise ValueError("SNR grid must be strictly increasing")
+    for key, what in (("{:g}".format, "results.csv label"), (_seed_key, "seed key")):
+        if len(set(map(key, grid))) < len(grid):
+            raise ValueError(f"two SNR grid points share a {what} and would run as one")
     return grid
 
 
@@ -62,7 +69,6 @@ class ExperimentSpec:
     master_seed: int = 0
     ofdm_order: int = 8
     ofdm_family: str = "QAM"
-    noiseless: bool = False
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -154,34 +160,28 @@ def _decide(ctx: _PointContext, y: np.ndarray, h: np.ndarray, rx: int) -> np.nda
 def _run_batch(ctx: _PointContext, snr_db: float, first_block: int) -> dict[str, int]:
     """Error counts per channel over the BATCH_BLOCKS blocks from ``first_block``.
 
-    Each block draws from its own stream L tx entries, then one (4R, L) Gaussian
-    array: h real and imaginary (R rows each), then each receiver's noise, real
-    and imaginary. Receiver rx sees h = (g_re + j g_im) / sqrt(2) and
-    y = h x + sqrt(sigma^2 / 2) (w_re + j w_im), exactly h x without noise.
-    Bit labels are linear over XOR in the entry index, so a channel's errors
-    on a subcarrier are its weight table at (decided entry ^ sent entry).
+    The batch is n = BATCH_BLOCKS * L subcarriers drawn from one stream: n tx
+    entries, then one (4R, n) Gaussian array g holding h real and imaginary
+    (R rows each), then each receiver's noise, real and imaginary. Receiver rx
+    sees h = (g[rx-1] + j g[R+rx-1]) / sqrt(2) and y = h x + sqrt(sigma^2 / 2) w
+    with w = g[2(R+rx-1)] + j g[2(R+rx-1)+1]. Bit labels are linear over XOR in
+    the entry index, so a channel's errors on a subcarrier are its weight table
+    at (decided entry ^ sent entry).
     """
-    spec = ctx.spec
-    L = spec.n_subcarriers
+    n = BATCH_BLOCKS * ctx.spec.n_subcarriers
     R = ctx.n_receivers
-    sigma2 = noise_variance(np.inf if spec.noiseless else snr_db)
-    snr_key = int(round(snr_db * 1e6)) & 0xFFFFFFFF
-    tx_entry = np.empty(BATCH_BLOCKS * L, dtype=np.int64)
-    g = np.empty((BATCH_BLOCKS, 4 * R, L))
-    for b in range(BATCH_BLOCKS):
-        ss = np.random.SeedSequence(entropy=spec.master_seed,
-                                    spawn_key=(snr_key, first_block + b))
-        rng = np.random.default_rng(ss)
-        tx_entry[b * L:(b + 1) * L] = rng.integers(0, len(ctx.alphabet.x), size=L)
-        rng.standard_normal((4 * R, L), out=g[b])
+    noise_scale = np.sqrt(noise_variance(snr_db) / 2)
+    rng = np.random.default_rng(np.random.SeedSequence(
+        entropy=ctx.spec.master_seed, spawn_key=(_seed_key(snr_db), first_block)))
+    tx_entry = rng.integers(0, len(ctx.alphabet.x), size=n)
+    g = rng.standard_normal((4 * R, n))
 
     x = ctx.alphabet.x[tx_entry]
     errors: dict[str, int] = {}
     for rx in range(1, R + 1):
-        h = ((g[:, rx - 1] + 1j * g[:, R + rx - 1]) / np.sqrt(2)).reshape(-1)
-        n = 2 * (R + rx - 1)  # this receiver's noise rows, real then imaginary
-        w = (g[:, n] + 1j * g[:, n + 1]).reshape(-1)
-        y = h * x + np.sqrt(sigma2 / 2) * w
+        h = (g[rx - 1] + 1j * g[R + rx - 1]) / np.sqrt(2)
+        k = 2 * (R + rx - 1)  # this receiver's noise rows, real then imaginary
+        y = h * x + noise_scale * (g[k] + 1j * g[k + 1])
         diff = _decide(ctx, y, h, rx) ^ tx_entry
         for name, _, owner in ctx.channels:
             if owner == rx:
@@ -236,10 +236,6 @@ def _version_string() -> str:
     return __version__
 
 
-def spec_from_dict(d: dict) -> ExperimentSpec:
-    return ExperimentSpec(**{**d, "cfg": SystemConfig(**d["cfg"])})
-
-
 def run_sweep(spec: ExperimentSpec) -> tuple[list[BerRecord], dict]:
     """Run every grid point; returns records plus a manifest timing each point."""
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
@@ -278,14 +274,3 @@ def persist(records: list[BerRecord], manifest: dict, path) -> tuple[Path, Path]
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
     return csv_path, manifest_path
-
-
-def load_results(csv_path) -> list[BerRecord]:
-    records = []
-    with open(csv_path, newline="") as f:
-        for row in csv.DictReader(f):
-            records.append(BerRecord(
-                scheme=row["scheme"], detector=row["detector"], user=row["user"],
-                snr_db=float(row["snr_db"]), bits_sent=int(row["bits_sent"]),
-                bit_errors=int(row["bit_errors"]), ber=float(row["ber"])))
-    return records

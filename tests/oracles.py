@@ -3,11 +3,13 @@
 Each one computes a result the package computes on its production path, but
 one symbol, subcarrier or pair at a time: scalar bit mapping and
 superposition, the per-call channel draws, OFDM framing, the quadrature PEP,
-exhaustive ML scans and one block through the channel layer.
+exhaustive ML scans and one stop-rule batch through the channel layer. The
+loaders of run outputs live here too: only tests read them back.
 """
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +18,7 @@ from scipy.special import erfc
 
 from imnomarc.channel import noise_variance
 from imnomarc.constellation import Constellation
-from imnomarc.harness import _decide
+from imnomarc.harness import BATCH_BLOCKS, BerRecord, ExperimentSpec, _decide
 from imnomarc.superposition import SystemConfig, spectral_efficiency
 
 
@@ -254,20 +256,20 @@ def canonical_entry(alphabet, idx):
 
 # --- harness -----------------------------------------------------------------
 
-def run_block_oracle(ctx, snr_db, block):
-    """One block through the channel layer: draw_channel, then one
-    apply_channel and one detection per receiver."""
+def run_block_oracle(ctx, snr_db, first_block, noiseless=False):
+    """The stop-rule batch from ``first_block`` through the channel layer:
+    draw_channel over all its subcarriers, then one apply_channel and one
+    detection per receiver, bits compared one by one."""
     spec = ctx.spec
-    L = spec.n_subcarriers
+    n = BATCH_BLOCKS * spec.n_subcarriers
     ss = np.random.SeedSequence(entropy=spec.master_seed,
-                                spawn_key=(int(round(snr_db * 1e6)) & 0xFFFFFFFF, block))
+                                spawn_key=(int(round(snr_db * 1e6)) & 0xFFFFFFFF, first_block))
     rng = np.random.default_rng(ss)
-    eff_snr = np.inf if spec.noiseless else snr_db
 
-    tx_entry = rng.integers(0, len(ctx.alphabet.x), size=L)
+    tx_entry = rng.integers(0, len(ctx.alphabet.x), size=n)
     tx_bits = ctx.alphabet.bits[tx_entry]
     x = ctx.alphabet.x[tx_entry]
-    ch = draw_channel(ctx.n_receivers, L, eff_snr, rng=rng)
+    ch = draw_channel(ctx.n_receivers, n, np.inf if noiseless else snr_db, rng=rng)
 
     errors = {}
     for rx in range(1, ctx.n_receivers + 1):
@@ -277,3 +279,22 @@ def run_block_oracle(ctx, snr_db, block):
             if owner == rx:
                 errors[name] = int(np.count_nonzero(rx_bits[:, pos] != tx_bits[:, pos]))
     return errors
+
+
+# --- run outputs -------------------------------------------------------------
+
+def spec_from_dict(d: dict) -> ExperimentSpec:
+    """The spec a manifest echoes, rebuilt."""
+    return ExperimentSpec(**{**d, "cfg": SystemConfig(**d["cfg"])})
+
+
+def load_results(csv_path) -> list[BerRecord]:
+    """The records a results.csv holds, BER as printed."""
+    records = []
+    with open(csv_path, newline="") as f:
+        for row in csv.DictReader(f):
+            records.append(BerRecord(
+                scheme=row["scheme"], detector=row["detector"], user=row["user"],
+                snr_db=float(row["snr_db"]), bits_sent=int(row["bits_sent"]),
+                bit_errors=int(row["bit_errors"]), ber=float(row["ber"])))
+    return records

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import imnomarc as im
+from imnomarc import harness
 from imnomarc.channel import noise_variance
 from imnomarc.cli import main as cli_main
 from imnomarc.detectors import ml_block
@@ -90,14 +91,14 @@ def test_criterion_3_ml_oracle_equivalence():
             f"({agree}/{total} agree, {elapsed:.1f}s)")
 
 
-def test_criterion_4_noiseless_perfection():
+def test_criterion_4_noiseless_perfection(monkeypatch):
+    monkeypatch.setattr(harness, "noise_variance", lambda snr_db: 0.0)
     t0 = time.perf_counter()
     ok = True
     detail = []
     for detector in ("ml", "sic"):
-        spec = im.ExperimentSpec(detector=detector, noiseless=True,
-                                 snr_grid_db=(0.0,), max_bits=100_000,
-                                 min_bit_errors=200)
+        spec = im.ExperimentSpec(detector=detector, snr_grid_db=(0.0,),
+                                 max_bits=100_000, min_bit_errors=200)
         records = im.run_point(spec, 0.0)
         errors = sum(r.bit_errors for r in records)
         subcarriers = records[0].bits_sent  # 1 symbol bit per subcarrier (BPSK)

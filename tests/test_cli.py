@@ -168,6 +168,20 @@ def test_non_finite_snr_is_config_error(tmp_path, capsys, command, snr):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command, args", [
+    ("ber", ["--max-bits", "2000", "--min-errors", "20"]),
+    ("bound", []),
+])
+# 30 and 30.0000001 dB both print as 30; -2000 and 2294.967296 dB share the
+# seed key 2294967296 (the SNR in 1e-6 dB steps, mod 2^32)
+@pytest.mark.parametrize("snr", ["30:0.0000001:30.0000001", "-2000,2294.967296"],
+                         ids=["same-label", "same-seed-key"])
+def test_snr_points_that_run_as_one_are_config_errors(tmp_path, capsys, command, args, snr):
+    assert run_cli([command, "--out", str(tmp_path), f"--snr={snr}", *args]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 # 5:2:16 QAM: A = 16^5 * 4 = 4194304 entries, over the 2^20 enumeration cap
 OVER_CAP_INI = ("[system]\nn_users = 5\nn_far = 2\nmod_order = 16\nfamily = QAM\n"
                 "power_coeffs = 0.5, 0.25, 0.15, 0.07, 0.03\n")

@@ -1,19 +1,20 @@
+import ast
 import json
 import math
 import subprocess
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from imnomarc import __version__, harness
-from imnomarc.harness import (BATCH_BLOCKS, CSV_HEADER, BerRecord,
-                              ExperimentSpec, _PointContext, _run_batch,
-                              load_results, persist, run_point, run_sweep,
-                              spec_from_dict)
+from imnomarc.harness import (CSV_HEADER, BerRecord, ExperimentSpec,
+                              _PointContext, _run_batch, persist, run_point,
+                              run_sweep)
 from imnomarc.superposition import SystemConfig, build_super_alphabet
 
-from oracles import run_block_oracle
+from oracles import load_results, run_block_oracle, spec_from_dict
 
 TWO_USER = dict(n_users=2, n_far=1, mod_order=2, power_coeffs=(0.9, 0.1))
 
@@ -25,9 +26,15 @@ def small_spec(**overrides):
     return ExperimentSpec(**base)
 
 
-def test_noiseless_run_has_zero_errors():
+def silence_noise(monkeypatch):
+    """Make every harness noise variance 0: y = h x exactly."""
+    monkeypatch.setattr(harness, "noise_variance", lambda snr_db: 0.0)
+
+
+def test_noiseless_run_has_zero_errors(monkeypatch):
+    silence_noise(monkeypatch)
     for detector in ("ml", "sic"):
-        spec = small_spec(detector=detector, noiseless=True, max_bits=5000,
+        spec = small_spec(detector=detector, max_bits=5000,
                           min_bit_errors=20, snr_grid_db=(0.0,))
         for rec in run_point(spec, 0.0):
             assert rec.bit_errors == 0
@@ -50,74 +57,75 @@ GOLDEN_CONFIGS = {
 
 # (config, scheme, detector, index_user_mode) -> [(snr_db, [(user, bits_sent,
 # bit_errors), ...]), ...] from run_point with n_subcarriers=32, max_bits=3000,
-# min_bit_errors=20, master_seed=11. Detection draws no random numbers, so any
-# change to how blocks are detected or scored must reproduce these exactly.
+# min_bit_errors=20, master_seed=11, one RNG stream per 16-block batch.
+# Detection draws no random numbers, so any change to how blocks are detected
+# or scored must reproduce these exactly.
 # The PD-NOMA SIC near-user rows equal the PD-NOMA ML rows: without index bits
 # the near stage searches only the rotations the transmitter sends (none).
 GOLDEN = {
     ('2:1:2', 'imnomarc', 'ml', 'virtual'): [
-        (5.0, [('1', 512, 39), ('2', 512, 165), ('index', 512, 205)]),
-        (15.0, [('1', 2048, 21), ('2', 2048, 236), ('index', 2048, 332)]),
+        (5.0, [('1', 512, 47), ('2', 512, 180), ('index', 512, 219)]),
+        (15.0, [('1', 2048, 20), ('2', 2048, 251), ('index', 2048, 356)]),
     ],
     ('2:1:2', 'imnomarc', 'ml', 'near'): [
-        (5.0, [('1', 512, 50), ('2', 512, 172), ('index', 512, 197)]),
-        (15.0, [('1', 2560, 23), ('2', 2560, 271), ('index', 2560, 438)]),
+        (5.0, [('1', 512, 43), ('2', 512, 164), ('index', 512, 220)]),
+        (15.0, [('1', 2560, 22), ('2', 2560, 276), ('index', 2560, 420)]),
     ],
     ('2:1:2', 'imnomarc', 'sic', 'virtual'): [
-        (5.0, [('1', 512, 39), ('2', 512, 165), ('index', 512, 205)]),
-        (15.0, [('1', 2048, 21), ('2', 2048, 236), ('index', 2048, 332)]),
+        (5.0, [('1', 512, 47), ('2', 512, 180), ('index', 512, 219)]),
+        (15.0, [('1', 2048, 20), ('2', 2048, 251), ('index', 2048, 356)]),
     ],
     ('2:1:2', 'imnomarc', 'sic', 'near'): [
-        (5.0, [('1', 512, 50), ('2', 512, 172), ('index', 512, 197)]),
-        (15.0, [('1', 2560, 23), ('2', 2560, 271), ('index', 2560, 438)]),
+        (5.0, [('1', 512, 43), ('2', 512, 164), ('index', 512, 220)]),
+        (15.0, [('1', 2560, 22), ('2', 2560, 276), ('index', 2560, 420)]),
     ],
     ('2:1:2', 'pdnoma', 'ml', 'virtual'): [
-        (5.0, [('1', 512, 45), ('2', 512, 137)]),
-        (15.0, [('1', 2560, 29), ('2', 2560, 175)]),
+        (5.0, [('1', 512, 47), ('2', 512, 154)]),
+        (15.0, [('1', 2048, 20), ('2', 2048, 138)]),
     ],
     ('2:1:2', 'pdnoma', 'ml', 'near'): [
-        (5.0, [('1', 512, 45), ('2', 512, 137)]),
-        (15.0, [('1', 2560, 29), ('2', 2560, 175)]),
+        (5.0, [('1', 512, 47), ('2', 512, 154)]),
+        (15.0, [('1', 2048, 20), ('2', 2048, 138)]),
     ],
     ('2:1:2', 'pdnoma', 'sic', 'virtual'): [
-        (5.0, [('1', 512, 45), ('2', 512, 137)]),
-        (15.0, [('1', 2560, 29), ('2', 2560, 175)]),
+        (5.0, [('1', 512, 47), ('2', 512, 154)]),
+        (15.0, [('1', 2048, 20), ('2', 2048, 138)]),
     ],
     ('2:1:2', 'pdnoma', 'sic', 'near'): [
-        (5.0, [('1', 512, 45), ('2', 512, 137)]),
-        (15.0, [('1', 2560, 29), ('2', 2560, 175)]),
+        (5.0, [('1', 512, 47), ('2', 512, 154)]),
+        (15.0, [('1', 2048, 20), ('2', 2048, 138)]),
     ],
     ('2:1:2', 'ofdm', 'ml', 'virtual'): [
-        (5.0, [('1', 1536, 289)]),
-        (15.0, [('1', 1536, 54)]),
+        (5.0, [('1', 1536, 264)]),
+        (15.0, [('1', 1536, 55)]),
     ],
     ('2:1:2', 'ofdm', 'ml', 'near'): [
-        (5.0, [('1', 1536, 289)]),
-        (15.0, [('1', 1536, 54)]),
+        (5.0, [('1', 1536, 264)]),
+        (15.0, [('1', 1536, 55)]),
     ],
     ('4:1:4', 'imnomarc', 'ml', 'virtual'): [
-        (5.0, [('1', 1024, 188), ('2', 1024, 388), ('3', 1024, 483), ('4', 1024, 484), ('index', 1024, 503)]),
-        (15.0, [('1', 1024, 71), ('2', 1024, 259), ('3', 1024, 425), ('4', 1024, 492), ('index', 1024, 509)]),
+        (5.0, [('1', 1024, 175), ('2', 1024, 371), ('3', 1024, 483), ('4', 1024, 499), ('index', 1024, 488)]),
+        (15.0, [('1', 1024, 80), ('2', 1024, 276), ('3', 1024, 402), ('4', 1024, 467), ('index', 1024, 483)]),
     ],
     ('4:1:4', 'imnomarc', 'ml', 'near'): [
-        (5.0, [('1', 1024, 189), ('2', 1024, 380), ('3', 1024, 481), ('4', 1024, 469), ('index', 1024, 520)]),
-        (15.0, [('1', 1024, 83), ('2', 1024, 265), ('3', 1024, 443), ('4', 1024, 462), ('index', 1024, 502)]),
+        (5.0, [('1', 1024, 172), ('2', 1024, 386), ('3', 1024, 464), ('4', 1024, 468), ('index', 1024, 492)]),
+        (15.0, [('1', 1024, 82), ('2', 1024, 267), ('3', 1024, 414), ('4', 1024, 433), ('index', 1024, 522)]),
     ],
     ('4:1:4', 'imnomarc', 'sic', 'virtual'): [
-        (5.0, [('1', 1024, 187), ('2', 1024, 387), ('3', 1024, 469), ('4', 1024, 473), ('index', 1024, 491)]),
-        (15.0, [('1', 1024, 64), ('2', 1024, 244), ('3', 1024, 408), ('4', 1024, 489), ('index', 1024, 492)]),
+        (5.0, [('1', 1024, 175), ('2', 1024, 375), ('3', 1024, 472), ('4', 1024, 483), ('index', 1024, 503)]),
+        (15.0, [('1', 1024, 81), ('2', 1024, 259), ('3', 1024, 423), ('4', 1024, 467), ('index', 1024, 520)]),
     ],
     ('4:1:4', 'imnomarc', 'sic', 'near'): [
-        (5.0, [('1', 1024, 189), ('2', 1024, 369), ('3', 1024, 469), ('4', 1024, 484), ('index', 1024, 509)]),
-        (15.0, [('1', 1024, 79), ('2', 1024, 256), ('3', 1024, 458), ('4', 1024, 476), ('index', 1024, 484)]),
+        (5.0, [('1', 1024, 169), ('2', 1024, 362), ('3', 1024, 471), ('4', 1024, 483), ('index', 1024, 515)]),
+        (15.0, [('1', 1024, 75), ('2', 1024, 272), ('3', 1024, 422), ('4', 1024, 493), ('index', 1024, 519)]),
     ],
     ('3:2:2', 'imnomarc', 'ml', 'near'): [
-        (5.0, [('1', 512, 99), ('2', 512, 148), ('3', 512, 187), ('index', 512, 228)]),
-        (15.0, [('1', 512, 53), ('2', 512, 71), ('3', 512, 71), ('index', 512, 86)]),
+        (5.0, [('1', 512, 96), ('2', 512, 146), ('3', 512, 180), ('index', 512, 233)]),
+        (15.0, [('1', 512, 60), ('2', 512, 81), ('3', 512, 81), ('index', 512, 100)]),
     ],
     ('3:2:2', 'imnomarc', 'sic', 'near'): [
-        (5.0, [('1', 512, 94), ('2', 512, 151), ('3', 512, 189), ('index', 512, 232)]),
-        (15.0, [('1', 512, 56), ('2', 512, 85), ('3', 512, 89), ('index', 512, 92)]),
+        (5.0, [('1', 512, 97), ('2', 512, 150), ('3', 512, 181), ('index', 512, 231)]),
+        (15.0, [('1', 512, 51), ('2', 512, 82), ('3', 512, 90), ('index', 512, 105)]),
     ],
 }
 
@@ -152,19 +160,19 @@ BATCH_CASES = {
 
 
 @pytest.mark.parametrize("case", BATCH_CASES)
-def test_batch_counts_equal_per_block_oracle(case):
+def test_batch_counts_equal_per_block_oracle(case, monkeypatch):
     kw = dict(BATCH_CASES[case])
     cfg_name, mode = kw.pop("cfg")
+    noiseless = kw.pop("noiseless", False)
+    if noiseless:
+        silence_noise(monkeypatch)
     cfg = SystemConfig(**GOLDEN_CONFIGS[cfg_name], index_user_mode=mode)
     for n_subcarriers, snr_db, first_block in [(128, 10.0, 0), (37, 25.0, 48)]:
         spec = ExperimentSpec(cfg=cfg, n_subcarriers=n_subcarriers, master_seed=7, **kw)
         ctx = _PointContext(spec)
-        want = {name: 0 for name, _, _ in ctx.channels}
-        for block in range(first_block, first_block + BATCH_BLOCKS):
-            for name, errs in run_block_oracle(ctx, snr_db, block).items():
-                want[name] += errs
+        want = run_block_oracle(ctx, snr_db, first_block, noiseless)
         assert _run_batch(ctx, snr_db, first_block) == want
-        if not spec.noiseless:
+        if not noiseless:
             assert sum(want.values()) > 0
 
 
@@ -314,3 +322,58 @@ def test_spec_refuses_alphabet_over_cap():
     # PD-NOMA enumerates M^N = 2^20 entries, at the cap; OFDM none
     ExperimentSpec(scheme="pdnoma", cfg=cfg)
     ExperimentSpec(scheme="ofdm", cfg=cfg)
+
+
+class _RngSites(ast.NodeVisitor):
+    """Every use of numpy.random or of the random module, by enclosing scope."""
+
+    def __init__(self):
+        self.scope, self.sites = [], set()
+
+    def _enter(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _enter
+
+    def _hit(self):
+        self.sites.add(".".join(self.scope))
+
+    def visit_Attribute(self, node):
+        if (node.attr == "random" and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy")):
+            self._hit()
+        self.generic_visit(node)
+
+    def visit_Import(self, node):
+        if any(a.name == "random" or a.name.startswith("numpy.random") for a in node.names):
+            self._hit()
+
+    def visit_ImportFrom(self, node):
+        module = node.module or ""
+        if (module == "random" or module.startswith("numpy.random")
+                or module == "numpy" and any(a.name == "random" for a in node.names)):
+            self._hit()
+
+
+def rng_sites(source: str, module: str) -> set[str]:
+    visitor = _RngSites()
+    visitor.visit(ast.parse(source))
+    return {".".join(filter(None, (module, scope))) for scope in visitor.sites}
+
+
+def test_only_run_batch_draws_random_numbers():
+    # Detection and the stop rule draw nothing, so a fixed seed reproduces
+    # results.csv; every draw is in the one stream per batch.
+    sites = set()
+    for path in sorted(Path(harness.__file__).parent.glob("*.py")):
+        sites |= rng_sites(path.read_text(), path.stem)
+    assert sites == {"harness._run_batch"}
+    # the scan sees a draw however numpy.random or random is reached
+    for source in ("def run_point():\n    rng = np.random.default_rng()",
+                   "def ml_block():\n    numpy.random.seed(0)",
+                   "def ml_block():\n    from numpy.random import default_rng",
+                   "from numpy import random",
+                   "import random"):
+        assert rng_sites(source, "m"), source
