@@ -1,5 +1,10 @@
 """Command-line front end: spectral-efficiency tables, detector FLOP tables,
-analytical bound curves, and Monte Carlo BER sweeps."""
+analytical bound curves, and Monte Carlo BER sweeps.
+
+A flag beats the ``--config`` file, which beats ``default.ini``. Each command
+checks its config and creates ``--out`` before any output; a bad value, an
+unreadable or undecodable config or an unusable ``--out`` exits 1.
+"""
 
 from __future__ import annotations
 
@@ -15,7 +20,7 @@ import numpy as np
 from .analysis import PAIR_BUDGET, union_bound_ber
 from .channel import noise_variance
 from .detectors import flops_ml, flops_sic
-from .harness import CSV_HEADER, ExperimentSpec, check_snr_grid, persist, run_sweep
+from .harness import BerRecord, ExperimentSpec, check_snr_grid, persist, run_sweep, write_csv
 from .superposition import (SystemConfig, alphabet_size, build_super_alphabet,
                             spectral_efficiency)
 
@@ -23,9 +28,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 
-
-class ConfigError(Exception):
-    pass
+# Flag (argparse dest) -> the [sweep] key it overrides.
+FLAG_KEYS = {"snr": "snr_db", "seed": "seed", "scheme": "schemes", "detector": "detectors",
+             "max_bits": "max_bits", "min_errors": "min_bit_errors"}
 
 
 def _parse_floats(text: str, sep: str | None = None) -> tuple[float, ...]:
@@ -34,7 +39,7 @@ def _parse_floats(text: str, sep: str | None = None) -> tuple[float, ...]:
     try:
         return tuple(float(v) for v in parts)
     except ValueError:
-        raise ConfigError(f"bad number in {text!r}") from None
+        raise ValueError(f"bad number in {text!r}") from None
 
 
 def _parse_snr(text: str) -> tuple[float, ...]:
@@ -43,12 +48,12 @@ def _parse_snr(text: str) -> tuple[float, ...]:
         return _parse_floats(text)
     values = _parse_floats(text, ":")
     if len(values) != 3:
-        raise ConfigError(f"bad SNR grid {text!r}, expected start:step:stop")
+        raise ValueError(f"bad SNR grid {text!r}, expected start:step:stop")
     if not all(math.isfinite(v) for v in values):
-        raise ConfigError(f"bad SNR grid {text!r}, values must be finite")
+        raise ValueError(f"bad SNR grid {text!r}, values must be finite")
     start, step, stop = values
     if step <= 0 or stop < start:
-        raise ConfigError(f"bad SNR grid {text!r}")
+        raise ValueError(f"bad SNR grid {text!r}")
     n = math.floor((stop - start) / step + 1e-9) + 1
     return tuple(start + k * step for k in range(n))
 
@@ -62,74 +67,63 @@ def _parse_tuples(text: str) -> list[tuple[int, int, int]]:
         try:
             n, b, m = (int(p) for p in item.split(":"))
         except ValueError:  # a non-integer or not three fields
-            raise ConfigError(f"bad (N:B:M) tuple {item!r}") from None
+            raise ValueError(f"bad (N:B:M) tuple {item!r}") from None
         out.append((n, b, m))
     return out
 
 
-def load_config(path: str | None) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser()
-    parser.read_string(resources.files(__package__).joinpath("default.ini").read_text())
-    if path is not None:
-        if not Path(path).is_file():
-            raise ConfigError(f"config file not found: {path}")
-        try:
-            parser.read(path)
-        except configparser.Error as exc:  # no section header, duplicate option, ...
-            raise ConfigError(str(exc)) from exc
-    return parser
+def load_config(args) -> configparser.ConfigParser:
+    """``default.ini``, then the ``--config`` file, then every given flag."""
+    conf = configparser.ConfigParser()
+    conf.read_string(resources.files(__package__).joinpath("default.ini").read_text())
+    if args.config is not None:
+        with open(args.config, encoding="utf-8") as f:
+            conf.read_file(f)
+    for flag, key in FLAG_KEYS.items():
+        value = getattr(args, flag, None)
+        if value is not None:
+            conf["sweep"][key] = ", ".join(value) if isinstance(value, list) else str(value)
+    return conf
 
 
 def _system_config(conf: configparser.ConfigParser) -> SystemConfig:
     sec = conf["system"]
-    try:
-        kwargs = dict(
-            n_users=sec.getint("n_users"),
-            n_far=sec.getint("n_far"),
-            mod_order=sec.getint("mod_order"),
-            family=sec.get("family"),
-            power_coeffs=_parse_floats(sec.get("power_coeffs")),
-            index_user_mode=sec.get("index_user_mode"),
-        )
-        if sec.get("rotation_angles", None):
-            angles = _parse_floats(sec.get("rotation_angles"))
-            if len(angles) != 2 or angles[0] != 0.0:
-                raise ConfigError(f"rotation_angles must be 0 and the rotated users' angle, "
-                                  f"got {sec.get('rotation_angles')!r}")
-            kwargs["rotation_angle"] = angles[1]
-        return SystemConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    kwargs = dict(
+        n_users=sec.getint("n_users"),
+        n_far=sec.getint("n_far"),
+        mod_order=sec.getint("mod_order"),
+        family=sec.get("family"),
+        power_coeffs=_parse_floats(sec.get("power_coeffs")),
+        index_user_mode=sec.get("index_user_mode"),
+    )
+    if sec.get("rotation_angles", None):
+        angles = _parse_floats(sec.get("rotation_angles"))
+        if len(angles) != 2 or angles[0] != 0.0:
+            raise ValueError(f"rotation_angles must be 0 and the rotated users' angle, "
+                             f"got {sec.get('rotation_angles')!r}")
+        kwargs["rotation_angle"] = angles[1]
+    return SystemConfig(**kwargs)
 
 
-def _experiment_specs(conf, args) -> list[ExperimentSpec]:
+def _experiment_specs(conf) -> list[ExperimentSpec]:
     sweep = conf["sweep"]
     cfg = _system_config(conf)
-    snr = _parse_snr(args.snr) if args.snr else _parse_snr(sweep.get("snr_db"))
-    schemes = args.scheme or [s.strip() for s in sweep.get("schemes").split(",")]
-    detectors = args.detector or [d.strip() for d in sweep.get("detectors").split(",")]
-    schemes, detectors = dict.fromkeys(schemes), dict.fromkeys(detectors)  # distinct, in order
-    specs = []
-    for scheme in schemes:
-        for detector in detectors:
-            try:
-                specs.append(ExperimentSpec(
-                    scheme=scheme,
-                    cfg=cfg,
-                    detector=detector,
-                    snr_grid_db=snr,
-                    n_subcarriers=sweep.getint("n_subcarriers"),
-                    max_bits=(args.max_bits if args.max_bits is not None
-                              else sweep.getint("max_bits")),
-                    min_bit_errors=(args.min_errors if args.min_errors is not None
-                                    else sweep.getint("min_bit_errors")),
-                    master_seed=args.seed if args.seed is not None else sweep.getint("seed"),
-                    ofdm_order=conf["ofdm"].getint("mod_order"),
-                    ofdm_family=conf["ofdm"].get("family"),
-                ))
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
-    return specs
+    snr = _parse_snr(sweep.get("snr_db"))
+    # distinct, in order
+    schemes = dict.fromkeys(s.strip() for s in sweep.get("schemes").split(","))
+    detectors = dict.fromkeys(d.strip() for d in sweep.get("detectors").split(","))
+    return [ExperimentSpec(
+        scheme=scheme,
+        cfg=cfg,
+        detector=detector,
+        snr_grid_db=snr,
+        n_subcarriers=sweep.getint("n_subcarriers"),
+        max_bits=sweep.getint("max_bits"),
+        min_bit_errors=sweep.getint("min_bit_errors"),
+        master_seed=sweep.getint("seed"),
+        ofdm_order=conf["ofdm"].getint("mod_order"),
+        ofdm_family=conf["ofdm"].get("family"),
+    ) for scheme in schemes for detector in detectors]
 
 
 def im_noma_baseline_se(n_users: int, mod_order: int, subblock_size: int,
@@ -141,88 +135,84 @@ def im_noma_baseline_se(n_users: int, mod_order: int, subblock_size: int,
     return (active * math.log2(mod_order) * n_users + index_bits) / subblock_size
 
 
-def cmd_se(conf, args) -> int:
+def cmd_se(conf, out):
     sec = conf["se"]
-    tuples = _parse_tuples(sec.get("tuples"))
-    try:
-        ns, k = sec.getint("subblock_size"), sec.getint("active_subcarriers")
-        rows = [(n, b, m, spectral_efficiency(_table_config(n, b, m)), n * int(math.log2(m)),
-                 im_noma_baseline_se(n, m, ns, k)) for n, b, m in tuples]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    lines = ["N,B,M,se_imnomarc,se_pdnoma,se_imnoma"]
-    print(f"{'N':>3} {'B':>3} {'M':>3} {'IM-NOMA-RC':>11} {'PD-NOMA':>8} {'IM-NOMA':>8}")
-    for n, b, m, se_rc, se_pd, se_im in rows:
-        print(f"{n:>3} {b:>3} {m:>3} {se_rc:>11} {se_pd:>8} {se_im:>8.2f}")
-        lines.append(f"{n},{b},{m},{se_rc},{se_pd},{se_im:g}")
-    _maybe_write(args.out, "se.csv", lines)
-    return EXIT_OK
+    ns, k = sec.getint("subblock_size"), sec.getint("active_subcarriers")
+    rows = [(n, b, m, spectral_efficiency(_table_config(n, b, m)), n * int(math.log2(m)),
+             im_noma_baseline_se(n, m, ns, k)) for n, b, m in _parse_tuples(sec.get("tuples"))]
+    out = _out_dir(out)
+
+    def run():
+        lines = ["N,B,M,se_imnomarc,se_pdnoma,se_imnoma"]
+        print(f"{'N':>3} {'B':>3} {'M':>3} {'IM-NOMA-RC':>11} {'PD-NOMA':>8} {'IM-NOMA':>8}")
+        for n, b, m, se_rc, se_pd, se_im in rows:
+            print(f"{n:>3} {b:>3} {m:>3} {se_rc:>11} {se_pd:>8} {se_im:>8.2f}")
+            lines.append(f"{n},{b},{m},{se_rc},{se_pd},{se_im:g}")
+        _maybe_write(out, "se.csv", lines)
+    return run
 
 
-def cmd_flops(conf, args) -> int:
-    tuples = _parse_tuples(conf["flops"].get("tuples"))
-    lines = ["N,B,M,detector,user,flops"]
-    print(f"{'N':>3} {'B':>3} {'M':>3} {'detector':>9} {'user':>5} {'flops':>8}")
-    for n, b, m in tuples:
+def cmd_flops(conf, out):
+    rows = []
+    for n, b, m in _parse_tuples(conf["flops"].get("tuples")):
         cfg = _table_config(n, b, m)
-        rows = [("ml", "-", flops_ml(cfg))]
-        rows += [("sic", str(u), flops_sic(cfg, u)) for u in range(1, n + 1)]
-        for det, user, count in rows:
+        rows.append((n, b, m, "ml", "-", flops_ml(cfg)))
+        rows += [(n, b, m, "sic", str(u), flops_sic(cfg, u)) for u in range(1, n + 1)]
+    out = _out_dir(out)
+
+    def run():
+        lines = ["N,B,M,detector,user,flops"]
+        print(f"{'N':>3} {'B':>3} {'M':>3} {'detector':>9} {'user':>5} {'flops':>8}")
+        for n, b, m, det, user, count in rows:
             print(f"{n:>3} {b:>3} {m:>3} {det:>9} {user:>5} {count:>8}")
             lines.append(f"{n},{b},{m},{det},{user},{count}")
-    _maybe_write(args.out, "flops.csv", lines)
-    return EXIT_OK
+        _maybe_write(out, "flops.csv", lines)
+    return run
 
 
-def cmd_bound(conf, args) -> int:
+def cmd_bound(conf, out):
     cfg = _system_config(conf)
-    snr = _parse_snr(args.snr) if args.snr else _parse_snr(conf["sweep"].get("snr_db"))
-    try:
-        snr = check_snr_grid(snr)
-        size = alphabet_size(cfg)
-    except ValueError as exc:  # a bad SNR grid, or over the enumeration cap
-        raise ConfigError(str(exc)) from exc
+    snr = check_snr_grid(_parse_snr(conf["sweep"].get("snr_db")))
+    size = alphabet_size(cfg)
     if size * (size - 1) > PAIR_BUDGET:
-        raise ConfigError(f"alphabet size {size} has {size * (size - 1)} ordered pairs, "
-                          f"over the bound's budget of {PAIR_BUDGET}")
-    out = _out_dir(args.out or ".")
-    alphabet = build_super_alphabet(cfg)
-    users = [str(u) for u in range(1, cfg.n_users + 1)]
-    if cfg.n_index_bits:
-        users.append("index")
-    lines = [CSV_HEADER]
-    for snr_db in snr:
-        sigma2 = noise_variance(snr_db)
-        for user in users:
-            bound = union_bound_ber(alphabet, sigma2, user=user)
-            lines.append(f"imnomarc,bound,{user},{snr_db:g},0,0,{bound:.5e}")
-    path = _maybe_write(out, "bound.csv", lines)
-    print(f"wrote {path}")
-    return EXIT_OK
+        raise ValueError(f"alphabet size {size} has {size * (size - 1)} ordered pairs, "
+                         f"over the bound's budget of {PAIR_BUDGET}")
+    path = _out_dir(out or ".") / "bound.csv"
+
+    def run():
+        alphabet = build_super_alphabet(cfg)
+        users = [str(u) for u in range(1, cfg.n_users + 1)]
+        if cfg.n_index_bits:
+            users.append("index")
+        write_csv([BerRecord("imnomarc", "bound", user, snr_db, 0, 0,
+                             union_bound_ber(alphabet, noise_variance(snr_db), user=user))
+                   for snr_db in snr for user in users], path)
+        print(f"wrote {path}")
+    return run
 
 
-def cmd_ber(conf, args) -> int:
-    specs = _experiment_specs(conf, args)
-    out = _out_dir(args.out or ".")
-    all_records = []
-    manifests = []
-    for spec in specs:
-        records, manifest = run_sweep(spec)
-        all_records.extend(records)
-        manifests.append(manifest)
-    csv_path, manifest_path = persist(all_records, {"runs": manifests}, out)
-    print(f"wrote {csv_path} and {manifest_path}")
-    return EXIT_OK
+def cmd_ber(conf, out):
+    specs = _experiment_specs(conf)
+    out = _out_dir(out or ".")
+
+    def run():
+        all_records = []
+        manifests = []
+        for spec in specs:
+            records, manifest = run_sweep(spec)
+            all_records.extend(records)
+            manifests.append(manifest)
+        csv_path, manifest_path = persist(all_records, {"runs": manifests}, out)
+        print(f"wrote {csv_path} and {manifest_path}")
+    return run
 
 
 def _table_config(n: int, b: int, m: int) -> SystemConfig:
     """The N:B:M system of one se/flops table row."""
     try:
-        return SystemConfig(n_users=n, n_far=b, mod_order=m,
-                            family="PSK" if m != 8 else "QAM",
-                            power_coeffs=_default_alphas(n))
+        return SystemConfig(n_users=n, n_far=b, mod_order=m, power_coeffs=_default_alphas(n))
     except ValueError as exc:
-        raise ConfigError(f"invalid tuple {n}:{b}:{m}: {exc}") from exc
+        raise ValueError(f"invalid tuple {n}:{b}:{m}: {exc}") from None
 
 
 def _default_alphas(n: int) -> tuple[float, ...]:
@@ -233,22 +223,18 @@ def _default_alphas(n: int) -> tuple[float, ...]:
     return tuple(float(a) for a in alphas)
 
 
-def _out_dir(out) -> Path:
-    """The output directory, created if missing; a config error if it cannot be."""
+def _out_dir(out) -> Path | None:
+    """The ``--out`` directory, created if missing (OSError if it cannot be)."""
+    if out is None:
+        return None
     path = Path(out)
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # a file in the way, no permission, ...
-        raise ConfigError(f"cannot create output directory: {exc}") from exc
+    path.mkdir(parents=True, exist_ok=True)
     return path
 
 
 def _maybe_write(out, name, lines):
-    if out is None:
-        return None
-    target = _out_dir(out) / name
-    target.write_text("\n".join(lines) + "\n")
-    return target
+    if out is not None:
+        (out / name).write_text("\n".join(lines) + "\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -277,22 +263,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+COMMANDS = {"se": cmd_se, "flops": cmd_flops, "bound": cmd_bound, "ber": cmd_ber}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Check the command's config, then run it; the only place errors become exit codes."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code else EXIT_OK
-    commands = {"se": cmd_se, "flops": cmd_flops, "bound": cmd_bound, "ber": cmd_ber}
     try:
-        conf = load_config(args.config)
-        return commands[args.command](conf, args)
-    except ConfigError as exc:
+        run = COMMANDS[args.command](load_config(args), args.out)
+    except (ValueError, OSError, configparser.Error) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except Exception as exc:  # pragma: no cover - defensive
+    try:
+        run()
+    except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    return EXIT_OK
 
 
 if __name__ == "__main__":

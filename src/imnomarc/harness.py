@@ -193,9 +193,13 @@ def run_point(spec: ExperimentSpec, snr_db: float, *,
               ctx: _PointContext | None = None) -> list[BerRecord]:
     """Simulate one SNR point until the stop rule fires for every tracked user.
 
+    ``snr_db`` must be a point of ``spec.snr_grid_db``, where it was checked.
+
     ``ctx`` is the context of ``spec`` built by ``run_sweep`` once for all of
     its points; without it the point builds its own.
     """
+    if snr_db not in spec.snr_grid_db:
+        raise ValueError(f"SNR {snr_db} dB is not a point of the spec's grid")
     if ctx is None:
         ctx = _PointContext(spec)
     L = spec.n_subcarriers
@@ -259,16 +263,21 @@ def run_sweep(spec: ExperimentSpec) -> tuple[list[BerRecord], dict]:
 CSV_HEADER = "scheme,detector,user,snr_db,bits_sent,bit_errors,ber"
 
 
+def write_csv(records: list[BerRecord], path) -> None:
+    """Write ``records`` as a results.csv table to the file ``path``."""
+    with open(path, "w", newline="") as f:
+        f.write(CSV_HEADER + "\n")
+        for r in records:
+            f.write(f"{r.scheme},{r.detector},{r.user},{r.snr_db:g},"
+                    f"{r.bits_sent},{r.bit_errors},{r.ber:.5e}\n")
+
+
 def persist(records: list[BerRecord], manifest: dict, path) -> tuple[Path, Path]:
     """Write results.csv and manifest.json under ``path``; overwrites in place."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     csv_path = path / "results.csv"
-    with open(csv_path, "w", newline="") as f:
-        f.write(CSV_HEADER + "\n")
-        for r in records:
-            f.write(f"{r.scheme},{r.detector},{r.user},{r.snr_db:g},"
-                    f"{r.bits_sent},{r.bit_errors},{r.ber:.5e}\n")
+    write_csv(records, csv_path)
     manifest_path = path / "manifest.json"
     with open(manifest_path, "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)

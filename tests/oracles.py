@@ -216,16 +216,15 @@ def exhaustive_ml(y, h, alphabet):
     return idx, d[np.arange(len(y)), idx]
 
 
-def brute_force_scan(y, h, cfg):
-    """Independent exhaustive hypothesis scan with inline superposition math."""
+def brute_force_hypotheses(cfg):
+    """Every superimposed symbol, in packed bit-string order, by inline superposition math."""
     points = cfg.constellation.points
-    best = None
-    hyp_index = 0
-    for bits_int in range(2 ** spectral_efficiency(cfg)):
+    p = spectral_efficiency(cfg)
+    b = cfg.bits_per_symbol
+    hypotheses = []
+    for bits_int in range(2 ** p):
         # decode the packed bit-string exactly as the transmitter would
-        p = spectral_efficiency(cfg)
         bits = [(bits_int >> (p - 1 - k)) & 1 for k in range(p)]
-        b = cfg.bits_per_symbol
         s = []
         for n in range(cfg.n_users):
             chunk = tuple(bits[n * b:(n + 1) * b])
@@ -237,10 +236,18 @@ def brute_force_scan(y, h, cfg):
         for n in range(cfg.n_users):
             factor = 1j if (n + 1) > cfg.n_users - phi else 1.0
             x += np.sqrt(cfg.power_coeffs[n] * cfg.total_power) * factor * s[n]
+        hypotheses.append(complex(x))
+    return hypotheses
+
+
+def brute_force_scan(y, h, hypotheses):
+    """Index of the hypothesis nearest to ``y`` through ``h``, lowest on ties."""
+    y, h = complex(y), complex(h)
+    best = None
+    for hyp_index, x in enumerate(hypotheses):
         metric = abs(y - h * x) ** 2
         if best is None or metric < best[1]:
             best = (hyp_index, metric)
-        hyp_index += 1
     return best[0]
 
 

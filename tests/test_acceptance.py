@@ -12,7 +12,7 @@ from imnomarc.channel import noise_variance
 from imnomarc.cli import main as cli_main
 from imnomarc.detectors import ml_block
 
-from oracles import brute_force_scan, canonical_entry, pep_rayleigh
+from oracles import brute_force_hypotheses, brute_force_scan, canonical_entry, pep_rayleigh
 
 TWO_USER = dict(n_users=2, n_far=1, mod_order=2, power_coeffs=(0.9, 0.1))
 
@@ -74,6 +74,7 @@ def test_criterion_3_ml_oracle_equivalence():
         cfg = im.SystemConfig(n_users=2, n_far=1, mod_order=m,
                               power_coeffs=(0.9, 0.1))
         alphabet = im.build_super_alphabet(cfg)
+        hypotheses = brute_force_hypotheses(cfg)
         rng = np.random.default_rng(100 + m)
         n = 5000
         tx = rng.integers(0, len(alphabet), n)
@@ -82,7 +83,7 @@ def test_criterion_3_ml_oracle_equivalence():
         y = h * alphabet.x[tx] + w
         decided, _ = ml_block(y, h, alphabet)
         for k in range(n):
-            oracle = brute_force_scan(y[k], h[k], cfg)
+            oracle = brute_force_scan(y[k], h[k], hypotheses)
             agree += canonical_entry(alphabet, decided[k]) == \
                 canonical_entry(alphabet, oracle)
         total += n

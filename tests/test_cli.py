@@ -111,17 +111,31 @@ def test_repeated_sweeps_run_once(tmp_path):
 
 
 @pytest.mark.parametrize("command, work", [("ber", "run_sweep"),
-                                           ("bound", "build_super_alphabet")])
+                                           ("bound", "build_super_alphabet"),
+                                           ("se", None), ("flops", None)])
 def test_unusable_out_is_config_error_before_any_work(tmp_path, capsys, monkeypatch,
                                                       command, work):
     def refuse(*args, **kwargs):
         raise AssertionError(f"{work} ran before the output directory was checked")
 
-    monkeypatch.setattr(cli, work, refuse)
+    if work is not None:
+        monkeypatch.setattr(cli, work, refuse)
     blocker = tmp_path / "file"
     blocker.write_text("")
-    assert run_cli([command, "--out", str(blocker), "--snr", "10"]) == 1
-    assert "config error" in capsys.readouterr().err
+    args = ["--snr", "10"] if command in ("ber", "bound") else []
+    assert run_cli([command, "--out", str(blocker), *args]) == 1
+    out, err = capsys.readouterr()
+    assert "config error" in err
+    assert out == ""
+
+
+def test_failure_while_running_exits_2(tmp_path, capsys, monkeypatch):
+    def fail(spec):
+        raise RuntimeError("sweep failed")
+
+    monkeypatch.setattr(cli, "run_sweep", fail)
+    assert run_cli(["ber", "--out", str(tmp_path), "--snr", "10"]) == 2
+    assert "error: sweep failed" in capsys.readouterr().err
 
 
 def test_ber_seed_determinism(tmp_path):
@@ -136,6 +150,32 @@ def test_ber_seed_determinism(tmp_path):
 def test_missing_config_file_is_config_error(capsys):
     assert run_cli(["ber", "--config", "/nonexistent.ini"]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["se", "flops", "bound", "ber"])
+def test_undecodable_config_file_is_config_error(tmp_path, capsys, command):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_bytes(b"[sweep]\nseed = 5\xff\n")
+    assert run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert "config error" in err and out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_flag_overrides_config_file_even_when_zero(tmp_path):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("[sweep]\nseed = 5\n")
+    assert run_cli(["ber", "--config", str(cfg), "--out", str(tmp_path), "--seed", "0",
+                    "--snr", "10", "--min-errors", "20", "--max-bits", "2000"]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert [run["master_seed"] for run in manifest["runs"]] == [0]
+
+
+def test_empty_snr_flag_is_an_empty_grid(tmp_path):
+    # as `snr_db =` in an INI: the header and no rows
+    assert run_cli(["bound", "--out", str(tmp_path), "--snr", ""]) == 0
+    assert (tmp_path / "bound.csv").read_text() == \
+        "scheme,detector,user,snr_db,bits_sent,bit_errors,ber\n"
 
 
 def test_bad_flag_exits_nonzero(capsys):

@@ -12,7 +12,7 @@ from imnomarc.harness import ExperimentSpec, _decide, _OfdmAlphabet, _PointConte
 from imnomarc.superposition import (SystemConfig, build_super_alphabet,
                                     entry_index, user_bit_positions)
 
-from oracles import brute_force_scan, canonical_entry, exhaustive_ml
+from oracles import brute_force_hypotheses, brute_force_scan, canonical_entry, exhaustive_ml
 
 TWO_USER = dict(n_users=2, n_far=1, mod_order=2, power_coeffs=(0.9, 0.1))
 FOUR_USER_QPSK = dict(n_users=4, n_far=1, mod_order=4,
@@ -61,6 +61,7 @@ def test_ml_agrees_with_brute_force_oracle(mod_order):
     cfg = SystemConfig(n_users=2, n_far=1, mod_order=mod_order,
                        power_coeffs=(0.9, 0.1))
     alphabet = build_super_alphabet(cfg)
+    hypotheses = brute_force_hypotheses(cfg)
     rng = np.random.default_rng(42)
     n = 2000
     idx_tx = rng.integers(0, len(alphabet), n)
@@ -69,7 +70,7 @@ def test_ml_agrees_with_brute_force_oracle(mod_order):
     y = h * alphabet.x[idx_tx] + w
     decided, _ = ml_block(y, h, alphabet)
     for k in range(n):
-        oracle = brute_force_scan(y[k], h[k], cfg)
+        oracle = brute_force_scan(y[k], h[k], hypotheses)
         assert canonical_entry(alphabet, decided[k]) == canonical_entry(alphabet, oracle)
 
 

@@ -40,6 +40,14 @@ def test_noiseless_run_has_zero_errors(monkeypatch):
             assert rec.bit_errors == 0
 
 
+# inf has no seed key; 30.0000001 dB would run on the stream of 30 dB
+@pytest.mark.parametrize("snr_db", [float("inf"), float("nan"), 30.0000001, 12.5])
+def test_run_point_refuses_snr_off_its_grid(snr_db):
+    spec = ExperimentSpec(max_bits=2000, min_bit_errors=20)
+    with pytest.raises(ValueError, match="grid"):
+        run_point(spec, snr_db)
+
+
 def test_same_seed_is_bit_identical():
     spec = small_spec()
     a = run_point(spec, 10.0)
