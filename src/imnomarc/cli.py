@@ -111,11 +111,11 @@ def _experiment_specs(conf) -> list[ExperimentSpec]:
     snr = _parse_snr(sweep.get("snr_db"))
     # distinct, in order
     schemes = dict.fromkeys(s.strip() for s in sweep.get("schemes").split(","))
-    detectors = dict.fromkeys(d.strip() for d in sweep.get("detectors").split(","))
+    detectors = tuple(dict.fromkeys(d.strip() for d in sweep.get("detectors").split(",")))
     return [ExperimentSpec(
         scheme=scheme,
         cfg=cfg,
-        detector=detector,
+        detectors=detectors,
         snr_grid_db=snr,
         n_subcarriers=sweep.getint("n_subcarriers"),
         max_bits=sweep.getint("max_bits"),
@@ -123,7 +123,7 @@ def _experiment_specs(conf) -> list[ExperimentSpec]:
         master_seed=sweep.getint("seed"),
         ofdm_order=conf["ofdm"].getint("mod_order"),
         ofdm_family=conf["ofdm"].get("family"),
-    ) for scheme in schemes for detector in detectors]
+    ) for scheme in schemes]
 
 
 def im_noma_baseline_se(n_users: int, mod_order: int, subblock_size: int,

@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .superposition import SuperAlphabet, SystemConfig, entry_index, rotation_flags
+from .superposition import SuperAlphabet, SystemConfig, label_fields, rotation_flags
 
 # Largest alphabet scanned exhaustively. One ML call on L = 2048 rows (a
 # 16-block batch of 128 subcarriers), median of 7 runs at 10 and 30 dB on a
@@ -41,6 +41,15 @@ SCAN_MAX = 32
 # per alphabet, 39 ms at A = 1024, 0.15 s at 2048 and 0.64 s at 4096, where a
 # 2048-row call then takes 1.0-1.3 ms against 5.9-6.4 ms by the group bound.
 TABLE_MAX = 4096
+# Most shared hypotheses ``_scan`` walks one at a time. One call on L = 2048
+# rows, median of 1000 on a 2-vCPU Xeon (numpy 2.4), walk against one (L, k)
+# scan: k = 2 in 37-45 us against 104-120, k = 4 in 83-99 against 143-157,
+# and k = 8 in 185-234 against 210-246. At k = 8 the walk also keeps a batch's
+# temporaries at (L,): the (L, 8) scan's 384 KiB made glibc trim and refault
+# the heap every batch, ~110k page faults in a default `ber` run against ~800.
+# Per-row candidate lists stay on the (L, k) scan: the cell table's buckets
+# are often a few rows, where the walk's k times more numpy calls cost more.
+_WALK_MAX = 8
 # Width of the cell table's margin around the points, in RMS amplitudes.
 _MARGIN = 0.5
 # Rows with |y/h| beyond _REACH box radii are scanned in full.
@@ -57,16 +66,36 @@ _HUGE = np.sqrt(np.finfo(float).max) / 2
 
 
 def _scan(y: np.ndarray, h: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Argmin of |y - h x|^2 over the last axis of ``x``, (A,) or (L, k).
+    """Argmin of |y - h x|^2 over the last axis of ``x``, (A,) or (L, k), ties
+    and NaN metrics as ``np.argmin`` takes them: the first least, or the first NaN.
 
-    In place, so a call allocates one complex and one real (L, k) array.
+    A set of up to _WALK_MAX hypotheses shared by every row is walked one
+    hypothesis at a time on (L,) arrays, a NaN metric entering the running
+    minimum as -1. Others are scanned as one (L, k) array in place, one
+    complex and one real (L, k) array a call. Both form the same products
+    h x; the exhaustive-scan tests pin that both give the same bits.
     """
-    d = h[:, None] * x
-    np.subtract(y[:, None], d, out=d)
-    d = np.abs(d)
-    d *= d
-    idx = np.argmin(d, axis=1)
-    return idx, d[np.arange(len(y)), idx]
+    if x.ndim == 2 or len(x) > _WALK_MAX:
+        d = h[:, None] * x
+        np.subtract(y[:, None], d, out=d)
+        d = np.abs(d)
+        d *= d
+        idx = np.argmin(d, axis=1)
+        return idx, d[np.arange(len(y)), idx]
+    idx = np.zeros(len(y), dtype=np.intp)
+    for j, x_j in enumerate(x):
+        d = h * x_j
+        np.subtract(y, d, out=d)
+        m = np.abs(d)
+        m *= m
+        np.fmax(m, -1.0, out=m)  # NaN -> -1, below every metric
+        if j == 0:
+            best = m
+        else:
+            idx[m < best] = j
+            np.minimum(best, m, out=best)
+    best[best < 0] = np.nan
+    return idx, best
 
 
 def _settle(y, h, x, rows, width, candidates, idx, metric):
@@ -276,16 +305,53 @@ def angles_to_phi_block(theta_flags: np.ndarray, cfg: SystemConfig) -> np.ndarra
     return np.argmin(dist, axis=1)
 
 
+class _SicStages:
+    """The stage tables of SIC on one config, built once per config.
+
+    Stage l scans ``hyps[l]``: the base constellation at a far stage, and at
+    a near stage the (symbol, rotation) pairs, hypothesis k being symbol
+    k // n_angles at rotation k % n_angles (1, or e^{j rotation_angle} when
+    the config carries index bits). ``codes[l][k]`` is what hypothesis k adds
+    to a row's code: its user's label field of the alphabet entry, shifted
+    up by ``flag_bits``, and at a near stage of a config with index bits its
+    rotation flag in bit l - n_far of the low ``flag_bits`` bits. ``phi``
+    maps those packed flags to the nearest rotation pattern.
+    """
+
+    def __init__(self, cfg: SystemConfig):
+        points = cfg.constellation.points
+        labels, shifts = label_fields(cfg)
+        n_angles = 2 if cfg.n_index_bits else 1
+        self.flag_bits = cfg.n_users - cfg.n_far if cfg.n_index_bits else 0
+        rot = np.exp(1j * np.array([0.0, cfg.rotation_angle][:n_angles]))
+        near = (points[:, None] * rot).reshape(-1)
+        angle = np.tile(np.arange(n_angles), len(points))
+        self.hyps, self.codes = [], []
+        for l in range(cfg.n_users):
+            field = (labels << shifts[l]) << self.flag_bits
+            if l < cfg.n_far:
+                self.hyps.append(points)
+                self.codes.append(field)
+            else:
+                self.hyps.append(near)
+                self.codes.append(np.repeat(field, n_angles) | angle << (l - cfg.n_far))
+        self.phi = None
+        if cfg.n_index_bits:
+            flags = np.arange(1 << self.flag_bits)[:, None] >> np.arange(self.flag_bits) & 1
+            self.phi = angles_to_phi_block(flags, cfg)
+
+
 def sic_block(y: np.ndarray, h: np.ndarray, cfg: SystemConfig, user: int) -> tuple[np.ndarray, np.ndarray]:
     """Successive cancellation per subcarrier; returns (entry indices, metrics).
 
-    Stage l is one ``_scan`` of the residual with gain amplitude_l * h and
-    cancels the chosen hypothesis. Far stages search the base constellation;
-    near stages search (symbol, rotation) pairs, the rotation factor being 1
-    (theta index 0) or e^{j rotation_angle} (theta index 1), when the config
-    carries index bits and the base constellation otherwise (a transmitter without
-    index bits never rotates; theta index 0). Detection stops at the user's
-    own stage; the virtual user N+1 runs every stage and recovers the pattern.
+    Stage l is one ``_scan`` of the residual with gain amplitude_l * h over
+    the stage's hypotheses (see ``_SicStages``, built on the config's first
+    call) and cancels the chosen one. Far stages search the base
+    constellation; near stages search (symbol, rotation) pairs when the
+    config carries index bits and the base constellation otherwise (a
+    transmitter without index bits never rotates). Detection stops at the
+    user's own stage; the virtual user N+1 runs every stage and recovers the
+    pattern.
 
     Entries hold the run stages' symbols and, after all N stages with index bits,
     the nearest rotation pattern; other fields stay 0. Metrics are the last stage's.
@@ -296,28 +362,24 @@ def sic_block(y: np.ndarray, h: np.ndarray, cfg: SystemConfig, user: int) -> tup
         raise ValueError("virtual user requires index_user_mode='virtual'")
     y = np.asarray(y, dtype=complex)
     h = np.asarray(h, dtype=complex)
-    points = cfg.constellation.points
-    n_angles = 2 if cfg.n_index_bits else 1
+    stages = getattr(cfg, "_sic", None)
+    if stages is None:
+        stages = cfg._sic = _SicStages(cfg)
     n_stages = min(user, cfg.n_users)
 
     residual = y
-    sym_idx = np.empty((len(y), n_stages), dtype=int)  # hypothesis index per stage
+    code = 0
     for l in range(n_stages):
-        if l < cfg.n_far:
-            hyp = points
-        elif l == cfg.n_far:  # built at the first near stage, kept for the rest
-            # near hypothesis index = symbol index * n_angles + angle index
-            rot = np.exp(1j * np.array([0.0, cfg.rotation_angle][:n_angles]))
-            hyp = (points[:, None] * rot).reshape(-1)
+        hyp = stages.hyps[l]
         gain = cfg.amplitudes[l] * h
-        sym_idx[:, l], metric = _scan(residual, gain, hyp)
-        residual = residual - gain * hyp[sym_idx[:, l]]
-    sym_idx[:, cfg.n_far:], theta_idx = np.divmod(sym_idx[:, cfg.n_far:], n_angles)
-
-    phi_hat = None
-    if n_stages == cfg.n_users and cfg.n_index_bits > 0:
-        phi_hat = angles_to_phi_block(theta_idx != 0, cfg)
-    return entry_index(cfg, sym_idx, phi_hat), metric
+        k, metric = _scan(residual, gain, hyp)
+        code = code | stages.codes[l][k]
+        if l + 1 < n_stages:
+            residual = residual - gain * hyp[k]
+    entries = code >> stages.flag_bits
+    if n_stages == cfg.n_users and stages.phi is not None:
+        entries |= stages.phi[code & (len(stages.phi) - 1)]
+    return entries, metric
 
 
 def flops_ml(cfg: SystemConfig) -> int:

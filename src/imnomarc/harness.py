@@ -4,9 +4,12 @@ grids with per-user bit-error accounting and reproducible, batch-seeded RNG.
 The stop rule is evaluated on batches of ``BATCH_BLOCKS`` OFDM blocks of L
 subcarriers. Every batch draws its symbols, channels and noise from one RNG
 stream derived from (master seed, SNR point, first block), then every receiver
-detects the whole batch in one call and each tracked channel counts its errors
-once. Detection draws no random numbers, so a fixed seed reproduces
-results.csv byte for byte.
+detects the whole batch in one call per detector and each tracked channel
+counts its errors once. A sweep runs all of its detectors in one pass: each
+batch is drawn once for every detector still running, and each detector stops
+on its own stop rule, so it sees the batches a sweep of it alone would.
+Detection draws no random numbers, so a fixed seed reproduces results.csv
+byte for byte.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 from . import __version__
 from .channel import noise_variance
 from .constellation import build_constellation
-from .detectors import ml_block, sic_block
+from .detectors import SCAN_MAX, ml_block, sic_block
 from .superposition import (SystemConfig, alphabet_size, build_super_alphabet,
                             user_bit_positions)
 
@@ -32,6 +35,9 @@ DETECTORS = ("ml", "sic")
 # Stop-rule and RNG granularity: bits_sent is a multiple of it and every batch
 # of it draws from one stream, so changing it changes results.csv at every seed.
 BATCH_BLOCKS = 16
+# Most bytes a batch may hold at once (``batch_bytes``). L = 128 needs 0.7 MiB
+# on 2:1:2 and 1.9 MiB on 4:1:4 (A = 1024); 2^30 B admits L up to 190k and 67k.
+BATCH_BUDGET = 2 ** 30
 
 
 def _seed_key(snr_db: float) -> int:
@@ -55,13 +61,21 @@ def check_snr_grid(snr_grid_db) -> tuple[float, ...]:
     return grid
 
 
+def batch_bytes(n_subcarriers: int, n_receivers: int, scan_width: int) -> int:
+    """Bytes a batch of ``BATCH_BLOCKS`` blocks holds at its peak: the (4R, n)
+    draw, n tx entries and symbols, one receiver's h, y and decisions, and a
+    (n, scan_width) complex plus real scan temporary."""
+    n = BATCH_BLOCKS * n_subcarriers
+    return n * (32 * n_receivers + 8 + 16 + 40 + 24 * scan_width)
+
+
 @dataclass
 class ExperimentSpec:
-    """One sweep definition: scheme, detector, SNR grid, and stop rule."""
+    """One sweep definition: scheme, detectors, SNR grid, and stop rule."""
 
     scheme: str = "imnomarc"
     cfg: SystemConfig = field(default_factory=SystemConfig)
-    detector: str = "ml"
+    detectors: tuple[str, ...] = ("ml",)
     snr_grid_db: tuple[float, ...] = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
     n_subcarriers: int = 128
     max_bits: int = 10_000_000
@@ -73,8 +87,13 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.detector not in DETECTORS:
-            raise ValueError(f"unknown detector {self.detector!r}")
+        self.detectors = tuple(self.detectors)
+        for detector in self.detectors:
+            if detector not in DETECTORS:
+                raise ValueError(f"unknown detector {detector!r}")
+        if not self.detectors or len(set(self.detectors)) < len(self.detectors):
+            raise ValueError(f"detectors must be one or more distinct names, "
+                             f"got {self.detectors}")
         self.snr_grid_db = check_snr_grid(self.snr_grid_db)
         if self.min_bit_errors < 1:
             raise ValueError("min_bit_errors must be at least 1")
@@ -85,11 +104,26 @@ class ExperimentSpec:
         if self.n_subcarriers < 1:
             raise ValueError("n_subcarriers must be positive")
         if self.scheme == "ofdm":
-            if self.detector != "ml":
+            if self.detectors != ("ml",):
                 raise ValueError("the ofdm scheme is detected by ml only")
             build_constellation(self.ofdm_order, self.ofdm_family)
+            size, receivers = self.ofdm_order, 1
         else:
-            alphabet_size(self.scheme_cfg())
+            cfg = self.scheme_cfg()
+            size, receivers = alphabet_size(cfg), cfg.n_users + 1  # at most
+        width = min(size, SCAN_MAX)
+        if "sic" in self.detectors:  # a near stage scans every (symbol, rotation)
+            width = max(width, 2 * self.cfg.mod_order)
+        need = batch_bytes(self.n_subcarriers, receivers, width)
+        if need > BATCH_BUDGET:
+            raise ValueError(f"{self.n_subcarriers} subcarriers need {need} bytes per "
+                             f"batch, over the budget of {BATCH_BUDGET}")
+
+    @property
+    def detector(self) -> str:
+        """The detectors as one label, "ml+sic"; ``bench/worker.py`` names its
+        per-sweep timings by it."""
+        return "+".join(self.detectors)
 
     def scheme_cfg(self) -> SystemConfig:
         """The system the scheme transmits: PD-NOMA is the config without IM."""
@@ -146,19 +180,22 @@ class _PointContext:
                         for name, pos, _ in self.channels}
 
 
-def _decide(ctx: _PointContext, y: np.ndarray, h: np.ndarray, rx: int) -> np.ndarray:
-    """Decided (L,) alphabet entries at receiver ``rx``.
+def _decide(ctx: _PointContext, detector: str, y: np.ndarray, h: np.ndarray,
+            rx: int) -> np.ndarray:
+    """Decided (L,) alphabet entries of ``detector`` at receiver ``rx``.
 
     ML decides whole entries; the fields SIC leaves undecided belong to no
     channel of ``rx``.
     """
-    if ctx.spec.detector == "ml":
+    if detector == "ml":
         return ml_block(y, h, ctx.alphabet)[0]
     return sic_block(y, h, ctx.cfg, rx)[0]
 
 
-def _run_batch(ctx: _PointContext, snr_db: float, first_block: int) -> dict[str, int]:
-    """Error counts per channel over the BATCH_BLOCKS blocks from ``first_block``.
+def _run_batch(ctx: _PointContext, snr_db: float, first_block: int,
+               detectors: tuple[str, ...]) -> dict[str, dict[str, int]]:
+    """Error counts per detector and channel over the BATCH_BLOCKS blocks from
+    ``first_block``; every detector decides the same draw.
 
     The batch is n = BATCH_BLOCKS * L subcarriers drawn from one stream: n tx
     entries, then one (4R, n) Gaussian array g holding h real and imaginary
@@ -177,21 +214,26 @@ def _run_batch(ctx: _PointContext, snr_db: float, first_block: int) -> dict[str,
     g = rng.standard_normal((4 * R, n))
 
     x = ctx.alphabet.x[tx_entry]
-    errors: dict[str, int] = {}
+    errors: dict[str, dict[str, int]] = {detector: {} for detector in detectors}
     for rx in range(1, R + 1):
         h = (g[rx - 1] + 1j * g[R + rx - 1]) / np.sqrt(2)
         k = 2 * (R + rx - 1)  # this receiver's noise rows, real then imaginary
         y = h * x + noise_scale * (g[k] + 1j * g[k + 1])
-        diff = _decide(ctx, y, h, rx) ^ tx_entry
-        for name, _, owner in ctx.channels:
-            if owner == rx:
-                errors[name] = int(ctx.weights[name][diff].sum())
+        for detector in detectors:
+            diff = _decide(ctx, detector, y, h, rx) ^ tx_entry
+            for name, _, owner in ctx.channels:
+                if owner == rx:
+                    errors[detector][name] = int(ctx.weights[name][diff].sum())
     return errors
 
 
 def run_point(spec: ExperimentSpec, snr_db: float, *,
               ctx: _PointContext | None = None) -> list[BerRecord]:
-    """Simulate one SNR point until the stop rule fires for every tracked user.
+    """Simulate one SNR point until the stop rule fires for every tracked user
+    of every detector; returns the records of each detector in turn.
+
+    The detectors share each batch's draw, and each stops on its own rule, so
+    a detector's records equal those of a spec with it alone.
 
     ``snr_db`` must be a point of ``spec.snr_grid_db``, where it was checked.
 
@@ -203,28 +245,33 @@ def run_point(spec: ExperimentSpec, snr_db: float, *,
     if ctx is None:
         ctx = _PointContext(spec)
     L = spec.n_subcarriers
-    totals = {name: 0 for name, _, _ in ctx.channels}
-    blocks_run = 0
+    totals = {detector: {name: 0 for name, _, _ in ctx.channels}
+              for detector in spec.detectors}
+    blocks_run = dict.fromkeys(spec.detectors, 0)
 
-    def done() -> bool:
+    def done(detector) -> bool:
         for name, pos, _ in ctx.channels:
-            sent = blocks_run * L * len(pos)
-            if totals[name] < spec.min_bit_errors and sent < spec.max_bits:
+            sent = blocks_run[detector] * L * len(pos)
+            if totals[detector][name] < spec.min_bit_errors and sent < spec.max_bits:
                 return False
         return True
 
-    while not done():
-        for name, errs in _run_batch(ctx, snr_db, blocks_run).items():
-            totals[name] += errs
-        blocks_run += BATCH_BLOCKS
+    first_block = 0
+    while running := tuple(d for d in spec.detectors if not done(d)):
+        for detector, errors in _run_batch(ctx, snr_db, first_block, running).items():
+            for name, errs in errors.items():
+                totals[detector][name] += errs
+            blocks_run[detector] += BATCH_BLOCKS
+        first_block += BATCH_BLOCKS
 
     records = []
-    for name, pos, _ in ctx.channels:
-        sent = blocks_run * L * len(pos)
-        records.append(BerRecord(
-            scheme=spec.scheme, detector=spec.detector, user=name,
-            snr_db=snr_db, bits_sent=sent, bit_errors=totals[name],
-            ber=totals[name] / sent))
+    for detector in spec.detectors:
+        for name, pos, _ in ctx.channels:
+            sent = blocks_run[detector] * L * len(pos)
+            records.append(BerRecord(
+                scheme=spec.scheme, detector=detector, user=name,
+                snr_db=snr_db, bits_sent=sent, bit_errors=totals[detector][name],
+                ber=totals[detector][name] / sent))
     return records
 
 
@@ -241,15 +288,30 @@ def _version_string() -> str:
 
 
 def run_sweep(spec: ExperimentSpec) -> tuple[list[BerRecord], dict]:
-    """Run every grid point; returns records plus a manifest timing each point."""
+    """Run every grid point; returns the records, detector by detector and
+    point by point within one, plus a manifest.
+
+    The manifest echoes the spec and, for each point, its seconds and, per
+    detector, the blocks it ran and why each channel's count stopped:
+    ``min_errors`` when it reached ``min_bit_errors``, ``max_bits`` otherwise.
+    """
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    records: list[BerRecord] = []
-    points: dict[str, float] = {}
+    by_detector: dict[str, list[BerRecord]] = {d: [] for d in spec.detectors}
+    points: dict[str, dict] = {}
     ctx = _PointContext(spec)
+    bits_per_block = {name: spec.n_subcarriers * len(pos) for name, pos, _ in ctx.channels}
     for snr_db in spec.snr_grid_db:
         t0 = time.perf_counter()
-        records.extend(run_point(spec, snr_db, ctx=ctx))
-        points[f"{snr_db:g}"] = time.perf_counter() - t0
+        point = run_point(spec, snr_db, ctx=ctx)
+        seconds = time.perf_counter() - t0
+        blocks, reasons = {}, {}
+        for r in point:
+            by_detector[r.detector].append(r)
+            blocks[r.detector] = r.bits_sent // bits_per_block[r.user]
+            reasons.setdefault(r.detector, {})[r.user] = (
+                "min_errors" if r.bit_errors >= spec.min_bit_errors else "max_bits")
+        points[f"{snr_db:g}"] = {"seconds": seconds, "blocks_run": blocks,
+                                 "stop_reason": reasons}
     manifest = {
         "spec": asdict(spec),
         "master_seed": spec.master_seed,
@@ -257,7 +319,7 @@ def run_sweep(spec: ExperimentSpec) -> tuple[list[BerRecord], dict]:
         "started_at": started,
         "points": points,
     }
-    return records, manifest
+    return [r for records in by_detector.values() for r in records], manifest
 
 
 CSV_HEADER = "scheme,detector,user,snr_db,bits_sent,bit_errors,ber"

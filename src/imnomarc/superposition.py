@@ -117,8 +117,8 @@ class SuperAlphabet:
     """Exhaustive enumeration of superimposed symbols over (symbols, pattern).
 
     Entry i corresponds to the packed bit-string whose integer value is i, so
-    the alphabet index doubles as the transmitted bit pattern; ``entry_index``
-    encodes (symbols, pattern) as that index.
+    the alphabet index doubles as the transmitted bit pattern: user n's label
+    is its n-th field (``label_fields``) and the pattern its low bits.
     """
 
     cfg: SystemConfig
@@ -138,21 +138,11 @@ def alphabet_size(cfg: SystemConfig) -> int:
     return size
 
 
-def _label_fields(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
+def label_fields(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
     """Label integer of each constellation point, and each user's field shift in an entry."""
     b = cfg.bits_per_symbol
     return (cfg.constellation.bits @ (1 << np.arange(b - 1, -1, -1)),
             spectral_efficiency(cfg) - b * np.arange(1, cfg.n_users + 1))
-
-
-def entry_index(cfg: SystemConfig, sym_idx: np.ndarray,
-                phis: np.ndarray | None = None) -> np.ndarray:
-    """Alphabet entries of point indices (L, k) for users 1..k and patterns (L,),
-    the inverse of build_super_alphabet's decode. The fields of users past k,
-    and the index bits when ``phis`` is None, stay 0."""
-    labels, shifts = _label_fields(cfg)
-    entries = (labels[sym_idx] << shifts[:sym_idx.shape[1]]).sum(axis=1)
-    return entries if phis is None else entries | phis
 
 
 def build_super_alphabet(cfg: SystemConfig) -> SuperAlphabet:
@@ -161,7 +151,7 @@ def build_super_alphabet(cfg: SystemConfig) -> SuperAlphabet:
     Entry i is the bit-string i: user n's label is its n-th b-bit field, phi its low p2 bits.
     """
     i = np.arange(alphabet_size(cfg))
-    labels, shifts = _label_fields(cfg)
+    labels, shifts = label_fields(cfg)
     point_of_label = np.argsort(labels)
     syms = cfg.constellation.points[point_of_label[(i[:, None] >> shifts) & (cfg.mod_order - 1)]]
     factors = np.where(rotation_flags(cfg)[i & (cfg.n_patterns - 1)],

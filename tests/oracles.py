@@ -19,7 +19,7 @@ from scipy.special import erfc
 from imnomarc.channel import noise_variance
 from imnomarc.constellation import Constellation
 from imnomarc.harness import BATCH_BLOCKS, BerRecord, ExperimentSpec, _decide
-from imnomarc.superposition import SystemConfig, spectral_efficiency
+from imnomarc.superposition import SystemConfig, label_fields, spectral_efficiency
 
 
 # --- constellation -----------------------------------------------------------
@@ -98,6 +98,16 @@ def pack_bits(cfg: SystemConfig, p1_bits, p2_bits) -> tuple[np.ndarray, int]:
     for bit in p2_bits:
         phi = (phi << 1) | int(bit)
     return s, phi
+
+
+def entry_index(cfg: SystemConfig, sym_idx: np.ndarray,
+                phis: np.ndarray | None = None) -> np.ndarray:
+    """Alphabet entries of point indices (L, k) for users 1..k and patterns (L,),
+    the inverse of build_super_alphabet's decode. The fields of users past k,
+    and the index bits when ``phis`` is None, stay 0."""
+    labels, shifts = label_fields(cfg)
+    entries = (labels[sym_idx] << shifts[:sym_idx.shape[1]]).sum(axis=1)
+    return entries if phis is None else entries | phis
 
 
 def unpack_bits(cfg: SystemConfig, s, phi: int) -> np.ndarray:
@@ -216,6 +226,62 @@ def exhaustive_ml(y, h, alphabet):
     return idx, d[np.arange(len(y)), idx]
 
 
+def _numpy_product(a, b) -> complex:
+    """a * b rounded as numpy's vector loops round it: they may fuse a multiply
+    with the add or subtract of a complex product, Python's product never."""
+    return complex((np.array([a], dtype=complex) * np.array([b], dtype=complex))[0])
+
+
+def sic_scalar(y, h, cfg, user):
+    """SIC one subcarrier and one stage at a time; (entries, metrics) as sic_block.
+
+    Stage l = 1..min(user, N) tries every base point s in order, and at a near
+    stage of a config with index bits s e^{j theta} after it for theta = 0 and
+    the rotation angle. A trial scores |r - (a_l h) s'|^2 on the residual r;
+    the first least wins and is subtracted. After all N stages of a config
+    with index bits, the rotation flags map to the suffix pattern of least
+    Hamming distance, ties toward fewer rotated users. The entry is the
+    packed bit-string of the decided labels, then of the pattern; what no
+    stage decides is 0. The metric is the last stage's least score.
+    """
+    c = cfg.constellation
+    b = cfg.bits_per_symbol
+    N, p2 = cfg.n_users, cfg.n_index_bits
+    n_stages = min(user, N)
+    thetas = [0.0, cfg.rotation_angle] if p2 else [0.0]
+    turns = [complex(np.exp(1j * np.array([theta]))[0]) for theta in thetas]
+    entries, metrics = [], []
+    for y_i, h_i in zip(y, h):
+        r = complex(y_i)
+        bits, flags = [], []
+        for l in range(n_stages):
+            gain = _numpy_product(cfg.amplitudes[l], h_i)
+            trials = [(m, t, _numpy_product(point, turn))
+                      for m, point in enumerate(c.points)
+                      for t, turn in enumerate(turns if l >= cfg.n_far else turns[:1])]
+            best = None
+            for m, t, s in trials:
+                d = np.array([r]) - np.array([gain]) * np.array([s])
+                score = float((np.abs(d) ** 2)[0])
+                if best is None or score < best[0]:
+                    best = (score, m, t, s)
+            score, m, t, s = best
+            r = r - _numpy_product(gain, s)
+            bits += [int(v) for v in c.bits[m]]
+            if l >= cfg.n_far:
+                flags.append(t)
+        bits += [0] * (b * (N - n_stages))
+        phi = 0
+        if n_stages == N and p2:
+            dist = [sum(f != (cfg.n_far + 1 + j > N - phi_) for j, f in enumerate(flags))
+                    for phi_ in range(cfg.n_patterns)]
+            phi = dist.index(min(dist))
+        bits += [(phi >> k) & 1 for k in range(p2 - 1, -1, -1)]
+        entries.append(int("".join(map(str, bits)), 2))
+        metrics.append(score)
+    return np.array(entries), np.array(metrics)
+
+
 def brute_force_hypotheses(cfg):
     """Every superimposed symbol, in packed bit-string order, by inline superposition math."""
     points = cfg.constellation.points
@@ -265,8 +331,9 @@ def canonical_entry(alphabet, idx):
 
 def run_block_oracle(ctx, snr_db, first_block, noiseless=False):
     """The stop-rule batch from ``first_block`` through the channel layer:
-    draw_channel over all its subcarriers, then one apply_channel and one
-    detection per receiver, bits compared one by one."""
+    draw_channel over all its subcarriers, then one apply_channel per receiver
+    and one detection by each of the spec's detectors, bits compared one by
+    one. Returns the errors per detector and channel."""
     spec = ctx.spec
     n = BATCH_BLOCKS * spec.n_subcarriers
     ss = np.random.SeedSequence(entropy=spec.master_seed,
@@ -278,13 +345,15 @@ def run_block_oracle(ctx, snr_db, first_block, noiseless=False):
     x = ctx.alphabet.x[tx_entry]
     ch = draw_channel(ctx.n_receivers, n, np.inf if noiseless else snr_db, rng=rng)
 
-    errors = {}
+    errors = {detector: {} for detector in spec.detectors}
     for rx in range(1, ctx.n_receivers + 1):
         y = apply_channel(x, ch, rx, rng)
-        rx_bits = ctx.alphabet.bits[_decide(ctx, y, ch.h[rx - 1], rx)]
-        for name, pos, owner in ctx.channels:
-            if owner == rx:
-                errors[name] = int(np.count_nonzero(rx_bits[:, pos] != tx_bits[:, pos]))
+        for detector in spec.detectors:
+            rx_bits = ctx.alphabet.bits[_decide(ctx, detector, y, ch.h[rx - 1], rx)]
+            for name, pos, owner in ctx.channels:
+                if owner == rx:
+                    errors[detector][name] = int(
+                        np.count_nonzero(rx_bits[:, pos] != tx_bits[:, pos]))
     return errors
 
 

@@ -98,7 +98,7 @@ def test_criterion_4_noiseless_perfection(monkeypatch):
     ok = True
     detail = []
     for detector in ("ml", "sic"):
-        spec = im.ExperimentSpec(detector=detector, snr_grid_db=(0.0,),
+        spec = im.ExperimentSpec(detectors=(detector,), snr_grid_db=(0.0,),
                                  max_bits=100_000, min_bit_errors=200)
         records = im.run_point(spec, 0.0)
         errors = sum(r.bit_errors for r in records)
@@ -126,7 +126,7 @@ def test_criterion_5_pep_quadrature_vs_closed_form():
 
 @pytest.fixture(scope="module")
 def ml_high_snr_sweep():
-    spec = im.ExperimentSpec(detector="ml", snr_grid_db=(15.0, 20.0, 25.0, 30.0),
+    spec = im.ExperimentSpec(detectors=("ml",), snr_grid_db=(15.0, 20.0, 25.0, 30.0),
                              min_bit_errors=200, master_seed=1)
     records, _ = im.run_sweep(spec)
     return spec, records
@@ -152,7 +152,7 @@ def test_criterion_7_far_user_equivalence():
     grid = (10.0, 15.0, 20.0)
     runs = {}
     for scheme in ("imnomarc", "pdnoma"):
-        spec = im.ExperimentSpec(scheme=scheme, detector="sic", snr_grid_db=grid,
+        spec = im.ExperimentSpec(scheme=scheme, detectors=("sic",), snr_grid_db=grid,
                                  min_bit_errors=5000, master_seed=11)
         records, _ = im.run_sweep(spec)
         runs[scheme] = {r.snr_db: r for r in records if r.user == "1"}

@@ -13,3 +13,18 @@ def test_bench_selftest_passes():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.splitlines()[-1] == "selftest ok"
+
+
+def test_traced_default_sweep_reaches_every_attributed_layer(tmp_path, monkeypatch):
+    # The spans wrap names of imnomarc from outside; a renamed or bypassed
+    # layer would read 0 here instead of failing.
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import run
+
+    monkeypatch.setattr(run, "OUT", tmp_path)
+    line = run.run_workload("ber_2u_bpsk", 0, 0.0, 1, tiny=True)["line"]
+    assert line is not None and line["correct"] and line["failed"] == 0
+    metrics = {name: m["value"] for name, m in line["metrics"].items()}
+    for name in ("harness.run_point.calls", "harness.blocks",
+                 "detectors.ml_block.calls", "detectors.sic_block.calls"):
+        assert metrics[name] > 0, name

@@ -91,8 +91,11 @@ def test_ber_multiple_detectors(tmp_path):
                   "--min-errors", "20", "--max-bits", "10000"])
     assert rc == 0
     lines = (tmp_path / "results.csv").read_text().splitlines()[1:]
-    detectors = {l.split(",")[1] for l in lines}
-    assert detectors == {"ml", "sic"}
+    # one pass of the scheme, its rows detector by detector in flag order
+    assert [l.split(",")[1] for l in lines] == ["sic"] * 3 + ["ml"] * 3
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert [run["spec"]["detectors"] for run in manifest["runs"]] == [["sic", "ml"]]
+    assert set(manifest["runs"][0]["points"]["10"]["blocks_run"]) == {"sic", "ml"}
 
 
 def test_repeated_sweeps_run_once(tmp_path):
@@ -253,6 +256,7 @@ OVER_CAP_INI = ("[system]\nn_users = 5\nn_far = 2\nmod_order = 16\nfamily = QAM\
     ("ber", "[system]\npower_coeffs = nan, nan\n", ["--snr", "10"]),
     ("bound", "[system]\npower_coeffs = nan, nan\n", ["--snr", "10"]),
     ("ber", None, ["--snr", "10", "--scheme", "ofdm", "--detector", "sic"]),
+    ("ber", "[sweep]\nn_subcarriers = 1000000000\n", ["--snr", "10"]),
 ], ids=["bound-snr-grid", "bound-snr-list", "bound-snr-decreasing",
         "bound-snr-repeated", "ber-snr-list", "power-coeffs",
         "n-users", "se-tuple", "flops-tuple", "se-subblock", "se-active-over",
@@ -260,7 +264,7 @@ OVER_CAP_INI = ("[system]\nn_users = 5\nn_far = 2\nmod_order = 16\nfamily = QAM\
         "ini-zero-min-errors", "zero-max-bits-flag", "zero-min-errors-flag",
         "ofdm-order", "no-section-header", "duplicate-option",
         "negative-seed-flag", "ini-negative-seed", "ber-nan-power-coeffs",
-        "bound-nan-power-coeffs", "ofdm-sic"])
+        "bound-nan-power-coeffs", "ofdm-sic", "batch-over-memory-budget"])
 def test_malformed_numbers_are_config_errors(tmp_path, capsys, command, ini, args):
     if ini is not None:
         cfg = tmp_path / "exp.ini"

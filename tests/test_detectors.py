@@ -5,14 +5,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from imnomarc.detectors import (SCAN_MAX, TABLE_MAX, _CellTable, _GroupBound,
-                                angles_to_phi_block, flops_ml, flops_sic,
+from imnomarc.detectors import (_WALK_MAX, SCAN_MAX, TABLE_MAX, _CellTable, _GroupBound,
+                                _scan, angles_to_phi_block, flops_ml, flops_sic,
                                 ml_block, sic_block)
 from imnomarc.harness import ExperimentSpec, _decide, _OfdmAlphabet, _PointContext
-from imnomarc.superposition import (SystemConfig, build_super_alphabet,
-                                    entry_index, user_bit_positions)
+from imnomarc.superposition import SystemConfig, build_super_alphabet, user_bit_positions
 
-from oracles import brute_force_hypotheses, brute_force_scan, canonical_entry, exhaustive_ml
+from oracles import (brute_force_hypotheses, brute_force_scan, canonical_entry, entry_index,
+                     exhaustive_ml, sic_scalar)
 
 TWO_USER = dict(n_users=2, n_far=1, mod_order=2, power_coeffs=(0.9, 0.1))
 FOUR_USER_QPSK = dict(n_users=4, n_far=1, mod_order=4,
@@ -30,11 +30,33 @@ def user_bits(cfg, detector, y, h, user):
     A near user in "near" mode owns the index bits too; the virtual user N+1
     owns only the index bits.
     """
-    ctx = _PointContext(ExperimentSpec(cfg=cfg, detector=detector))
+    ctx = _PointContext(ExperimentSpec(cfg=cfg, detectors=(detector,)))
     pos = [] if user == cfg.n_users + 1 else list(user_bit_positions(cfg, user))
     if user == cfg.n_users + 1 or (user > cfg.n_far and cfg.index_user_mode == "near"):
         pos += list(user_bit_positions(cfg, "index"))
-    return ctx.alphabet.bits[_decide(ctx, one(y), one(h), user)][0, pos]
+    return ctx.alphabet.bits[_decide(ctx, detector, one(y), one(h), user)][0, pos]
+
+
+@pytest.mark.parametrize("k", [1, 2, _WALK_MAX, _WALK_MAX + 1, 16])
+@pytest.mark.parametrize("shape", ["shared", "per-row"])
+def test_scan_takes_ties_and_nan_as_argmin(k, shape):
+    # Both ways of scanning return np.argmin's choice, the first least metric
+    # or the first NaN, and that metric, on rows of exact ties and of NaNs
+    rng = np.random.default_rng(k)
+    n = 400
+    levels = np.array([0.0, 1.0, 2.0, np.nan])  # few values: many exact ties
+    x = (levels[rng.integers(0, 4, (n, k))] + 1j * levels[rng.integers(0, 3, (n, k))])
+    if shape == "shared":
+        x = x[0].real + 0j
+        x[k // 2] = np.nan  # the first NaN of every row
+    y = levels[rng.integers(0, 3, n)] + 0j
+    y[:10] = np.nan  # rows of NaNs only
+    h = np.ones(n, dtype=complex)
+    idx, metric = _scan(y, h, x)
+    d = np.abs(y[:, None] - h[:, None] * x) ** 2
+    want = np.argmin(d, axis=1)
+    assert np.array_equal(idx, want)
+    assert np.array_equal(metric, d[np.arange(n), want], equal_nan=True)
 
 
 def test_ml_noiseless_recovers_every_entry():
@@ -124,6 +146,9 @@ ML_ALPHABETS = {
     "4:2:2-bpsk": (lambda: build_super_alphabet(SystemConfig(
         n_users=4, n_far=2, mod_order=2, power_coeffs=(0.5, 0.3, 0.15, 0.05))), 1),
     "ofdm-256psk": (lambda: _OfdmAlphabet(256, "PSK"), 1),
+    # at most _WALK_MAX points: walked one hypothesis at a time
+    "2:1:2-bpsk": (lambda: build_super_alphabet(SystemConfig(**TWO_USER)), 1),
+    "ofdm-8qam": (lambda: _OfdmAlphabet(8, "QAM"), 1),
     "128psk-twice": (_twice_128psk, 2),
 }
 
@@ -133,8 +158,10 @@ def test_ml_block_matches_exhaustive_oracle_bit_for_bit(name):
     build, multiplicity = ML_ALPHABETS[name]
     alphabet = build()
     assert _multiplicity(alphabet.x) == multiplicity
-    # one alphabet takes the scan, the others the cell-table search
-    assert (len(alphabet.x) <= SCAN_MAX) == (name == "4:2:2-bpsk")
+    # three alphabets take the scan (two of them the walk), the others the
+    # cell-table search
+    assert (len(alphabet.x) <= SCAN_MAX) == (name in ("4:2:2-bpsk", "2:1:2-bpsk", "ofdm-8qam"))
+    assert (len(alphabet.x) <= _WALK_MAX) == (name in ("2:1:2-bpsk", "ofdm-8qam"))
     y, h = _ml_edge_inputs(alphabet.x, np.random.default_rng(11))
     for rows in (slice(None), slice(0, 128), slice(-128, None)):
         with np.errstate(over="ignore"):  # the |h| = 1e200 rows
@@ -267,6 +294,43 @@ def test_sic_matches_ml_at_high_snr():
     ml_idx, _ = ml_block(y, h, alphabet)
     sic_idx, _ = sic_block(y, h, cfg, cfg.n_users + 1)
     assert np.mean(sic_idx == ml_idx) >= 0.999
+
+
+# name -> config: near and virtual index bits, two far users, four near-group
+# users at pi/4 and PD-NOMA, whose near stages search no rotation
+SIC_CONFIGS = {
+    "2:1:2-virtual": SystemConfig(**TWO_USER),
+    "2:1:2-near": SystemConfig(**TWO_USER, index_user_mode="near"),
+    "3:2:2": SystemConfig(n_users=3, n_far=2, mod_order=2, power_coeffs=(0.6, 0.3, 0.1)),
+    "4:1:4-pi/4": SystemConfig(**FOUR_USER_QPSK, rotation_angle=np.pi / 4),
+    "pdnoma": SystemConfig(**TWO_USER, im_enabled=False),
+}
+
+
+@pytest.mark.parametrize("name", SIC_CONFIGS)
+def test_sic_block_matches_scalar_stage_by_stage_oracle(name):
+    cfg = SIC_CONFIGS[name]
+    alphabet = build_super_alphabet(cfg)
+    rng = np.random.default_rng(17)
+    n = 64
+    ys, hs = [], []
+    for snr_db in (-5, 5, 15, 30, None):
+        h = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)
+        y = h * alphabet.x[rng.integers(0, len(alphabet), n)]
+        if snr_db is not None:
+            y = y + (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * np.sqrt(
+                10 ** (-snr_db / 10) / 2)
+        ys.append(y)
+        hs.append(h)
+    ys.append(np.zeros(4, dtype=complex))  # every hypothesis ties
+    hs.append(np.ones(4, dtype=complex))
+    y, h = np.concatenate(ys), np.concatenate(hs)
+    last = cfg.n_users + (cfg.index_user_mode == "virtual")
+    for user in range(1, last + 1):
+        entries, metrics = sic_block(y, h, cfg, user)
+        want_entries, want_metrics = sic_scalar(y, h, cfg, user)
+        assert np.array_equal(entries, want_entries), user
+        assert np.array_equal(metrics.view(np.int64), want_metrics.view(np.int64)), user
 
 
 def test_angles_to_phi_basic():

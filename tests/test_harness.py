@@ -2,14 +2,15 @@ import ast
 import json
 import math
 import subprocess
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from imnomarc import __version__, harness
-from imnomarc.harness import (CSV_HEADER, BerRecord, ExperimentSpec,
+from imnomarc.detectors import SCAN_MAX
+from imnomarc.harness import (BATCH_BUDGET, CSV_HEADER, BerRecord, ExperimentSpec,
                               _PointContext, _run_batch, persist, run_point,
                               run_sweep)
 from imnomarc.superposition import SystemConfig, build_super_alphabet
@@ -34,7 +35,7 @@ def silence_noise(monkeypatch):
 def test_noiseless_run_has_zero_errors(monkeypatch):
     silence_noise(monkeypatch)
     for detector in ("ml", "sic"):
-        spec = small_spec(detector=detector, max_bits=5000,
+        spec = small_spec(detectors=(detector,), max_bits=5000,
                           min_bit_errors=20, snr_grid_db=(0.0,))
         for rec in run_point(spec, 0.0):
             assert rec.bit_errors == 0
@@ -142,7 +143,7 @@ GOLDEN = {
 def test_run_point_matches_golden_counts(case):
     name, scheme, detector, mode = case
     cfg = SystemConfig(**GOLDEN_CONFIGS[name], index_user_mode=mode)
-    spec = ExperimentSpec(scheme=scheme, cfg=cfg, detector=detector,
+    spec = ExperimentSpec(scheme=scheme, cfg=cfg, detectors=(detector,),
                           snr_grid_db=(5.0, 15.0), n_subcarriers=32, max_bits=3000,
                           min_bit_errors=20, master_seed=11)
     for snr_db, want in GOLDEN[case]:
@@ -151,19 +152,22 @@ def test_run_point_matches_golden_counts(case):
 
 
 BATCH_CASES = {
-    "2:1:2-ml-virtual": dict(cfg=("2:1:2", "virtual"), detector="ml"),
-    "2:1:2-ml-near": dict(cfg=("2:1:2", "near"), detector="ml"),
-    "2:1:2-sic-virtual": dict(cfg=("2:1:2", "virtual"), detector="sic"),
-    "2:1:2-sic-near": dict(cfg=("2:1:2", "near"), detector="sic"),
+    "2:1:2-ml-virtual": dict(cfg=("2:1:2", "virtual"), detectors=("ml",)),
+    "2:1:2-ml-near": dict(cfg=("2:1:2", "near"), detectors=("ml",)),
+    "2:1:2-sic-virtual": dict(cfg=("2:1:2", "virtual"), detectors=("sic",)),
+    "2:1:2-sic-near": dict(cfg=("2:1:2", "near"), detectors=("sic",)),
     # A = 1024: the cell-table path of ml_block
-    "4:1:4-ml": dict(cfg=("4:1:4", "virtual"), detector="ml"),
-    "4:1:4-sic": dict(cfg=("4:1:4", "virtual"), detector="sic"),
-    "3:2:2-ml": dict(cfg=("3:2:2", "near"), detector="ml"),
-    "3:2:2-sic": dict(cfg=("3:2:2", "virtual"), detector="sic"),
-    "ofdm": dict(cfg=("2:1:2", "virtual"), detector="ml", scheme="ofdm"),
-    "pdnoma-sic": dict(cfg=("2:1:2", "virtual"), detector="sic", scheme="pdnoma"),
-    "noiseless-ml": dict(cfg=("2:1:2", "virtual"), detector="ml", noiseless=True),
-    "noiseless-sic": dict(cfg=("3:2:2", "near"), detector="sic", noiseless=True),
+    "4:1:4-ml": dict(cfg=("4:1:4", "virtual"), detectors=("ml",)),
+    "4:1:4-sic": dict(cfg=("4:1:4", "virtual"), detectors=("sic",)),
+    "3:2:2-ml": dict(cfg=("3:2:2", "near"), detectors=("ml",)),
+    "3:2:2-sic": dict(cfg=("3:2:2", "virtual"), detectors=("sic",)),
+    "ofdm": dict(cfg=("2:1:2", "virtual"), detectors=("ml",), scheme="ofdm"),
+    "pdnoma-sic": dict(cfg=("2:1:2", "virtual"), detectors=("sic",), scheme="pdnoma"),
+    "noiseless-ml": dict(cfg=("2:1:2", "virtual"), detectors=("ml",), noiseless=True),
+    "noiseless-sic": dict(cfg=("3:2:2", "near"), detectors=("sic",), noiseless=True),
+    # both detectors decide one draw
+    "2:1:2-sic+ml-near": dict(cfg=("2:1:2", "near"), detectors=("sic", "ml")),
+    "4:1:4-ml+sic": dict(cfg=("4:1:4", "virtual"), detectors=("ml", "sic")),
 }
 
 
@@ -179,9 +183,10 @@ def test_batch_counts_equal_per_block_oracle(case, monkeypatch):
         spec = ExperimentSpec(cfg=cfg, n_subcarriers=n_subcarriers, master_seed=7, **kw)
         ctx = _PointContext(spec)
         want = run_block_oracle(ctx, snr_db, first_block, noiseless)
-        assert _run_batch(ctx, snr_db, first_block) == want
+        assert list(want) == list(spec.detectors)
+        assert _run_batch(ctx, snr_db, first_block, spec.detectors) == want
         if not noiseless:
-            assert sum(want.values()) > 0
+            assert all(sum(errors.values()) > 0 for errors in want.values())
 
 
 def test_tracked_channels_by_scheme():
@@ -196,7 +201,7 @@ def test_tracked_channels_by_scheme():
 def test_near_mode_tracks_index_through_near_user():
     cfg = SystemConfig(**TWO_USER, index_user_mode="near")
     for detector in ("ml", "sic"):
-        recs = run_point(small_spec(cfg=cfg, detector=detector), 10.0)
+        recs = run_point(small_spec(cfg=cfg, detectors=(detector,)), 10.0)
         assert [r.user for r in recs] == ["1", "2", "index"]
 
 
@@ -232,7 +237,61 @@ def test_empty_grid_gives_empty_results_and_valid_manifest():
 def test_manifest_times_every_point():
     _, manifest = run_sweep(small_spec(snr_grid_db=(5.0, 10.0)))
     assert list(manifest["points"]) == ["5", "10"]
-    assert all(t > 0 for t in manifest["points"].values())
+    assert all(point["seconds"] > 0 for point in manifest["points"].values())
+
+
+def test_manifest_reports_blocks_run_and_stop_reasons():
+    # At 30 dB user 1 makes fewer than 20 errors in 10^4 bits, users 2 and
+    # index reach 20 before
+    spec = small_spec(snr_grid_db=(5.0, 30.0), max_bits=10_000, min_bit_errors=20,
+                      n_subcarriers=64, detectors=("ml", "sic"))
+    records, manifest = run_sweep(spec)
+    point = manifest["points"]["30"]
+    assert set(point) == {"seconds", "blocks_run", "stop_reason"}
+    for detector in ("ml", "sic"):
+        assert point["stop_reason"][detector] == {
+            "1": "max_bits", "2": "min_errors", "index": "min_errors"}
+        assert manifest["points"]["5"]["stop_reason"][detector] == dict.fromkeys(
+            ("1", "2", "index"), "min_errors")
+    for r in records:
+        blocks = manifest["points"][f"{r.snr_db:g}"]["blocks_run"][r.detector]
+        assert r.bits_sent == blocks * 64  # one BPSK bit per subcarrier and channel
+        reason = manifest["points"][f"{r.snr_db:g}"]["stop_reason"][r.detector][r.user]
+        assert (r.bit_errors >= 20) == (reason == "min_errors")
+        if reason == "max_bits":
+            assert r.bits_sent >= 10_000
+
+
+def test_shared_pass_equals_separate_sweeps():
+    # 3:2:2 near mode, where ML and SIC stop at different blocks
+    cfg = SystemConfig(**GOLDEN_CONFIGS["3:2:2"], index_user_mode="near")
+    for scheme in ("imnomarc", "pdnoma"):
+        spec = ExperimentSpec(scheme=scheme, cfg=cfg, detectors=("ml", "sic"), master_seed=3)
+        shared, manifest = run_sweep(spec)
+        separate = [r for detector in spec.detectors
+                    for r in run_sweep(replace(spec, detectors=(detector,)))[0]]
+        assert shared == separate
+        blocks = [point["blocks_run"] for point in manifest["points"].values()]
+        assert any(b["ml"] != b["sic"] for b in blocks)
+
+
+def test_spec_refuses_a_batch_over_the_memory_budget(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(harness, "_PointContext", refuse)
+    # one batch's (4R, 16 L) draw alone would be 1430 GiB
+    with pytest.raises(ValueError, match="budget"):
+        ExperimentSpec(n_subcarriers=10 ** 9)
+    # (scheme, receivers, widest scan): 2:1:2 scans A = 8 entries, 8-QAM OFDM 8 points
+    for scheme, receivers, width in (("imnomarc", 3, 8), ("ofdm", 1, 8)):
+        largest = BATCH_BUDGET // harness.batch_bytes(1, receivers, width)
+        ExperimentSpec(scheme=scheme, n_subcarriers=largest)
+        with pytest.raises(ValueError, match="budget"):
+            ExperimentSpec(scheme=scheme, n_subcarriers=largest + 1)
+    # L = 128 passes with room to spare, also at A = 1024
+    assert harness.batch_bytes(128, 5, SCAN_MAX) < BATCH_BUDGET // 100
+    ExperimentSpec(cfg=SystemConfig(**GOLDEN_CONFIGS["4:1:4"]), detectors=("ml", "sic"))
 
 
 def test_sweep_builds_its_alphabet_once(monkeypatch):
@@ -249,7 +308,7 @@ def test_sweep_builds_its_alphabet_once(monkeypatch):
 
 
 def test_manifest_echo_roundtrips():
-    spec = small_spec(snr_grid_db=(5.0, 10.0), detector="sic")
+    spec = small_spec(snr_grid_db=(5.0, 10.0), detectors=("sic", "ml"))
     _, manifest = run_sweep(small_spec(snr_grid_db=()))
     assert spec_from_dict(asdict(spec)) == spec
     assert spec_from_dict(manifest["spec"]) == small_spec(snr_grid_db=())
@@ -291,7 +350,10 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         ExperimentSpec(scheme="bogus")
     with pytest.raises(ValueError):
-        ExperimentSpec(detector="zf")
+        ExperimentSpec(detectors=("zf",))
+    for detectors in ((), ("ml", "ml")):
+        with pytest.raises(ValueError, match="distinct"):
+            ExperimentSpec(detectors=detectors)
     with pytest.raises(ValueError):
         ExperimentSpec(snr_grid_db=(10.0, 5.0))
     with pytest.raises(ValueError):
@@ -303,8 +365,9 @@ def test_spec_validation():
             ExperimentSpec(min_bit_errors=min_bit_errors)
     with pytest.raises(ValueError, match="unsupported order 3"):
         ExperimentSpec(scheme="ofdm", ofdm_order=3)
-    with pytest.raises(ValueError, match="ofdm"):
-        ExperimentSpec(scheme="ofdm", detector="sic")
+    for detectors in (("sic",), ("ml", "sic")):
+        with pytest.raises(ValueError, match="ofdm"):
+            ExperimentSpec(scheme="ofdm", detectors=detectors)
     ExperimentSpec(scheme="imnomarc", ofdm_order=3)  # read by the OFDM scheme only
 
 

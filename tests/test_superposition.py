@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from imnomarc.superposition import (SystemConfig, build_super_alphabet,
-                                    entry_index, rotation_flags,
+from imnomarc.superposition import (SystemConfig, build_super_alphabet, rotation_flags,
                                     spectral_efficiency, user_bit_positions)
 
-from oracles import im_pattern, index_for_bits, pack_bits, superimpose, unpack_bits
+from oracles import (entry_index, im_pattern, index_for_bits, pack_bits, superimpose,
+                     unpack_bits)
 
 TWO_USER = dict(n_users=2, n_far=1, mod_order=2, power_coeffs=(0.9, 0.1))
 
