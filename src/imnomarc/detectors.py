@@ -31,15 +31,14 @@ from .superposition import SuperAlphabet, SystemConfig, label_fields, rotation_f
 
 # Largest alphabet scanned exhaustively. One ML call on L = 2048 rows (a
 # 16-block batch of 128 subcarriers), median of 7 runs at 10 and 30 dB on a
-# 2-vCPU Xeon (numpy 2.4), scan against cell table: A = 16 in 0.3-0.4 ms
-# against 0.7-0.9 ms, A = 32 in 0.7 against 0.9-1.0, A = 64 in 1.3 against
-# 1.1, A = 128 in 2.4 against 0.9-1.0, A = 256 in 4.9-5.4 against 1.0-1.1 and
-# A = 512 in 11 against 0.7-1.0. The table costs ~0.15 ms a call, so on
-# L = 128 rows the scan stays faster up to A = 256.
+# 2-vCPU Xeon (numpy 2.4), scan against cell table: A = 16 in 0.35-0.38 ms
+# against 0.48-0.56, A = 32 in 0.58-0.59 against 0.57-0.62, and A = 64 in
+# 1.07-1.08 against 0.71-0.74. The table wins from A = 64.
 SCAN_MAX = 32
 # Largest alphabet searched through a cell table. Its build costs O(A^2) once
-# per alphabet, 39 ms at A = 1024, 0.15 s at 2048 and 0.64 s at 4096, where a
-# 2048-row call then takes 1.0-1.3 ms against 5.9-6.4 ms by the group bound.
+# per alphabet, 17-24 ms at A = 1024, 63-84 ms at 2048 and 0.23-0.26 s at
+# 4096 on the same host, where a 2048-row call then takes 0.50-0.55 ms
+# against 4.9 ms by the group bound.
 TABLE_MAX = 4096
 # Most shared hypotheses ``_scan`` walks one at a time. One call on L = 2048
 # rows, median of 1000 on a 2-vCPU Xeon (numpy 2.4), walk against one (L, k)
@@ -47,8 +46,9 @@ TABLE_MAX = 4096
 # and k = 8 in 185-234 against 210-246. At k = 8 the walk also keeps a batch's
 # temporaries at (L,): the (L, 8) scan's 384 KiB made glibc trim and refault
 # the heap every batch, ~110k page faults in a default `ber` run against ~800.
-# Per-row candidate lists stay on the (L, k) scan: the cell table's buckets
-# are often a few rows, where the walk's k times more numpy calls cost more.
+# Per-row candidate lists stay on the (L, k) scan: the cell table's width
+# classes often get a few rows, where the walk's k times more numpy calls
+# cost more.
 _WALK_MAX = 8
 # Width of the cell table's margin around the points, in RMS amplitudes.
 _MARGIN = 0.5
@@ -98,16 +98,22 @@ def _scan(y: np.ndarray, h: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.n
     return idx, best
 
 
-def _settle(y, h, x, rows, width, candidates, idx, metric):
+def _settle(y, h, rows, cand, points, idx, metric, table_row=None):
     """``_scan`` each of ``rows`` over its candidates into ``idx`` and
-    ``metric``, in chunks of about _CHUNK candidates. ``candidates(r)`` gives
-    the entries of rows r, (width,) or (len(r), width), sorted by index."""
-    step = max(1, _CHUNK // width)
+    ``metric``, in chunks of about _CHUNK candidates. ``cand`` holds entry
+    indices sorted by index and ``points`` their points: one (width,) list
+    shared by every row, or (n, width) tables whose row ``table_row[i]`` lists
+    the candidates of ``rows[i]``."""
+    step = max(1, _CHUNK // cand.shape[-1])
     for s in range(0, len(rows), step):
         r = rows[s:s + step]
-        cand = candidates(r)
-        k, metric[r] = _scan(y[r], h[r], x[cand])
-        idx[r] = cand[k] if cand.ndim == 1 else cand[np.arange(len(r)), k]
+        if table_row is None:
+            k, metric[r] = _scan(y[r], h[r], points)
+            idx[r] = cand[k]
+        else:
+            t = table_row[s:s + step]
+            k, metric[r] = _scan(y[r], h[r], points.take(t, axis=0))
+            idx[r] = cand[t, k]
 
 
 class _CellTable:
@@ -130,13 +136,15 @@ class _CellTable:
     1 + |u| + max|x| the table serves, is far wider than the rounding of
     these distances.
 
-    Lists vary in length (the centre of a PSK ring lists every point), so rows
-    are scanned in buckets of cells whose list lengths round up to the same
-    power of two, each list padded by repeating its last entry.
+    Lists vary in length (the centre of a PSK ring lists every point), so the
+    build groups the cells into classes whose list lengths round up to the
+    same power of two, at most log2(A) + 1 of them. A class keeps one (cells,
+    width) table of its lists, each padded by repeating its last entry, the
+    points of those entries beside it, and ``row`` maps each cell to its row.
+    A call scans each class's rows with one row gather of that table.
     """
 
     def __init__(self, x: np.ndarray):
-        self.x = x
         self.xmax = float(np.abs(x).max())
         margin = _MARGIN * np.sqrt(np.mean(np.abs(x) ** 2))
         self.lo = np.array([x.real.min(), x.imag.min()]) - margin
@@ -159,7 +167,7 @@ class _CellTable:
             d2 = (c - x.real) ** 2 + d_im2
             q = np.argmin(d2, axis=1)
             near = np.sqrt(d2[np.arange(G[1]), q]) + np.hypot(*self.step) + slack
-            j, p = np.nonzero(d2 <= (near * near)[:, None])
+            j, p = np.divmod(np.flatnonzero(d2 <= (near * near)[:, None]), len(x))
             dp = x[p] - x[q[j]]
             least = (power[p] - power[q[j]] - 2 * (c * dp.real + c_im[j] * dp.imag)
                      - self.step[0] * np.abs(dp.real) - self.step[1] * np.abs(dp.imag))
@@ -167,13 +175,21 @@ class _CellTable:
             cells.append(i * G[1] + j[keep])
             points.append(p[keep])
         cell = np.concatenate(cells)
-        self.points = np.concatenate(points)  # by cell, then index
-        self.count = np.bincount(cell, minlength=G[0] * G[1])
-        self.first = np.cumsum(self.count) - self.count
-        self.width = 2 ** np.ceil(np.log2(self.count)).astype(np.intp)
+        listed = np.concatenate(points)  # by cell, then index
+        count = np.bincount(cell, minlength=G[0] * G[1])
+        first = np.cumsum(count) - count
+        self.width = 2 ** np.ceil(np.log2(count)).astype(np.intp)
+        self.row = np.empty_like(self.width)
+        self.classes = []  # (width, candidates, their points) per width class
+        for w in np.unique(self.width):
+            c = np.flatnonzero(self.width == w)
+            self.row[c] = np.arange(len(c))
+            cand = listed[first[c, None] + np.minimum(np.arange(w), count[c, None] - 1)]
+            self.classes.append((w, cand, x[cand]))
         i, j = np.divmod(cell, G[1])
         edge = (i == 0) | (i == G[0] - 1) | (j == 0) | (j == G[1] - 1)
-        self.hull = np.unique(self.points[edge])
+        self.hull = np.unique(listed[edge])
+        self.hull_x = x[self.hull]
 
     def settle(self, y, h, u, direct, idx, metric) -> np.ndarray:
         """Settle the ``direct`` rows in the box or within reach of it; returns
@@ -182,17 +198,14 @@ class _CellTable:
         i = np.floor((u.real - self.lo[0]) / self.step[0])
         j = np.floor((u.imag - self.lo[1]) / self.step[1])
         in_box = direct & (i >= 0) & (i < G[0]) & (j >= 0) & (j < G[1])
-        cell = np.where(in_box, i * G[1] + j, 0).astype(np.intp)
         rows = np.flatnonzero(in_box)
-        widths = self.width[cell[rows]]
-        for w in np.unique(widths):
-            def listed(r, w=w):
-                pos = np.minimum(np.arange(w), self.count[cell[r], None] - 1)
-                return self.points[self.first[cell[r], None] + pos]
-            _settle(y, h, self.x, rows[widths == w], w, listed, idx, metric)
+        cell = (i[rows] * G[1] + j[rows]).astype(np.intp)
+        widths, table_row = self.width[cell], self.row[cell]
+        for w, cand, points in self.classes:
+            at = widths == w
+            _settle(y, h, rows[at], cand, points, idx, metric, table_row[at])
         hull = direct & ~in_box & (np.abs(u) <= self.reach)
-        _settle(y, h, self.x, np.flatnonzero(hull), len(self.hull),
-                lambda r: self.hull, idx, metric)
+        _settle(y, h, np.flatnonzero(hull), self.hull, self.hull_x, idx, metric)
         return ~(in_box | hull)
 
 
@@ -285,7 +298,7 @@ def ml_block(y: np.ndarray, h: np.ndarray, alphabet: SuperAlphabet) -> tuple[np.
     idx = np.empty(len(y), dtype=np.intp)
     metric = np.empty(len(y))
     rest = search.settle(y, h, np.where(direct, u, 0), direct, idx, metric)
-    _settle(y, h, x, np.flatnonzero(rest), len(x), lambda r: np.arange(len(x)), idx, metric)
+    _settle(y, h, np.flatnonzero(rest), np.arange(len(x)), x, idx, metric)
     return idx, metric
 
 

@@ -3,8 +3,10 @@
 Each one computes a result the package computes on its production path, but
 one symbol, subcarrier or pair at a time: scalar bit mapping and
 superposition, the per-call channel draws, OFDM framing, the quadrature PEP,
-exhaustive ML scans and one stop-rule batch through the channel layer. The
-loaders of run outputs live here too: only tests read them back.
+exhaustive ML scans, the cell table's candidate lists cell by cell and one
+stop-rule batch through the channel layer. The exact far-user BER of the
+default config pins the model itself. The loaders of run outputs live here
+too: only tests read them back.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from scipy.special import erfc
 
 from imnomarc.channel import noise_variance
 from imnomarc.constellation import Constellation
+from imnomarc.detectors import _MARGIN, _REACH, _TOL
 from imnomarc.harness import BATCH_BLOCKS, BerRecord, ExperimentSpec, _decide
 from imnomarc.superposition import SystemConfig, label_fields, spectral_efficiency
 
@@ -215,6 +218,20 @@ def pep_rayleigh(delta: complex, sigma2: float, rel_tol: float = 1e-10) -> float
     return value
 
 
+def exact_far_ber_2u_bpsk(snr_db: float, scheme: str) -> float:
+    """Exact far-user BER of 2:1:2 BPSK at power 0.9/0.1 over Rayleigh fading.
+
+    ML and SIC both decide the far bit by the sign of Re(y/h), which sits at
+    distance d from 0: a + b or a - b when the near user is unrotated, a when
+    it is rotated by pi/2 (imnomarc only), with a = sqrt(0.9), b = sqrt(0.1).
+    Each d errs with the Rayleigh BPSK probability at mean SNR d^2 / sigma^2.
+    """
+    a, b = np.sqrt(0.9), np.sqrt(0.1)
+    d = np.array([a + b, a - b] + ([a, a] if scheme == "imnomarc" else []))
+    snr = d ** 2 / noise_variance(snr_db)
+    return float(np.mean(0.5 * (1 - np.sqrt(snr / (1 + snr)))))
+
+
 # --- detection ---------------------------------------------------------------
 
 def exhaustive_ml(y, h, alphabet):
@@ -325,6 +342,43 @@ def canonical_entry(alphabet, idx):
     decisions are only defined up to that physical value.
     """
     return int(np.flatnonzero(np.abs(alphabet.x - alphabet.x[idx]) < 1e-9)[0])
+
+
+def brute_force_cell_lists(x):
+    """Every cell's candidate list in the ML cell table over ``x``, by flat
+    cell index, each sorted by entry index.
+
+    The grid is the table's: about 4A square cells over the points' bounding
+    box plus _MARGIN RMS amplitudes. Each column of cells is measured against
+    every point, O(A^2) in all: a cell with centre c lists each point within
+    D(c) + cell diagonal + slack of c that the point nearest to c beats by at
+    most the slack at every corner of the cell.
+    """
+    margin = _MARGIN * np.sqrt(np.mean(np.abs(x) ** 2))
+    lo = np.array([x.real.min(), x.imag.min()]) - margin
+    hi = np.array([x.real.max(), x.imag.max()]) + margin
+    side = np.sqrt(np.prod(hi - lo) / (4 * len(x)))
+    G = np.ceil((hi - lo) / side).astype(int)
+    step = (hi - lo) / G
+    radius = float(np.hypot(*np.maximum(-lo, hi)))
+    xmax = float(np.abs(x).max())
+    slack = _TOL * (1 + _REACH * radius + xmax)
+    beaten = 2 * slack * (radius + xmax)
+    power = np.abs(x) ** 2
+    c_im = lo[1] + (np.arange(G[1]) + 0.5) * step[1]
+    lists = []
+    for i in range(G[0]):
+        c = lo[0] + (i + 0.5) * step[0]
+        d2 = (c - x.real) ** 2 + (c_im[:, None] - x.imag) ** 2
+        q = np.argmin(d2, axis=1)
+        near = np.sqrt(d2[np.arange(G[1]), q]) + np.hypot(*step) + slack
+        j, p = np.nonzero(d2 <= (near * near)[:, None])
+        dp = x[p] - x[q[j]]
+        least = (power[p] - power[q[j]] - 2 * (c * dp.real + c_im[j] * dp.imag)
+                 - step[0] * np.abs(dp.real) - step[1] * np.abs(dp.imag))
+        keep = least <= beaten
+        lists += [p[keep & (j == col)] for col in range(G[1])]
+    return lists
 
 
 # --- harness -----------------------------------------------------------------

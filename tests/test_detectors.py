@@ -11,8 +11,8 @@ from imnomarc.detectors import (_WALK_MAX, SCAN_MAX, TABLE_MAX, _CellTable, _Gro
 from imnomarc.harness import ExperimentSpec, _decide, _OfdmAlphabet, _PointContext
 from imnomarc.superposition import SystemConfig, build_super_alphabet, user_bit_positions
 
-from oracles import (brute_force_hypotheses, brute_force_scan, canonical_entry, entry_index,
-                     exhaustive_ml, sic_scalar)
+from oracles import (brute_force_cell_lists, brute_force_hypotheses, brute_force_scan,
+                     canonical_entry, entry_index, exhaustive_ml, sic_scalar)
 
 TWO_USER = dict(n_users=2, n_far=1, mod_order=2, power_coeffs=(0.9, 0.1))
 FOUR_USER_QPSK = dict(n_users=4, n_far=1, mod_order=4,
@@ -132,6 +132,12 @@ def _ml_edge_inputs(x, rng):
     return np.concatenate(ys), np.concatenate(hs)
 
 
+def _halving_powers(n_users):
+    """n_users users, one far, at power proportional to 2^-k."""
+    raw = 2.0 ** -np.arange(n_users)
+    return dict(n_users=n_users, n_far=1, power_coeffs=tuple(raw / raw.sum()))
+
+
 def _twice_128psk():
     """Every point of 128-PSK stored twice, bit-identical: exact metric ties
     that only the lowest-index rule settles."""
@@ -150,6 +156,9 @@ ML_ALPHABETS = {
     "2:1:2-bpsk": (lambda: build_super_alphabet(SystemConfig(**TWO_USER)), 1),
     "ofdm-8qam": (lambda: _OfdmAlphabet(8, "QAM"), 1),
     "128psk-twice": (_twice_128psk, 2),
+    # PD-NOMA, every point on the real axis and on the hull
+    "10:1:2-bpsk-collinear": (lambda: build_super_alphabet(SystemConfig(
+        **_halving_powers(10), mod_order=2, im_enabled=False)), 1),
 }
 
 
@@ -170,6 +179,24 @@ def test_ml_block_matches_exhaustive_oracle_bit_for_bit(name):
         assert idx.dtype == ref_idx.dtype and metric.dtype == ref_metric.dtype
         assert np.array_equal(idx, ref_idx)
         assert np.array_equal(metric.view(np.int64), ref_metric.view(np.int64))
+
+
+@pytest.mark.parametrize("name", ["4:1:4-qpsk-pi/4", "4:1:4-qpsk-pi/2", "ofdm-256psk",
+                                  "128psk-twice", "10:1:2-bpsk-collinear"])
+def test_cell_table_lists_match_the_brute_force_rule(name):
+    # each cell's row in its width class is its list padded to the width by
+    # repeating the last entry, with the points of those entries beside it
+    x = ML_ALPHABETS[name][0]().x
+    table = _CellTable(x)
+    want = brute_force_cell_lists(x)
+    assert len(want) == len(table.width) == np.prod(table.shape)
+    classes = {w: (cand, points) for w, cand, points in table.classes}
+    for c, listed in enumerate(want):
+        w = table.width[c]
+        cand, points = classes[w]
+        assert w == 1 << (len(listed) - 1).bit_length()
+        assert np.array_equal(cand[table.row[c]], np.pad(listed, (0, w - len(listed)), mode="edge"))
+        assert np.array_equal(points[table.row[c]], x[cand[table.row[c]]])
 
 
 def test_detect_ml_on_a_table_searched_alphabet():
@@ -259,6 +286,28 @@ def test_ml_block_memory_does_not_scale_with_rows_times_alphabet():
         tracemalloc.stop()
     assert peak < 8 * 2 ** 20
     assert np.array_equal(idx, tx)
+
+
+def test_ml_block_first_call_memory_at_the_table_cap():
+    # 5:1:4 QPSK at pi/4: A = TABLE_MAX, the largest cell table; the first
+    # call builds it, and its width classes must not grow as A times the
+    # widest list
+    cfg = SystemConfig(**_halving_powers(5), mod_order=4, rotation_angle=np.pi / 4)
+    alphabet = build_super_alphabet(cfg)
+    assert len(alphabet) == TABLE_MAX
+    rng = np.random.default_rng(3)
+    tx = rng.integers(0, len(alphabet), 2048)
+    h = _rayleigh(rng, 2048)
+    tracemalloc.start()
+    try:
+        idx, _ = ml_block(h * alphabet.x[tx], h, alphabet)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(alphabet._search, _CellTable)
+    assert peak < 16 * 2 ** 20
+    # entries can share a point here: compare the points sent and decided
+    assert np.array_equal(np.round(alphabet.x[idx], 9), np.round(alphabet.x[tx], 9))
 
 
 def test_sic_far_user_noiseless():

@@ -15,7 +15,7 @@ from imnomarc.harness import (BATCH_BUDGET, CSV_HEADER, BerRecord, ExperimentSpe
                               run_sweep)
 from imnomarc.superposition import SystemConfig, build_super_alphabet
 
-from oracles import load_results, run_block_oracle, spec_from_dict
+from oracles import exact_far_ber_2u_bpsk, load_results, run_block_oracle, spec_from_dict
 
 TWO_USER = dict(n_users=2, n_far=1, mod_order=2, power_coeffs=(0.9, 0.1))
 
@@ -224,6 +224,21 @@ def test_sweep_monotone_within_confidence():
             se = 3 * np.sqrt(lo.ber * (1 - lo.ber) / lo.bits_sent
                              + hi.ber * (1 - hi.ber) / hi.bits_sent)
             assert hi.ber <= lo.ber + se
+
+
+@pytest.mark.parametrize("scheme", ["imnomarc", "pdnoma"])
+def test_far_user_ber_matches_the_exact_oracle(scheme):
+    # default 2:1:2 BPSK at 0.9/0.1: ML and SIC both decide the far bit by the
+    # sign of Re(y/h), whose BER has a closed form over Rayleigh fading
+    spec = ExperimentSpec(scheme=scheme, detectors=("ml", "sic"), snr_grid_db=(0.0, 10.0),
+                          min_bit_errors=20_000, master_seed=5)
+    records, _ = run_sweep(spec)
+    far = [r for r in records if r.user == "1"]
+    assert len(far) == 4
+    for r in far:
+        exact = exact_far_ber_2u_bpsk(r.snr_db, scheme)
+        z = (r.ber - exact) / np.sqrt(exact * (1 - exact) / r.bits_sent)
+        assert abs(z) <= 3, (r.detector, r.snr_db, z)
 
 
 def test_empty_grid_gives_empty_results_and_valid_manifest():
