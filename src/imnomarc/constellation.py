@@ -34,7 +34,7 @@ class Constellation:
         if abs(mean_power - 1.0) > 1e-9:
             raise ValueError(f"constellation not unit power: {mean_power}")
         if (self.bits.shape != (order, self.bits_per_symbol) or self.bits.max() > 1
-                or len(np.unique(self.bits, axis=0)) != order):
+                or np.bincount(self.bits @ (1 << np.arange(self.bits_per_symbol))).max() > 1):
             raise ValueError("bit labels must form a bijection over all points")
 
     @property

@@ -181,14 +181,14 @@ class _CellTable:
         self.width = 2 ** np.ceil(np.log2(count)).astype(np.intp)
         self.row = np.empty_like(self.width)
         self.classes = []  # (width, candidates, their points) per width class
-        for w in np.unique(self.width):
+        for w in np.flatnonzero(np.bincount(self.width)):
             c = np.flatnonzero(self.width == w)
             self.row[c] = np.arange(len(c))
             cand = listed[first[c, None] + np.minimum(np.arange(w), count[c, None] - 1)]
             self.classes.append((w, cand, x[cand]))
         i, j = np.divmod(cell, G[1])
         edge = (i == 0) | (i == G[0] - 1) | (j == 0) | (j == G[1] - 1)
-        self.hull = np.unique(listed[edge])
+        self.hull = np.flatnonzero(np.bincount(listed[edge], minlength=len(x)))
         self.hull_x = x[self.hull]
 
     def settle(self, y, h, u, direct, idx, metric) -> np.ndarray:

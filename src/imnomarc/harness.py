@@ -158,6 +158,9 @@ class _PointContext:
     bits are decided by the virtual receiver N+1 in "virtual" mode and by the
     nearest user N in "near" mode. ``weights`` maps each curve to its (A,)
     weight table: entry k carries weights[name][k] of the curve's bits set.
+    ``draw`` holds one batch's (4R, n) Gaussian draw. It is refilled by every
+    batch rather than allocated anew: an array over glibc's mmap threshold,
+    freed each batch, is faulted back in from the kernel by the next.
     """
 
     def __init__(self, spec: ExperimentSpec):
@@ -178,6 +181,7 @@ class _PointContext:
         self.n_receivers = max(rx for _, _, rx in self.channels)
         self.weights = {name: self.alphabet.bits[:, pos].sum(axis=1, dtype=np.int64)
                         for name, pos, _ in self.channels}
+        self.draw = np.empty((4 * self.n_receivers, BATCH_BLOCKS * spec.n_subcarriers))
 
 
 def _decide(ctx: _PointContext, detector: str, y: np.ndarray, h: np.ndarray,
@@ -211,7 +215,7 @@ def _run_batch(ctx: _PointContext, snr_db: float, first_block: int,
     rng = np.random.default_rng(np.random.SeedSequence(
         entropy=ctx.spec.master_seed, spawn_key=(_seed_key(snr_db), first_block)))
     tx_entry = rng.integers(0, len(ctx.alphabet.x), size=n)
-    g = rng.standard_normal((4 * R, n))
+    g = rng.standard_normal(out=ctx.draw)
 
     x = ctx.alphabet.x[tx_entry]
     errors: dict[str, dict[str, int]] = {detector: {} for detector in detectors}

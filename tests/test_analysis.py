@@ -7,6 +7,7 @@ import pytest
 import scipy.integrate
 from scipy.integrate import quad
 
+from imnomarc import analysis
 from imnomarc.analysis import pep_rayleigh_closed_form, union_bound_ber
 from imnomarc.superposition import (SuperAlphabet, SystemConfig,
                                     build_super_alphabet, user_bit_positions)
@@ -128,6 +129,40 @@ def test_union_bound_matches_all_pairs_oracle(name):
                           rtol=1e-6, atol=0)
 
 
+def test_oracle_configs_straddle_the_row_block():
+    sizes = [len(build_super_alphabet(SystemConfig(**c))) for c in ORACLE_CONFIGS.values()]
+    assert {np.sign(a - analysis._ROW_BLOCK) for a in sizes} == {-1, 0, 1}
+
+
+@pytest.mark.parametrize("name", ORACLE_CONFIGS)
+def test_pair_spectrum_bound_matches_all_pairs_oracle_to_rounding(name):
+    # each unordered pair walked once and summed per XOR class: only the
+    # order of the additions differs from the ordered-pair oracle
+    cfg = SystemConfig(**ORACLE_CONFIGS[name])
+    alphabet = build_super_alphabet(cfg)
+    for sigma2 in (0.05, 0.002):
+        for user in (None, *range(1, cfg.n_users + 1), "index"):
+            want = all_pairs_bound(alphabet, sigma2, user)
+            assert np.isclose(union_bound_ber(alphabet, sigma2, user=user), want,
+                              rtol=1e-12, atol=0)
+
+
+def test_consecutive_calls_at_one_noise_variance_share_one_spectrum(pair_spectra):
+    cfg = SystemConfig(**ORACLE_CONFIGS["3-1-4"])
+    a, b = 0.05, 0.002
+    # (alphabet, sigma2, user); the alphabet keeps only its last spectrum
+    sequence = [(0, a, None), (0, a, 1), (1, a, "index"), (0, a, 2), (0, b, 1),
+                (1, a, 2), (0, b, None), (0, a, "index"), (1, b, 3), (0, a, 1),
+                (1, b, None)]
+    alphabets = [build_super_alphabet(cfg), build_super_alphabet(cfg)]
+    got = [union_bound_ber(alphabets[k], sigma2, user=user) for k, sigma2, user in sequence]
+    # a pass only where an alphabet's noise variance changes: alphabet 0 at
+    # calls 1, 5 and 8, alphabet 1 at calls 3 and 9
+    assert pair_spectra == [a, a, b, a, b]
+    assert got == [union_bound_ber(build_super_alphabet(cfg), sigma2, user=user)
+                   for _, sigma2, user in sequence]
+
+
 def test_per_user_bounds_partition_the_aggregate():
     cfg = SystemConfig(**TWO_USER)
     alphabet = build_super_alphabet(cfg)
@@ -157,6 +192,31 @@ def test_import_leaves_quadrature_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
     assert out.stdout.strip() == "[]"
+
+
+def test_bound_and_ml_leave_numpy_ma_unloaded():
+    # numpy.ma costs 13-16 ms to import, and np.unique imports it
+    code = """if True:
+        import sys
+        import numpy as np
+        from imnomarc.analysis import union_bound_ber
+        from imnomarc.detectors import ml_block
+        from imnomarc.superposition import SystemConfig, build_super_alphabet
+        build_super_alphabet(SystemConfig())
+        alphabet = build_super_alphabet(SystemConfig(
+            n_users=4, n_far=1, mod_order=4, power_coeffs=(0.75, 0.18, 0.05, 0.02),
+            rotation_angle=np.pi / 4))
+        rng = np.random.default_rng(0)
+        h = rng.standard_normal(2048) + 1j * rng.standard_normal(2048)
+        y = h * alphabet.x[rng.integers(0, len(alphabet), 2048)] + 0.1 * rng.standard_normal(2048)
+        ml_block(y, h, alphabet)
+        union_bound_ber(alphabet, 0.01)
+        print("numpy.ma" in sys.modules)
+    """
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 def test_union_bound_never_calls_quadrature(monkeypatch):

@@ -297,6 +297,14 @@ def test_unread_flag_is_config_error(tmp_path, command, flag):
     assert not (tmp_path / "out").exists()
 
 
+def test_bound_makes_one_pair_pass_per_snr_point(tmp_path, pair_spectra):
+    assert run_cli(["bound", "--out", str(tmp_path), "--snr", "0:10:40"]) == 0
+    rows = (tmp_path / "bound.csv").read_text().splitlines()[1:]
+    # users 1, 2 and "index" at each of the 5 points share its pass
+    assert len(rows) == 15
+    assert len(pair_spectra) == len(set(pair_spectra)) == 5
+
+
 def test_bound_refuses_pair_count_over_budget(tmp_path, capsys, monkeypatch):
     # 5:1:8: A = 8^5 * 4 = 2^17, A(A-1) ~ 2^34 ordered pairs, the smallest
     # power-of-two alphabet over the 2^32 budget

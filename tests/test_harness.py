@@ -1,7 +1,9 @@
 import ast
 import json
 import math
+import os
 import subprocess
+import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -239,6 +241,62 @@ def test_far_user_ber_matches_the_exact_oracle(scheme):
         exact = exact_far_ber_2u_bpsk(r.snr_db, scheme)
         z = (r.ber - exact) / np.sqrt(exact * (1 - exact) / r.bits_sent)
         assert abs(z) <= 3, (r.detector, r.snr_db, z)
+
+
+def test_ml_and_sic_decide_alike_on_the_default_config(monkeypatch):
+    # the 8-point 2:1:2 BPSK alphabet is symmetric under Re -> -Re, so ML's
+    # far decision is the sign of Re(y/h), SIC's first stage, and so on down
+    spec = ExperimentSpec(cfg=SystemConfig(**TWO_USER), detectors=("ml", "sic"),
+                          snr_grid_db=(0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0),
+                          master_seed=11)
+    ctx = _PointContext(spec)
+    decided = {}
+    decide = harness._decide
+
+    def recorded(ctx, detector, y, h, rx):
+        decided[detector, rx] = out = decide(ctx, detector, y, h, rx)
+        return out
+
+    monkeypatch.setattr(harness, "_decide", recorded)
+    for snr_db in spec.snr_grid_db:
+        errors = _run_batch(ctx, snr_db, 0, spec.detectors)
+        for name, _, rx in ctx.channels:
+            diff = decided["ml", rx] ^ decided["sic", rx]
+            assert not ctx.weights[name][diff].any(), (snr_db, name)
+        assert errors["ml"] == errors["sic"]
+        if snr_db == 0:
+            assert all(errors["ml"].values())
+
+
+def test_batches_do_not_fault_their_draw_back_in(tmp_path):
+    # A (4R, n) draw allocated and freed every batch was faulted back in from
+    # the kernel by the next one: ~100 minor faults a batch through the CLI,
+    # once no import had raised glibc's mmap threshold by accident. A fresh
+    # interpreter keeps this process's imports out of the count.
+    code = """if True:
+        import contextlib, io, resource, statistics, sys
+        from imnomarc import harness
+        from imnomarc.cli import main
+        faults, run_batch = [], harness._run_batch
+
+        def counted(*args):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            out = run_batch(*args)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+            return out
+
+        harness._run_batch = counted
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(["ber", "--config", sys.argv[1], "--out", sys.argv[2], "--snr", "20"])
+        print(len(faults), statistics.median(faults[1:]))
+    """
+    ini = tmp_path / "ml+sic.ini"
+    ini.write_text("[sweep]\ndetectors = ml, sic\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code, str(ini), str(tmp_path / "out")],
+                         capture_output=True, text=True, check=True, env=env)
+    batches, median_faults = out.stdout.split()
+    assert int(batches) > 10 and float(median_faults) <= 10
 
 
 def test_empty_grid_gives_empty_results_and_valid_manifest():
