@@ -18,10 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import PAIR_BUDGET, union_bound_ber
-from .channel import noise_variance
 from .detectors import flops_ml, flops_sic
-from .harness import BerRecord, ExperimentSpec, check_snr_grid, persist, run_sweep, write_csv
-from .superposition import (SystemConfig, alphabet_size, build_super_alphabet,
+from .harness import (DETECTORS, SCHEMES, BerRecord, ExperimentSpec, check_snr_grid,
+                      noise_variance, persist, run_sweep, write_csv)
+from .superposition import (SystemConfig, alphabet_size, build_super_alphabet, channels,
                             spectral_efficiency)
 
 EXIT_OK = 0
@@ -181,12 +181,9 @@ def cmd_bound(conf, out):
 
     def run():
         alphabet = build_super_alphabet(cfg)
-        users = [str(u) for u in range(1, cfg.n_users + 1)]
-        if cfg.n_index_bits:
-            users.append("index")
         write_csv([BerRecord("imnomarc", "bound", user, snr_db, 0, 0,
                              union_bound_ber(alphabet, noise_variance(snr_db), user=user))
-                   for snr_db in snr for user in users], path)
+                   for snr_db in snr for user, _, _ in channels(cfg)], path)
         print(f"wrote {path}")
     return run
 
@@ -255,9 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--snr", default=None, help="SNR grid start:step:stop in dB")
         if name == "ber":
             p.add_argument("--seed", type=int, default=None)
-            p.add_argument("--detector", action="append", choices=["ml", "sic"])
-            p.add_argument("--scheme", action="append",
-                           choices=["imnomarc", "pdnoma", "ofdm"])
+            p.add_argument("--detector", action="append", choices=DETECTORS)
+            p.add_argument("--scheme", action="append", choices=SCHEMES)
             p.add_argument("--max-bits", type=int, default=None)
             p.add_argument("--min-errors", type=int, default=None)
     return parser

@@ -302,22 +302,6 @@ def ml_block(y: np.ndarray, h: np.ndarray, alphabet: SuperAlphabet) -> tuple[np.
     return idx, metric
 
 
-def angles_to_phi_block(theta_flags: np.ndarray, cfg: SystemConfig) -> np.ndarray:
-    """Project per-user rotation flags onto the nearest valid pattern index.
-
-    ``theta_flags`` is (L, n_near), one 0/1 column per near user from user
-    B+1 to N, 1 marking a rotated user. A non-suffix row maps to the valid
-    pattern at minimum Hamming distance, ties toward the smaller index.
-    """
-    flags = np.asarray(theta_flags, dtype=int)
-    n_near = cfg.n_users - cfg.n_far
-    if flags.shape[1] != n_near:
-        raise ValueError(f"expected {n_near} rotation flags, got {flags.shape[1]}")
-    pats = rotation_flags(cfg)[:, cfg.n_far:]
-    dist = np.count_nonzero(flags[:, None, :] != pats[None, :, :], axis=2)
-    return np.argmin(dist, axis=1)
-
-
 class _SicStages:
     """The stage tables of SIC on one config, built once per config.
 
@@ -328,7 +312,8 @@ class _SicStages:
     to a row's code: its user's label field of the alphabet entry, shifted
     up by ``flag_bits``, and at a near stage of a config with index bits its
     rotation flag in bit l - n_far of the low ``flag_bits`` bits. ``phi``
-    maps those packed flags to the nearest rotation pattern.
+    maps those packed flags to the nearest rotation pattern by Hamming
+    distance, ties toward the smaller pattern index.
     """
 
     def __init__(self, cfg: SystemConfig):
@@ -351,7 +336,8 @@ class _SicStages:
         self.phi = None
         if cfg.n_index_bits:
             flags = np.arange(1 << self.flag_bits)[:, None] >> np.arange(self.flag_bits) & 1
-            self.phi = angles_to_phi_block(flags, cfg)
+            pats = rotation_flags(cfg)[:, cfg.n_far:]
+            self.phi = np.argmin((flags[:, None, :] != pats).sum(axis=2), axis=1)
 
 
 def sic_block(y: np.ndarray, h: np.ndarray, cfg: SystemConfig, user: int) -> tuple[np.ndarray, np.ndarray]:

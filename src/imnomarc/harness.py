@@ -24,11 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channel import noise_variance
 from .constellation import build_constellation
 from .detectors import SCAN_MAX, ml_block, sic_block
-from .superposition import (SystemConfig, alphabet_size, build_super_alphabet,
-                            user_bit_positions)
+from .superposition import SystemConfig, alphabet_size, build_super_alphabet, channels
 
 SCHEMES = ("imnomarc", "pdnoma", "ofdm")
 DETECTORS = ("ml", "sic")
@@ -43,6 +41,20 @@ BATCH_BUDGET = 2 ** 30
 def _seed_key(snr_db: float) -> int:
     """The SNR point's word in the spawn key of its batches' streams."""
     return int(round(snr_db * 1e6)) & 0xFFFFFFFF
+
+
+def noise_variance(snr_db: float, total_power: float = 1.0) -> float:
+    """AWGN variance of a system SNR, total transmit power over noise power.
+
+    ValueError for any SNR whose variance is not a positive finite float.
+    """
+    try:
+        sigma2 = total_power / 10 ** (snr_db / 10)
+    except (OverflowError, ZeroDivisionError):  # 10^(snr/10) leaves the float range
+        sigma2 = np.nan
+    if not 0 < sigma2 < np.inf:
+        raise ValueError(f"SNR {snr_db:g} dB: noise variance not a positive finite float")
+    return sigma2
 
 
 def check_snr_grid(snr_grid_db) -> tuple[float, ...]:
@@ -154,10 +166,10 @@ class _PointContext:
     """Everything a block needs, built once per sweep.
 
     ``channels`` lists each tracked error curve once as (name, bit positions
-    in the packed per-subcarrier string, receiver that decides it). The index
-    bits are decided by the virtual receiver N+1 in "virtual" mode and by the
-    nearest user N in "near" mode. ``weights`` maps each curve to its (A,)
-    weight table: entry k carries weights[name][k] of the curve's bits set.
+    in the packed per-subcarrier string, receiver that decides it): the
+    config's ``superposition.channels``, or OFDM's one channel. ``weights``
+    maps each curve to its (A,) weight table: entry k carries weights[name][k]
+    of the curve's bits set.
     ``draw`` holds one batch's (4R, n) Gaussian draw. It is refilled by every
     batch rather than allocated anew: an array over glibc's mmap threshold,
     freed each batch, is faulted back in from the kernel by the next.
@@ -168,16 +180,11 @@ class _PointContext:
         if spec.scheme == "ofdm":
             self.cfg = None
             self.alphabet = _OfdmAlphabet(spec.ofdm_order, spec.ofdm_family)
-            self.channels = [("1", np.arange(self.alphabet.bits.shape[1]), 1)]
+            self.channels = [("1", range(self.alphabet.bits.shape[1]), 1)]
         else:
-            self.cfg = cfg = spec.scheme_cfg()
-            self.alphabet = build_super_alphabet(cfg)
-            self.channels = [(str(u), np.array(user_bit_positions(cfg, u)), u)
-                             for u in range(1, cfg.n_users + 1)]
-            if cfg.n_index_bits:
-                rx = cfg.n_users + 1 if cfg.index_user_mode == "virtual" else cfg.n_users
-                self.channels.append(
-                    ("index", np.array(user_bit_positions(cfg, "index")), rx))
+            self.cfg = spec.scheme_cfg()
+            self.alphabet = build_super_alphabet(self.cfg)
+            self.channels = channels(self.cfg)
         self.n_receivers = max(rx for _, _, rx in self.channels)
         self.weights = {name: self.alphabet.bits[:, pos].sum(axis=1, dtype=np.int64)
                         for name, pos, _ in self.channels}

@@ -1,6 +1,7 @@
 """Transmit-side model: the system config, the rotation-pattern table used for
-index modulation on the near-user group, the per-user bit positions, and the
-enumerated super-alphabet of power-domain superpositions."""
+index modulation on the near-user group, the per-user bit positions, the
+channel table of which receiver decides which bits, and the enumerated
+super-alphabet of power-domain superpositions."""
 
 from __future__ import annotations
 
@@ -110,6 +111,18 @@ def user_bit_positions(cfg: SystemConfig, user) -> range:
     if not 1 <= user <= cfg.n_users:
         raise ValueError(f"user {user} out of range")
     return range((user - 1) * b, user * b)
+
+
+def channels(cfg: SystemConfig) -> list[tuple[str, range, int]]:
+    """Each tracked error curve as (name, bit positions, deciding receiver):
+    users 1..N, then "index" when the config carries index bits. The index
+    bits are decided by the virtual receiver N+1 in "virtual" mode and by the
+    nearest user N in "near" mode."""
+    table = [(str(u), user_bit_positions(cfg, u), u) for u in range(1, cfg.n_users + 1)]
+    if cfg.n_index_bits:
+        rx = cfg.n_users + 1 if cfg.index_user_mode == "virtual" else cfg.n_users
+        table.append(("index", user_bit_positions(cfg, "index"), rx))
+    return table
 
 
 @dataclass

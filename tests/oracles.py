@@ -18,10 +18,9 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import erfc
 
-from imnomarc.channel import noise_variance
 from imnomarc.constellation import Constellation
 from imnomarc.detectors import _MARGIN, _REACH, _TOL
-from imnomarc.harness import BATCH_BLOCKS, BerRecord, ExperimentSpec, _decide
+from imnomarc.harness import BATCH_BLOCKS, BerRecord, ExperimentSpec, _decide, noise_variance
 from imnomarc.superposition import SystemConfig, label_fields, spectral_efficiency
 
 
@@ -148,11 +147,13 @@ class ChannelRealization:
 def draw_channel(n_users: int, n_subcarriers: int, snr_db: float,
                  total_power: float = 1.0,
                  rng: np.random.Generator | None = None) -> ChannelRealization:
-    """Draw i.i.d. CN(0,1) frequency responses for every user and subcarrier."""
+    """Draw i.i.d. CN(0,1) frequency responses for every user and subcarrier;
+    an infinite SNR draws a noiseless channel."""
     rng = rng or np.random.default_rng()
     h = (rng.standard_normal((n_users, n_subcarriers))
          + 1j * rng.standard_normal((n_users, n_subcarriers))) / np.sqrt(2)
-    return ChannelRealization(h=h, noise_var=noise_variance(snr_db, total_power))
+    noise_var = 0.0 if snr_db == np.inf else noise_variance(snr_db, total_power)
+    return ChannelRealization(h=h, noise_var=noise_var)
 
 
 def apply_channel(x: np.ndarray, ch: ChannelRealization, user: int,

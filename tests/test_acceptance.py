@@ -8,9 +8,9 @@ import pytest
 
 import imnomarc as im
 from imnomarc import harness
-from imnomarc.channel import noise_variance
 from imnomarc.cli import main as cli_main
 from imnomarc.detectors import ml_block
+from imnomarc.harness import noise_variance
 
 from oracles import brute_force_hypotheses, brute_force_scan, canonical_entry, pep_rayleigh
 

@@ -185,6 +185,16 @@ def test_union_bound_rejects_inconsistent_alphabet():
         union_bound_ber(broken, 0.1)
 
 
+def test_union_bound_rejects_bad_noise_variance_and_bitless_user():
+    alphabet = build_super_alphabet(SystemConfig(**TWO_USER))
+    for sigma2 in (0.0, -0.1):
+        with pytest.raises(ValueError, match="noise variance must be positive"):
+            union_bound_ber(alphabet, sigma2)
+    pdnoma = build_super_alphabet(SystemConfig(**TWO_USER, im_enabled=False))
+    with pytest.raises(ValueError, match="carries no bits"):
+        union_bound_ber(pdnoma, 0.1, user="index")
+
+
 def test_import_leaves_quadrature_unloaded():
     code = "import sys, imnomarc; print([m for m in sys.modules if m.startswith('scipy')])"
     # the child imports imnomarc from wherever this process found it

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from imnomarc.channel import noise_variance
+from imnomarc.harness import noise_variance
 
 from oracles import (ChannelRealization, apply_channel, draw_channel,
                      ofdm_demodulate, ofdm_modulate)
@@ -20,7 +20,8 @@ def test_noise_variance(snr_db, expected):
 
 def test_noise_variance_scales_with_power():
     assert np.isclose(noise_variance(10.0, 2.0), 0.2)
-    assert noise_variance(np.inf) == 0.0
+    with pytest.raises(ValueError):
+        noise_variance(np.inf)
 
 
 def test_noiseless_apply_is_elementwise_product():

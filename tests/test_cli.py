@@ -1,8 +1,12 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from imnomarc import cli
+from imnomarc import cli, harness
 from imnomarc.analysis import PAIR_BUDGET
 from imnomarc.cli import im_noma_baseline_se, main
 
@@ -40,6 +44,24 @@ def test_se_writes_csv(tmp_path):
     text = (tmp_path / "se.csv").read_text().splitlines()
     assert text[0] == "N,B,M,se_imnomarc,se_pdnoma,se_imnoma"
     assert "2,1,2,3,2,2" in text
+
+
+def test_se_skips_empty_tuples(tmp_path):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("[se]\ntuples = 2:1:2,,3:2:2\n")
+    assert run_cli(["se", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "se.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[:3] for row in rows] == [["2", "1", "2"], ["3", "2", "2"]]
+
+
+def test_module_entry_point_runs_main(capsys):
+    # the child imports imnomarc from wherever this process found it
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-m", "imnomarc.cli", "se"], capture_output=True,
+                         text=True, env=env, timeout=60)
+    assert run_cli(["se"]) == 0
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == capsys.readouterr().out
 
 
 def test_bound_command(tmp_path):
@@ -235,6 +257,8 @@ OVER_CAP_INI = ("[system]\nn_users = 5\nn_far = 2\nmod_order = 16\nfamily = QAM\
     ("bound", None, ["--snr", "1,x"]),
     ("bound", None, ["--snr", "10,5,10"]),
     ("bound", None, ["--snr", "5,5"]),
+    ("bound", None, ["--snr", "0:5"]),
+    ("ber", None, ["--snr", "5:-1:10"]),
     ("ber", None, ["--snr", "1,x"]),
     ("ber", "[system]\npower_coeffs = 0.9, abc\n", []),
     ("ber", "[system]\nn_users = two\n", []),
@@ -258,9 +282,9 @@ OVER_CAP_INI = ("[system]\nn_users = 5\nn_far = 2\nmod_order = 16\nfamily = QAM\
     ("ber", None, ["--snr", "10", "--scheme", "ofdm", "--detector", "sic"]),
     ("ber", "[sweep]\nn_subcarriers = 1000000000\n", ["--snr", "10"]),
 ], ids=["bound-snr-grid", "bound-snr-list", "bound-snr-decreasing",
-        "bound-snr-repeated", "ber-snr-list", "power-coeffs",
-        "n-users", "se-tuple", "flops-tuple", "se-subblock", "se-active-over",
-        "se-zero-subblock", "bound-alphabet-cap", "ber-alphabet-cap",
+        "bound-snr-repeated", "bound-snr-two-fields", "ber-snr-negative-step",
+        "ber-snr-list", "power-coeffs", "n-users", "se-tuple", "flops-tuple",
+        "se-subblock", "se-active-over", "se-zero-subblock", "bound-alphabet-cap", "ber-alphabet-cap",
         "ini-zero-min-errors", "zero-max-bits-flag", "zero-min-errors-flag",
         "ofdm-order", "no-section-header", "duplicate-option",
         "negative-seed-flag", "ini-negative-seed", "ber-nan-power-coeffs",
@@ -281,6 +305,14 @@ ALL_FLAGS = {"--config": "x.ini", "--out": "out", "--snr": "0:5:10", "--seed": "
              "--detector": "sic", "--scheme": "pdnoma", "--max-bits": "1000",
              "--min-errors": "10"}
 READ_FLAGS = {"se": 2, "flops": 2, "bound": 3, "ber": 8}
+
+
+def test_parser_choices_are_the_harness_names():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    choices = {action.dest: action.choices for action in sub.choices["ber"]._actions}
+    assert choices["scheme"] == harness.SCHEMES
+    assert choices["detector"] == harness.DETECTORS
 
 
 @pytest.mark.parametrize("command, n", READ_FLAGS.items())

@@ -121,6 +121,12 @@ def test_constellation_rejects_nonunit_power():
         Constellation(points=np.array([2.0, -2.0]), bits=np.array([[0], [1]]))
 
 
+def test_constellation_rejects_point_count_not_a_power_of_two():
+    points = np.exp(2j * np.pi * np.arange(3) / 3)
+    with pytest.raises(ValueError, match="power of two, got 3"):
+        Constellation(points=points, bits=np.array([[0], [1], [1]]))
+
+
 # Label rows of point 0, 1, ..., M-1, as built from the Gray code.
 LABEL_TABLES = {
     (2, "PSK"): [[0], [1]],

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from imnomarc.detectors import (_WALK_MAX, SCAN_MAX, TABLE_MAX, _CellTable, _GroupBound,
-                                _scan, angles_to_phi_block, flops_ml, flops_sic,
-                                ml_block, sic_block)
+                                _scan, _SicStages, flops_ml, flops_sic, ml_block,
+                                sic_block)
 from imnomarc.harness import ExperimentSpec, _decide, _OfdmAlphabet, _PointContext
 from imnomarc.superposition import SystemConfig, build_super_alphabet, user_bit_positions
 
@@ -382,24 +382,31 @@ def test_sic_block_matches_scalar_stage_by_stage_oracle(name):
         assert np.array_equal(metrics.view(np.int64), want_metrics.view(np.int64)), user
 
 
+def packed_flags(flags):
+    """The SIC code's low bits for near-user rotation flags from user B+1 on."""
+    return sum(f << j for j, f in enumerate(flags))
+
+
 def test_angles_to_phi_basic():
     alphas = (0.5, 0.3, 0.2)
     cfg = SystemConfig(n_users=3, n_far=1, mod_order=2, power_coeffs=alphas)
     assert cfg.n_index_bits == 1
-    assert angles_to_phi_block(np.array([[0, 0]]), cfg).tolist() == [0]
-    assert angles_to_phi_block(np.array([[0, 1]]), cfg).tolist() == [1]
-    # inconsistent non-suffix pattern: both valid patterns at distance 1,
-    # tie breaks toward the smaller index
-    assert angles_to_phi_block(np.array([[1, 0]]), cfg).tolist() == [0]
+    phi = _SicStages(cfg).phi
+    assert phi[packed_flags((0, 0))] == 0
+    assert phi[packed_flags((0, 1))] == 1
+    # inconsistent non-suffix pattern: at distance 1 from pattern 0 and 2 from
+    # pattern 1 (the exhaustive test below covers ties)
+    assert phi[packed_flags((1, 0))] == 0
 
 
 def test_angles_to_phi_exhaustive_projection():
     alphas = (0.4, 0.3, 0.2, 0.1)
     cfg = SystemConfig(n_users=4, n_far=1, mod_order=2, power_coeffs=alphas)
     assert cfg.n_index_bits == 2
+    phi = _SicStages(cfg).phi
     valid = {0: (0, 0, 0), 1: (0, 0, 1), 2: (0, 1, 1), 3: (1, 1, 1)}
     for flags in itertools.product((0, 1), repeat=3):
-        got = int(angles_to_phi_block(np.array([flags]), cfg)[0])
+        got = int(phi[packed_flags(flags)])
         dists = {phi: sum(a != b for a, b in zip(flags, pat))
                  for phi, pat in valid.items()}
         best = min(dists.values())

@@ -433,6 +433,8 @@ def test_spec_validation():
         ExperimentSpec(max_bits=100, min_bit_errors=200)
     with pytest.raises(ValueError, match="master_seed"):
         ExperimentSpec(master_seed=-1)
+    with pytest.raises(ValueError, match="n_subcarriers"):
+        ExperimentSpec(n_subcarriers=0)
     for min_bit_errors in (0, -1):
         with pytest.raises(ValueError, match="min_bit_errors"):
             ExperimentSpec(min_bit_errors=min_bit_errors)

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from imnomarc.superposition import (SystemConfig, build_super_alphabet, rotation_flags,
-                                    spectral_efficiency, user_bit_positions)
+from imnomarc.superposition import (SystemConfig, build_super_alphabet, channels,
+                                    rotation_flags, spectral_efficiency, user_bit_positions)
 
 from oracles import (entry_index, im_pattern, index_for_bits, pack_bits, superimpose,
                      unpack_bits)
@@ -202,9 +202,29 @@ def test_user_bit_positions_partition():
         covered.extend(user_bit_positions(cfg, u))
     covered.extend(user_bit_positions(cfg, "index"))
     assert sorted(covered) == list(range(spectral_efficiency(cfg)))
+    for user in (0, cfg.n_users + 1):
+        with pytest.raises(ValueError, match="out of range"):
+            user_bit_positions(cfg, user)
+
+
+@pytest.mark.parametrize("kw, want", [
+    ({}, [("1", 1), ("2", 2), ("3", 3), ("index", 4)]),
+    ({"index_user_mode": "near"}, [("1", 1), ("2", 2), ("3", 3), ("index", 3)]),
+    ({"im_enabled": False}, [("1", 1), ("2", 2), ("3", 3)]),
+], ids=["virtual", "near", "pdnoma"])
+def test_channel_table_names_each_curve_and_its_receiver(kw, want):
+    cfg = SystemConfig(n_users=3, n_far=1, mod_order=2, power_coeffs=(0.8, 0.15, 0.05), **kw)
+    table = channels(cfg)
+    assert [(name, rx) for name, _, rx in table] == want
+    for name, pos, _ in table:
+        assert pos == user_bit_positions(cfg, name)
 
 
 def test_config_validation():
+    with pytest.raises(ValueError, match="two users"):
+        SystemConfig(n_users=1, n_far=1, power_coeffs=(1.0,))
+    with pytest.raises(ValueError, match="one power coefficient per user"):
+        SystemConfig(n_users=3, n_far=1, power_coeffs=(0.9, 0.1))
     with pytest.raises(ValueError):
         SystemConfig(n_users=2, n_far=2, power_coeffs=(0.9, 0.1))
     with pytest.raises(ValueError):
