@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import datetime
 import json
+import math
 import subprocess
+import sys
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -298,13 +300,26 @@ def _version_string() -> str:
     return __version__
 
 
+def _wilson_interval(errors: int, trials: int) -> list[float]:
+    """Wilson score 95% interval on the rate errors / trials (Brown, Cai and
+    DasGupta 2001); it holds the rate and lies in [0, 1]."""
+    z = 1.959963984540054  # the normal distribution's 97.5% quantile
+    z2 = z * z
+    center = (errors + z2 / 2) / (trials + z2)
+    half = z * math.sqrt(errors * (trials - errors) / trials + z2 / 4) / (trials + z2)
+    return [0.0 if errors == 0 else center - half,
+            1.0 if errors == trials else center + half]
+
+
 def run_sweep(spec: ExperimentSpec) -> tuple[list[BerRecord], dict]:
     """Run every grid point; returns the records, detector by detector and
     point by point within one, plus a manifest.
 
     The manifest echoes the spec and, for each point, its seconds and, per
-    detector, the blocks it ran and why each channel's count stopped:
-    ``min_errors`` when it reached ``min_bit_errors``, ``max_bits`` otherwise.
+    detector, the blocks it ran, why each channel's count stopped
+    (``min_errors`` when it reached ``min_bit_errors``, ``max_bits``
+    otherwise) and the Wilson 95% interval on each channel's BER. It also
+    records the python and numpy versions.
     """
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     by_detector: dict[str, list[BerRecord]] = {d: [] for d in spec.detectors}
@@ -315,18 +330,22 @@ def run_sweep(spec: ExperimentSpec) -> tuple[list[BerRecord], dict]:
         t0 = time.perf_counter()
         point = run_point(spec, snr_db, ctx=ctx)
         seconds = time.perf_counter() - t0
-        blocks, reasons = {}, {}
+        blocks, reasons, intervals = {}, {}, {}
         for r in point:
             by_detector[r.detector].append(r)
             blocks[r.detector] = r.bits_sent // bits_per_block[r.user]
             reasons.setdefault(r.detector, {})[r.user] = (
                 "min_errors" if r.bit_errors >= spec.min_bit_errors else "max_bits")
+            intervals.setdefault(r.detector, {})[r.user] = _wilson_interval(
+                r.bit_errors, r.bits_sent)
         points[f"{snr_db:g}"] = {"seconds": seconds, "blocks_run": blocks,
-                                 "stop_reason": reasons}
+                                 "stop_reason": reasons, "ber_interval": intervals}
     manifest = {
         "spec": asdict(spec),
         "master_seed": spec.master_seed,
         "version": _version_string(),
+        "python": "{}.{}.{}".format(*sys.version_info),
+        "numpy": np.__version__,
         "started_at": started,
         "points": points,
     }

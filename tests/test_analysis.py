@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -131,7 +132,7 @@ def test_union_bound_matches_all_pairs_oracle(name):
 
 def test_oracle_configs_straddle_the_row_block():
     sizes = [len(build_super_alphabet(SystemConfig(**c))) for c in ORACLE_CONFIGS.values()]
-    assert {np.sign(a - analysis._ROW_BLOCK) for a in sizes} == {-1, 0, 1}
+    assert {np.sign(a - analysis._TILE) for a in sizes} == {-1, 0, 1}
 
 
 @pytest.mark.parametrize("name", ORACLE_CONFIGS)
@@ -145,6 +146,45 @@ def test_pair_spectrum_bound_matches_all_pairs_oracle_to_rounding(name):
             want = all_pairs_bound(alphabet, sigma2, user)
             assert np.isclose(union_bound_ber(alphabet, sigma2, user=user), want,
                               rtol=1e-12, atol=0)
+
+
+def brute_force_spectrum(x, sigma2):
+    """Oracle: s[k] = sum_i PEP(x[i ^ k] - x[i]) from full (A, A) arrays."""
+    i = np.arange(len(x))
+    return pep_rayleigh_closed_form(x[i ^ i[:, None]] - x[i], sigma2).sum(axis=1)
+
+
+@pytest.mark.parametrize("angle", [np.pi / 4, np.pi / 2])
+def test_pair_spectrum_matches_brute_force_over_many_tiles(angle):
+    # A = 1024 spans 32 x 32 tiles, so row blocks meet column blocks at every
+    # XOR block distance; pi/4 keeps the points distinct, pi/2 makes some
+    # coincide (d = 0 pairs at PEP 0.5)
+    cfg = SystemConfig(n_users=4, n_far=1, mod_order=4,
+                       power_coeffs=(0.75, 0.18, 0.05, 0.02), rotation_angle=angle)
+    x = build_super_alphabet(cfg).x
+    assert len(x) == 1024 and len(x) // analysis._TILE == 32
+    distinct = len(np.unique(np.round(x, 9)))
+    assert distinct == 1024 if angle == np.pi / 4 else distinct < 1024
+    for sigma2 in (0.05, 0.002):
+        np.testing.assert_allclose(analysis._pair_spectrum(x, sigma2),
+                                   brute_force_spectrum(x, sigma2), rtol=1e-12, atol=0)
+
+
+def test_pair_spectrum_working_set_grows_as_a_times_the_tile():
+    # 5:1:4 QPSK at pi/4, A = 4096: an (A, A) float array would be 128 MiB,
+    # and two (A/T, T, T) buffers are 2 MiB
+    cfg = SystemConfig(n_users=5, n_far=1, mod_order=4,
+                       power_coeffs=(0.6, 0.2, 0.1, 0.06, 0.04), rotation_angle=np.pi / 4)
+    x = build_super_alphabet(cfg).x
+    assert len(x) == 4096
+    analysis._pair_spectrum(x, 0.01)
+    tracemalloc.start()
+    try:
+        analysis._pair_spectrum(x, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20
 
 
 def test_consecutive_calls_at_one_noise_variance_share_one_spectrum(pair_spectra):

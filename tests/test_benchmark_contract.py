@@ -28,3 +28,13 @@ def test_traced_default_sweep_reaches_every_attributed_layer(tmp_path, monkeypat
     for name in ("harness.run_point.calls", "harness.blocks",
                  "detectors.ml_block.calls", "detectors.sic_block.calls"):
         assert metrics[name] > 0, name
+
+
+def test_traced_bound_run_reaches_the_bound_layer(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import run
+
+    monkeypatch.setattr(run, "OUT", tmp_path)
+    line = run.run_workload("bound_4u", 0, 0.0, 1, tiny=True)["line"]
+    assert line is not None and line["correct"] and line["failed"] == 0
+    assert line["metrics"]["analysis.union_bound_ber.calls"]["value"] > 0

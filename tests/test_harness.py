@@ -2,6 +2,8 @@ import ast
 import json
 import math
 import os
+import platform
+import statistics
 import subprocess
 import sys
 from dataclasses import asdict, replace
@@ -305,6 +307,8 @@ def test_empty_grid_gives_empty_results_and_valid_manifest():
     assert records == []
     assert manifest["master_seed"] == 3
     assert manifest["points"] == {}
+    assert platform.python_version().startswith(manifest["python"])
+    assert manifest["numpy"] == np.__version__
 
 
 def test_manifest_times_every_point():
@@ -320,7 +324,7 @@ def test_manifest_reports_blocks_run_and_stop_reasons():
                       n_subcarriers=64, detectors=("ml", "sic"))
     records, manifest = run_sweep(spec)
     point = manifest["points"]["30"]
-    assert set(point) == {"seconds", "blocks_run", "stop_reason"}
+    assert set(point) == {"seconds", "blocks_run", "stop_reason", "ber_interval"}
     for detector in ("ml", "sic"):
         assert point["stop_reason"][detector] == {
             "1": "max_bits", "2": "min_errors", "index": "min_errors"}
@@ -333,6 +337,31 @@ def test_manifest_reports_blocks_run_and_stop_reasons():
         assert (r.bit_errors >= 20) == (reason == "min_errors")
         if reason == "max_bits":
             assert r.bits_sent >= 10_000
+
+
+def test_manifest_bounds_every_ber_with_its_wilson_interval():
+    # 40 dB leaves user 1 without an error in its 2048 bits
+    spec = small_spec(snr_grid_db=(0.0, 40.0), max_bits=2000, min_bit_errors=50,
+                      detectors=("ml", "sic"))
+    records, manifest = run_sweep(spec)
+    z = statistics.NormalDist().inv_cdf(0.975)
+    assert any(r.bit_errors == 0 for r in records)
+    for r in records:
+        lo, hi = manifest["points"][f"{r.snr_db:g}"]["ber_interval"][r.detector][r.user]
+        assert 0 <= lo <= r.ber <= hi <= 1
+        n, p = r.bits_sent, r.bit_errors / r.bits_sent
+        # the score interval as Brown, Cai and DasGupta write it
+        center = (p + z * z / (2 * n)) / (1 + z * z / n)
+        half = z / (1 + z * z / n) * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n))
+        assert np.allclose([lo, hi], [center - half, center + half], rtol=1e-9, atol=1e-15)
+
+
+@pytest.mark.parametrize("errors, trials", [(0, 1), (1, 1), (0, 10 ** 7), (10 ** 7, 10 ** 7),
+                                            (1, 10 ** 7), (3, 7), (10 ** 7 - 1, 10 ** 7)])
+def test_wilson_interval_holds_its_rate_inside_the_unit_interval(errors, trials):
+    lo, hi = harness._wilson_interval(errors, trials)
+    assert 0 <= lo <= errors / trials <= hi <= 1
+    assert lo < hi
 
 
 def test_shared_pass_equals_separate_sweeps():
