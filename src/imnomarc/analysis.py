@@ -18,6 +18,9 @@ _PERM = np.arange(_TILE)[:, None] ^ np.arange(_TILE)
 # A = 16384), so 2^32 pairs (A <= 2^16) take 20-28 s a pass; the 2^20
 # enumeration cap would take 1.4-2 h.
 PAIR_BUDGET = 2 ** 32
+# c = |delta|^2 / (4 sigma^2) overflowing to inf would make c / (1 + c) NaN;
+# clamped at the largest float, its PEP comes out as 0.5 / inf = 0.
+_C_MAX = np.finfo(float).max
 
 
 def _pep_of_c(c: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -37,11 +40,13 @@ def pep_rayleigh_closed_form(delta, sigma2: float):
     elementwise over ``delta``: 0.5 * (1 - sqrt(c / (1 + c))) with
     c = |delta|^2 / (4 sigma^2) (Simon and Alouini), evaluated as
     0.5 / ((1 + c) * (1 + sqrt(c / (1 + c)))) so that no digits cancel at
-    large c. delta = 0 gives 0.5."""
-    c = np.asarray(abs(delta) ** 2 / (4 * sigma2))
-    return _pep_of_c(c, np.empty_like(c))[()]
+    large c. delta = 0 gives 0.5, and a c that overflows gives 0."""
+    with np.errstate(over="ignore"):
+        c = np.asarray(np.minimum(abs(delta) ** 2 / (4 * sigma2), _C_MAX))
+        return _pep_of_c(c, np.empty_like(c))[()]
 
 
+@np.errstate(over="ignore")  # c and the PEP's denominator overflow only when clamped
 def _pair_spectrum(x: np.ndarray, sigma2: float) -> np.ndarray:
     """(A,) array s with s[k] = sum_i PEP(x[i ^ k] - x[i]): the summed
     closed-form PEP of the ordered pairs whose entries differ by k.
@@ -64,6 +69,7 @@ def _pair_spectrum(x: np.ndarray, sigma2: float) -> np.ndarray:
     scale = 1 / np.sqrt(4 * sigma2)
     planes = [(part * scale).reshape(-1, tile) for part in (x.real, x.imag)]
     blocks = len(planes[0])
+    clamp = np.abs(x).max() * scale > np.sqrt(_C_MAX) / 4  # else all c < _C_MAX / 4
     work = np.empty((2, size * tile))
     s = np.zeros((blocks, tile))
     for r in range(blocks):
@@ -75,6 +81,8 @@ def _pair_spectrum(x: np.ndarray, sigma2: float) -> np.ndarray:
             d -= plane[r, perm]
             np.multiply(d, d, out=d)
         c = np.add(dr, di, out=dr)
+        if clamp:
+            np.minimum(c, _C_MAX, out=c)
         peps = _pep_of_c(c, di).sum(axis=2)
         peps[1:] *= 2
         s[r ^ np.arange(r, blocks)] += peps

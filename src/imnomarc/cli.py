@@ -1,9 +1,10 @@
 """Command-line front end: spectral-efficiency tables, detector FLOP tables,
 analytical bound curves, and Monte Carlo BER sweeps.
 
-A flag beats the ``--config`` file, which beats ``default.ini``. Each command
-checks its config and creates ``--out`` before any output; a bad value, an
-unreadable or undecodable config or an unusable ``--out`` exits 1.
+A flag beats the ``--config`` file, which beats ``default.ini``. Every command
+parses the whole config through ``KEYS`` and creates ``--out`` before any
+output. A bad value anywhere in the config, a section or key outside ``KEYS``,
+an unreadable or undecodable config or an unusable ``--out`` exits 1.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
 from .analysis import PAIR_BUDGET, union_bound_ber
 from .detectors import flops_ml, flops_sic
 from .harness import (DETECTORS, SCHEMES, BerRecord, ExperimentSpec, check_snr_grid,
@@ -27,10 +26,6 @@ from .superposition import (SystemConfig, alphabet_size, build_super_alphabet, c
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
-
-# Flag (argparse dest) -> the [sweep] key it overrides.
-FLAG_KEYS = {"snr": "snr_db", "seed": "seed", "scheme": "schemes", "detector": "detectors",
-             "max_bits": "max_bits", "min_errors": "min_bit_errors"}
 
 
 def _parse_floats(text: str, sep: str | None = None) -> tuple[float, ...]:
@@ -60,10 +55,7 @@ def _parse_snr(text: str) -> tuple[float, ...]:
 
 def _parse_tuples(text: str) -> list[tuple[int, int, int]]:
     out = []
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
+    for item in filter(None, (t.strip() for t in text.split(","))):
         try:
             n, b, m = (int(p) for p in item.split(":"))
         except ValueError:  # a non-integer or not three fields
@@ -72,58 +64,67 @@ def _parse_tuples(text: str) -> list[tuple[int, int, int]]:
     return out
 
 
-def load_config(args) -> configparser.ConfigParser:
-    """``default.ini``, then the ``--config`` file, then every given flag."""
+def _parse_names(text: str) -> tuple[str, ...]:
+    """Comma-separated names, each once, in order."""
+    return tuple(dict.fromkeys(s.strip() for s in text.split(",")))
+
+
+# Section -> key -> parser of its value: the only keys an INI may hold. The
+# [sweep] keys are also the argparse dests of the flags that override them.
+KEYS = {
+    "system": {"n_users": int, "n_far": int, "mod_order": int, "family": str,
+               "power_coeffs": _parse_floats, "index_user_mode": str,
+               "rotation_angles": _parse_floats, "total_power": float},
+    "sweep": {"snr_db": _parse_snr, "max_bits": int, "min_bit_errors": int, "seed": int,
+              "n_subcarriers": int, "schemes": _parse_names, "detectors": _parse_names},
+    "ofdm": {"mod_order": int, "family": str},
+    "se": {"tuples": _parse_tuples, "subblock_size": int, "active_subcarriers": int},
+    "flops": {"tuples": _parse_tuples},
+}
+
+
+def load_config(args) -> dict[str, dict]:
+    """``default.ini``, then the ``--config`` file, then every given flag, parsed
+    into one dict per section of ``KEYS``; a section or key outside it is refused."""
     conf = configparser.ConfigParser()
     conf.read_string(resources.files(__package__).joinpath("default.ini").read_text())
     if args.config is not None:
         with open(args.config, encoding="utf-8") as f:
             conf.read_file(f)
-    for flag, key in FLAG_KEYS.items():
-        value = getattr(args, flag, None)
+    for key in KEYS["sweep"]:
+        value = getattr(args, key, None)
         if value is not None:
             conf["sweep"][key] = ", ".join(value) if isinstance(value, list) else str(value)
-    return conf
+    unknown = [f"[{name}]" for name in conf.sections() if name not in KEYS] + [
+        f"[{name}] {key}" for name, keys in KEYS.items() for key in conf[name] if key not in keys]
+    if unknown:
+        raise ValueError(f"unknown config section or key: {', '.join(unknown)}")
+    return {name: {key: parse(conf[name][key]) for key, parse in keys.items()
+                   if key in conf[name]} for name, keys in KEYS.items()}
 
 
-def _system_config(conf: configparser.ConfigParser) -> SystemConfig:
-    sec = conf["system"]
-    kwargs = dict(
-        n_users=sec.getint("n_users"),
-        n_far=sec.getint("n_far"),
-        mod_order=sec.getint("mod_order"),
-        family=sec.get("family"),
-        power_coeffs=_parse_floats(sec.get("power_coeffs")),
-        index_user_mode=sec.get("index_user_mode"),
-    )
-    if sec.get("rotation_angles", None):
-        angles = _parse_floats(sec.get("rotation_angles"))
+def _system_config(system: dict) -> SystemConfig:
+    kwargs = dict(system)
+    if kwargs.pop("total_power", SystemConfig.total_power) != SystemConfig.total_power:
+        raise ValueError(f"total_power must be {SystemConfig.total_power}: "
+                         f"the SNR is total power over noise power")
+    if angles := kwargs.pop("rotation_angles", ()):
         if len(angles) != 2 or angles[0] != 0.0:
             raise ValueError(f"rotation_angles must be 0 and the rotated users' angle, "
-                             f"got {sec.get('rotation_angles')!r}")
+                             f"got {angles}")
         kwargs["rotation_angle"] = angles[1]
     return SystemConfig(**kwargs)
 
 
 def _experiment_specs(conf) -> list[ExperimentSpec]:
-    sweep = conf["sweep"]
-    cfg = _system_config(conf)
-    snr = _parse_snr(sweep.get("snr_db"))
-    # distinct, in order
-    schemes = dict.fromkeys(s.strip() for s in sweep.get("schemes").split(","))
-    detectors = tuple(dict.fromkeys(d.strip() for d in sweep.get("detectors").split(",")))
+    sweep, ofdm = conf["sweep"], conf["ofdm"]
+    cfg = _system_config(conf["system"])
     return [ExperimentSpec(
-        scheme=scheme,
-        cfg=cfg,
-        detectors=detectors,
-        snr_grid_db=snr,
-        n_subcarriers=sweep.getint("n_subcarriers"),
-        max_bits=sweep.getint("max_bits"),
-        min_bit_errors=sweep.getint("min_bit_errors"),
-        master_seed=sweep.getint("seed"),
-        ofdm_order=conf["ofdm"].getint("mod_order"),
-        ofdm_family=conf["ofdm"].get("family"),
-    ) for scheme in schemes]
+        scheme=scheme, cfg=cfg, detectors=sweep["detectors"], snr_grid_db=sweep["snr_db"],
+        n_subcarriers=sweep["n_subcarriers"], max_bits=sweep["max_bits"],
+        min_bit_errors=sweep["min_bit_errors"], master_seed=sweep["seed"],
+        ofdm_order=ofdm["mod_order"], ofdm_family=ofdm["family"],
+    ) for scheme in sweep["schemes"]]
 
 
 def im_noma_baseline_se(n_users: int, mod_order: int, subblock_size: int,
@@ -136,10 +137,10 @@ def im_noma_baseline_se(n_users: int, mod_order: int, subblock_size: int,
 
 
 def cmd_se(conf, out):
-    sec = conf["se"]
-    ns, k = sec.getint("subblock_size"), sec.getint("active_subcarriers")
+    se = conf["se"]
     rows = [(n, b, m, spectral_efficiency(_table_config(n, b, m)), n * int(math.log2(m)),
-             im_noma_baseline_se(n, m, ns, k)) for n, b, m in _parse_tuples(sec.get("tuples"))]
+             im_noma_baseline_se(n, m, se["subblock_size"], se["active_subcarriers"]))
+            for n, b, m in se["tuples"]]
     out = _out_dir(out)
 
     def run():
@@ -154,7 +155,7 @@ def cmd_se(conf, out):
 
 def cmd_flops(conf, out):
     rows = []
-    for n, b, m in _parse_tuples(conf["flops"].get("tuples")):
+    for n, b, m in conf["flops"]["tuples"]:
         cfg = _table_config(n, b, m)
         rows.append((n, b, m, "ml", "-", flops_ml(cfg)))
         rows += [(n, b, m, "sic", str(u), flops_sic(cfg, u)) for u in range(1, n + 1)]
@@ -171,8 +172,8 @@ def cmd_flops(conf, out):
 
 
 def cmd_bound(conf, out):
-    cfg = _system_config(conf)
-    snr = check_snr_grid(_parse_snr(conf["sweep"].get("snr_db")))
+    cfg = _system_config(conf["system"])
+    snr = check_snr_grid(conf["sweep"]["snr_db"])
     size = alphabet_size(cfg)
     if size * (size - 1) > PAIR_BUDGET:
         raise ValueError(f"alphabet size {size} has {size * (size - 1)} ordered pairs, "
@@ -193,40 +194,29 @@ def cmd_ber(conf, out):
     out = _out_dir(out or ".")
 
     def run():
-        all_records = []
-        manifests = []
-        for spec in specs:
-            records, manifest = run_sweep(spec)
-            all_records.extend(records)
-            manifests.append(manifest)
-        csv_path, manifest_path = persist(all_records, {"runs": manifests}, out)
+        sweeps = [run_sweep(spec) for spec in specs]
+        csv_path, manifest_path = persist([r for records, _ in sweeps for r in records],
+                                          {"runs": [manifest for _, manifest in sweeps]}, out)
         print(f"wrote {csv_path} and {manifest_path}")
     return run
 
 
 def _table_config(n: int, b: int, m: int) -> SystemConfig:
-    """The N:B:M system of one se/flops table row."""
+    """The N:B:M system of one se/flops table row. Only (N, B, M) matter there,
+    so the power split is a placeholder: halving, normalized to sum to 1."""
+    raw = [2.0 ** (n - k) for k in range(n)]
     try:
-        return SystemConfig(n_users=n, n_far=b, mod_order=m, power_coeffs=_default_alphas(n))
+        return SystemConfig(n_users=n, n_far=b, mod_order=m,
+                            power_coeffs=[a / sum(raw) for a in raw])
     except ValueError as exc:
         raise ValueError(f"invalid tuple {n}:{b}:{m}: {exc}") from None
 
 
-def _default_alphas(n: int) -> tuple[float, ...]:
-    # strictly decreasing geometric split summing to 1; placeholder power plan
-    # for table commands where only (N, B, M) matter
-    raw = np.array([2.0 ** (n - k) for k in range(n)])
-    alphas = raw / raw.sum()
-    return tuple(float(a) for a in alphas)
-
-
 def _out_dir(out) -> Path | None:
     """The ``--out`` directory, created if missing (OSError if it cannot be)."""
-    if out is None:
-        return None
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    if out is not None:
+        Path(out).mkdir(parents=True, exist_ok=True)
+        return Path(out)
 
 
 def _maybe_write(out, name, lines):
@@ -246,16 +236,17 @@ def build_parser() -> argparse.ArgumentParser:
         ("ber", "Monte Carlo BER sweep"),
     ]:
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", default=None, help="config file path")
-        p.add_argument("--out", default=None, help="output directory")
+        p.add_argument("--config", help="config file path")
+        p.add_argument("--out", help="output directory")
         if name in ("bound", "ber"):
-            p.add_argument("--snr", default=None, help="SNR grid start:step:stop in dB")
+            p.add_argument("--snr", dest="snr_db", metavar="SNR",
+                           help="SNR grid start:step:stop in dB")
         if name == "ber":
-            p.add_argument("--seed", type=int, default=None)
-            p.add_argument("--detector", action="append", choices=DETECTORS)
-            p.add_argument("--scheme", action="append", choices=SCHEMES)
-            p.add_argument("--max-bits", type=int, default=None)
-            p.add_argument("--min-errors", type=int, default=None)
+            p.add_argument("--seed", type=int)
+            p.add_argument("--detector", dest="detectors", action="append", choices=DETECTORS)
+            p.add_argument("--scheme", dest="schemes", action="append", choices=SCHEMES)
+            p.add_argument("--max-bits", type=int)
+            p.add_argument("--min-errors", dest="min_bit_errors", metavar="MIN_ERRORS", type=int)
     return parser
 
 

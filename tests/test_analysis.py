@@ -10,6 +10,7 @@ from scipy.integrate import quad
 
 from imnomarc import analysis
 from imnomarc.analysis import pep_rayleigh_closed_form, union_bound_ber
+from imnomarc.harness import noise_variance
 from imnomarc.superposition import (SuperAlphabet, SystemConfig,
                                     build_super_alphabet, user_bit_positions)
 
@@ -146,6 +147,24 @@ def test_pair_spectrum_bound_matches_all_pairs_oracle_to_rounding(name):
             want = all_pairs_bound(alphabet, sigma2, user)
             assert np.isclose(union_bound_ber(alphabet, sigma2, user=user), want,
                               rtol=1e-12, atol=0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ["2-1-2", "2-1-4"])
+def test_union_bound_at_3081_db_has_no_nan(name):
+    # sigma^2 = 7.9e-309: c overflows for most pairs and their PEP is 0; the
+    # coincident pairs of 2-1-4 keep their PEP of 0.5
+    cfg = SystemConfig(**ORACLE_CONFIGS[name])
+    alphabet = build_super_alphabet(cfg)
+    sigma2 = noise_variance(3081)
+    for user in (None, *range(1, cfg.n_users + 1), "index"):
+        got = union_bound_ber(alphabet, sigma2, user=user)
+        want = all_pairs_bound(alphabet, sigma2, user)
+        if want > 1e-300:  # the coincident pairs' share
+            assert np.isclose(got, want, rtol=1e-12, atol=0)
+        else:
+            assert 0 <= got < 1e-300
+    assert (union_bound_ber(alphabet, sigma2) > 0.01) == (name == "2-1-4")
 
 
 def brute_force_spectrum(x, sigma2):

@@ -251,6 +251,15 @@ def test_snr_points_that_run_as_one_are_config_errors(tmp_path, capsys, command,
 OVER_CAP_INI = ("[system]\nn_users = 5\nn_far = 2\nmod_order = 16\nfamily = QAM\n"
                 "power_coeffs = 0.5, 0.25, 0.15, 0.07, 0.03\n")
 
+# Keys and sections outside cli.KEYS, and a transmit power the SNR does not
+# assume: each would otherwise be dropped and the default printed.
+UNKNOWN_KEY_INIS = {
+    "misspelt-key": "[system]\npower_coef = 0.8, 0.2\n",
+    "key-of-another-section": "[sweep]\npower_coeffs = 0.8, 0.2\n",
+    "unknown-section": "[System]\npower_coeffs = 0.8, 0.2\n",
+    "total-power": "[system]\ntotal_power = 4\n",
+}
+
 
 @pytest.mark.parametrize("command, ini, args", [
     ("bound", None, ["--snr", "0:a:5"]),
@@ -281,6 +290,7 @@ OVER_CAP_INI = ("[system]\nn_users = 5\nn_far = 2\nmod_order = 16\nfamily = QAM\
     ("bound", "[system]\npower_coeffs = nan, nan\n", ["--snr", "10"]),
     ("ber", None, ["--snr", "10", "--scheme", "ofdm", "--detector", "sic"]),
     ("ber", "[sweep]\nn_subcarriers = 1000000000\n", ["--snr", "10"]),
+    *[(command, ini, []) for command in ("ber", "bound") for ini in UNKNOWN_KEY_INIS.values()],
 ], ids=["bound-snr-grid", "bound-snr-list", "bound-snr-decreasing",
         "bound-snr-repeated", "bound-snr-two-fields", "ber-snr-negative-step",
         "ber-snr-list", "power-coeffs", "n-users", "se-tuple", "flops-tuple",
@@ -288,7 +298,8 @@ OVER_CAP_INI = ("[system]\nn_users = 5\nn_far = 2\nmod_order = 16\nfamily = QAM\
         "ini-zero-min-errors", "zero-max-bits-flag", "zero-min-errors-flag",
         "ofdm-order", "no-section-header", "duplicate-option",
         "negative-seed-flag", "ini-negative-seed", "ber-nan-power-coeffs",
-        "bound-nan-power-coeffs", "ofdm-sic", "batch-over-memory-budget"])
+        "bound-nan-power-coeffs", "ofdm-sic", "batch-over-memory-budget",
+        *[f"{command}-{name}" for command in ("ber", "bound") for name in UNKNOWN_KEY_INIS]])
 def test_malformed_numbers_are_config_errors(tmp_path, capsys, command, ini, args):
     if ini is not None:
         cfg = tmp_path / "exp.ini"
@@ -311,8 +322,8 @@ def test_parser_choices_are_the_harness_names():
     parser = cli.build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     choices = {action.dest: action.choices for action in sub.choices["ber"]._actions}
-    assert choices["scheme"] == harness.SCHEMES
-    assert choices["detector"] == harness.DETECTORS
+    assert choices["schemes"] == harness.SCHEMES
+    assert choices["detectors"] == harness.DETECTORS
 
 
 @pytest.mark.parametrize("command, n", READ_FLAGS.items())
@@ -327,6 +338,25 @@ def test_help_lists_only_read_flags(capsys, command, n):
 def test_unread_flag_is_config_error(tmp_path, command, flag):
     assert run_cli([command, "--out", str(tmp_path / "out"), flag, ALL_FLAGS[flag]]) == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_unit_total_power_and_empty_rotation_angles_run_as_the_default(tmp_path):
+    # the benchmark INIs write total_power = 1.0; an empty rotation_angles is pi/2
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("[system]\ntotal_power = 1.0\nrotation_angles =\n")
+    for name, config in (("ini", ["--config", str(cfg)]), ("default", [])):
+        assert run_cli(["bound", *config, "--out", str(tmp_path / name), "--snr", "0:10:30"]) == 0
+    assert (tmp_path / "ini" / "bound.csv").read_bytes() == \
+        (tmp_path / "default" / "bound.csv").read_bytes()
+    assert run_cli(["ber", "--config", str(cfg), "--out", str(tmp_path / "ber"), "--snr", "10",
+                    "--min-errors", "20", "--max-bits", "2000"]) == 0
+
+
+def test_bound_at_the_largest_snrs_writes_no_nan(tmp_path):
+    # c = |delta|^2 / (4 sigma^2) overflows near 3081 dB; its PEP is 0, not NaN
+    assert run_cli(["bound", "--out", str(tmp_path), "--snr", "3075:3:3081"]) == 0
+    bers = [float(r.split(",")[6]) for r in (tmp_path / "bound.csv").read_text().splitlines()[1:]]
+    assert len(bers) == 9 and all(0 <= b < 1e-300 for b in bers)
 
 
 def test_bound_makes_one_pair_pass_per_snr_point(tmp_path, pair_spectra):
