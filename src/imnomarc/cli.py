@@ -85,7 +85,8 @@ KEYS = {
 
 def load_config(args) -> dict[str, dict]:
     """``default.ini``, then the ``--config`` file, then every given flag, parsed
-    into one dict per section of ``KEYS``; a section or key outside it is refused."""
+    into one dict per section of ``KEYS``; a section or key outside it is refused,
+    and a value its parser rejects is reported with its ``[section] key``."""
     conf = configparser.ConfigParser()
     conf.read_string(resources.files(__package__).joinpath("default.ini").read_text())
     if args.config is not None:
@@ -99,8 +100,15 @@ def load_config(args) -> dict[str, dict]:
         f"[{name}] {key}" for name, keys in KEYS.items() for key in conf[name] if key not in keys]
     if unknown:
         raise ValueError(f"unknown config section or key: {', '.join(unknown)}")
-    return {name: {key: parse(conf[name][key]) for key, parse in keys.items()
-                   if key in conf[name]} for name, keys in KEYS.items()}
+    parsed = {name: {} for name in KEYS}
+    for name, keys in KEYS.items():
+        for key, parse in keys.items():
+            if key in conf[name]:
+                try:
+                    parsed[name][key] = parse(conf[name][key])
+                except ValueError as exc:
+                    raise ValueError(f"[{name}] {key}: {exc}") from None
+    return parsed
 
 
 def _system_config(system: dict) -> SystemConfig:

@@ -11,14 +11,12 @@ each SIC stage, which scans its residual over that stage's hypotheses.
 
 ML detection is a nearest-point search: |y - h x|^2 = |h|^2 |y/h - x|^2, so
 each subcarrier's decision is the alphabet point closest to y/h. Alphabets of
-at most ``SCAN_MAX`` points are scanned exhaustively. Larger ones are searched
-through a structure built once per alphabet: a cell table of candidate lists
-(Bentley, Weide and Yao, ACM TOMS 1980) up to ``TABLE_MAX`` points, a group
-bound (a branch-and-bound in the manner of Agrell et al., IEEE Trans. IT 2002)
-beyond. Both only narrow the scan to candidates that hold the nearest point
-and every point within a tie band of it, and a row they cannot settle is
-scanned in full, so every path returns the same indices and metric bits as
-the exhaustive scan, ties included.
+at most ``SCAN_MAX`` points are scanned exhaustively. Larger ones, of any
+size, are searched through a cell table of candidate lists (Bentley, Weide
+and Yao, ACM TOMS 1980) built once per alphabet. The table only narrows the
+scan to candidates that hold the nearest point and every point within a tie
+band of it, and a row it cannot settle is scanned in full, so both paths
+return the same indices and metric bits as the exhaustive scan, ties included.
 """
 
 from __future__ import annotations
@@ -35,11 +33,9 @@ from .superposition import SuperAlphabet, SystemConfig, label_fields, rotation_f
 # against 0.48-0.56, A = 32 in 0.58-0.59 against 0.57-0.62, and A = 64 in
 # 1.07-1.08 against 0.71-0.74. The table wins from A = 64.
 SCAN_MAX = 32
-# Largest alphabet searched through a cell table. Its build costs O(A^2) once
-# per alphabet, 17-24 ms at A = 1024, 63-84 ms at 2048 and 0.23-0.26 s at
-# 4096 on the same host, where a 2048-row call then takes 0.50-0.55 ms
-# against 4.9 ms by the group bound.
-TABLE_MAX = 4096
+# Most cells in a cell table, about: 4 per point up to A = 8192. Beyond, the
+# lists grow longer instead, and a table keeps no point table (see _CellTable).
+_CELLS = 2 ** 15
 # Most shared hypotheses ``_scan`` walks one at a time. One call on L = 2048
 # rows, median of 1000 on a 2-vCPU Xeon (numpy 2.4), walk against one (L, k)
 # scan: k = 2 in 37-45 us against 104-120, k = 4 in 83-99 against 143-157,
@@ -98,12 +94,18 @@ def _scan(y: np.ndarray, h: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.n
     return idx, best
 
 
+def _ranges(start: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The ranges start[i], ..., start[i] + n[i] - 1, one after another."""
+    return np.arange(n.sum()) + np.repeat(start - (np.cumsum(n) - n), n)
+
+
 def _settle(y, h, rows, cand, points, idx, metric, table_row=None):
     """``_scan`` each of ``rows`` over its candidates into ``idx`` and
     ``metric``, in chunks of about _CHUNK candidates. ``cand`` holds entry
-    indices sorted by index and ``points`` their points: one (width,) list
-    shared by every row, or (n, width) tables whose row ``table_row[i]`` lists
-    the candidates of ``rows[i]``."""
+    indices sorted by index: one (width,) list shared by every row, with
+    ``points`` its points, or an (n, width) table whose row ``table_row[i]``
+    lists the candidates of ``rows[i]``, with ``points`` the (n, width) table
+    of their points or the alphabet itself, gathered per call."""
     step = max(1, _CHUNK // cand.shape[-1])
     for s in range(0, len(rows), step):
         r = rows[s:s + step]
@@ -112,15 +114,16 @@ def _settle(y, h, rows, cand, points, idx, metric, table_row=None):
             idx[r] = cand[k]
         else:
             t = table_row[s:s + step]
-            k, metric[r] = _scan(y[r], h[r], points.take(t, axis=0))
+            k, metric[r] = _scan(y[r], h[r], points.take(t, axis=0) if points.ndim == 2
+                                 else points[cand[t]])
             idx[r] = cand[t, k]
 
 
 class _CellTable:
     """Nearest-point candidates of u = y/h from a grid of cells over ``x``.
 
-    A grid of about 4A square cells covers the points' bounding box plus a
-    margin. A cell with centre c lists each point p that
+    A grid of about 4A square cells, at most about _CELLS, covers the points'
+    bounding box plus a margin. A cell with centre c lists each point p that
     - lies within D(c) + diag + slack of c, D(c) being c's nearest-point
       distance and diag the cell diagonal, and
     - is not farther than q, the point nearest to c, by more than the slack
@@ -136,12 +139,27 @@ class _CellTable:
     1 + |u| + max|x| the table serves, is far wider than the rounding of
     these distances.
 
+    The build measures each cell against a few nearby points, not all A. It
+    bins the points into the grid, sorted by column, then row, then index,
+    and gives each cell an upper bound U(c) >= D(c): the distance to a point
+    of its own bin, or to a neighbour's point when nearer, swept over the 8
+    neighbours until none is. Every point the rule lists then lies within
+    r = U(c) + diag + 2 slack of c (one slack to spare for rounding), and
+    within one column of bins that disc is one slice of the sorted points.
+    The rule runs on those candidates with the float expressions of a scan
+    of every point, q being the lowest index at the least distance, so the
+    lists are the same. Cells go in chunks of about _CHUNK / 4 candidates
+    and slices.
+
     Lists vary in length (the centre of a PSK ring lists every point), so the
     build groups the cells into classes whose list lengths round up to the
     same power of two, at most log2(A) + 1 of them. A class keeps one (cells,
-    width) table of its lists, each padded by repeating its last entry, the
-    points of those entries beside it, and ``row`` maps each cell to its row.
-    A call scans each class's rows with one row gather of that table.
+    width) table of its lists, each padded by repeating its last entry, and
+    ``row`` maps each cell to its row. A call scans each class's rows with
+    one row gather of that table. Up to A = _CELLS / 4 the table's points sit
+    beside it. On a capped grid the lists are longer (1.1M padded entries at
+    A = 2^17), so a class keeps int32 entries only, and a call gathers their
+    points from the alphabet.
     """
 
     def __init__(self, x: np.ndarray):
@@ -149,8 +167,8 @@ class _CellTable:
         margin = _MARGIN * np.sqrt(np.mean(np.abs(x) ** 2))
         self.lo = np.array([x.real.min(), x.imag.min()]) - margin
         hi = np.array([x.real.max(), x.imag.max()]) + margin
-        # about 4 square cells per point
-        side = math.sqrt(np.prod(hi - self.lo) / (4 * len(x)))
+        # about 4 square cells per point, at most about _CELLS
+        side = math.sqrt(np.prod(hi - self.lo) / min(4 * len(x), _CELLS))
         self.shape = G = np.ceil((hi - self.lo) / side).astype(int)
         self.step = (hi - self.lo) / G
         radius = float(np.hypot(*np.maximum(-self.lo, hi)))  # largest |u| in the box
@@ -158,38 +176,129 @@ class _CellTable:
         slack = _TOL * (1 + self.reach + self.xmax)
         # |u - p| - |u - q| > slack where |u - p|^2 - |u - q|^2 exceeds this
         beaten = 2 * slack * (radius + self.xmax)
-        power = np.abs(x) ** 2
-        c_re = self.lo[0] + (np.arange(G[0]) + 0.5) * self.step[0]
-        c_im = self.lo[1] + (np.arange(G[1]) + 0.5) * self.step[1]
-        d_im2 = (c_im[:, None] - x.imag) ** 2
-        cells, points = [], []
-        for i, c in enumerate(c_re):  # cells (i, 0..G[1]-1)
-            d2 = (c - x.real) ** 2 + d_im2
-            q = np.argmin(d2, axis=1)
-            near = np.sqrt(d2[np.arange(G[1]), q]) + np.hypot(*self.step) + slack
-            j, p = np.divmod(np.flatnonzero(d2 <= (near * near)[:, None]), len(x))
-            dp = x[p] - x[q[j]]
-            least = (power[p] - power[q[j]] - 2 * (c * dp.real + c_im[j] * dp.imag)
-                     - self.step[0] * np.abs(dp.real) - self.step[1] * np.abs(dp.imag))
-            keep = least <= beaten
-            cells.append(i * G[1] + j[keep])
-            points.append(p[keep])
-        cell = np.concatenate(cells)
-        listed = np.concatenate(points)  # by cell, then index
-        count = np.bincount(cell, minlength=G[0] * G[1])
-        first = np.cumsum(count) - count
-        self.width = 2 ** np.ceil(np.log2(count)).astype(np.intp)
+        compact = 4 * len(x) > _CELLS  # int32 lists without points, see above
+        dtype = np.int32 if compact else np.intp
+        self.width = np.empty(G[0] * G[1], dtype=np.intp)
+        on_hull = np.zeros(len(x), dtype=bool)
+        pieces = {}  # padded lists per width, in cell order
+        for c0, c1, cell, listed in self._lists(x, slack, beaten):
+            i, j = np.divmod(cell, G[1])
+            on_hull[listed[(i == 0) | (i == G[0] - 1) | (j == 0) | (j == G[1] - 1)]] = True
+            count = np.bincount(cell - c0, minlength=c1 - c0)
+            first = np.cumsum(count) - count
+            width = self.width[c0:c1] = 2 ** np.ceil(np.log2(count)).astype(np.intp)
+            for w in np.flatnonzero(np.bincount(width)):
+                c = np.flatnonzero(width == w)
+                padded = listed[first[c, None] + np.minimum(np.arange(w), count[c, None] - 1)]
+                pieces.setdefault(w, []).append(padded.astype(dtype, copy=False))
         self.row = np.empty_like(self.width)
-        self.classes = []  # (width, candidates, their points) per width class
-        for w in np.flatnonzero(np.bincount(self.width)):
+        self.classes = []  # (width, candidates, their points or x) per width class
+        for w in sorted(pieces):
+            cand = np.concatenate(pieces.pop(w))
             c = np.flatnonzero(self.width == w)
             self.row[c] = np.arange(len(c))
-            cand = listed[first[c, None] + np.minimum(np.arange(w), count[c, None] - 1)]
-            self.classes.append((w, cand, x[cand]))
-        i, j = np.divmod(cell, G[1])
-        edge = (i == 0) | (i == G[0] - 1) | (j == 0) | (j == G[1] - 1)
-        self.hull = np.flatnonzero(np.bincount(listed[edge], minlength=len(x)))
+            self.classes.append((w, cand, x if compact else x[cand]))
+        self.hull = np.flatnonzero(on_hull)
         self.hull_x = x[self.hull]
+
+    def _lists(self, x, slack, beaten):
+        """Yield each chunk's (c0, c1, cell, listed): the lists of cells c0 ..
+        c1 - 1 as (cell, point) pairs, by cell, then index."""
+        G, lo, step = self.shape, self.lo, self.step
+        n_cells = G[0] * G[1]
+        diag = np.hypot(*step)
+        c_re = lo[0] + (np.arange(G[0]) + 0.5) * step[0]
+        c_im = lo[1] + (np.arange(G[1]) + 0.5) * step[1]
+
+        def d2(i, j, p):  # squared distance from the centre of cell (i, j) to point p
+            return (c_re[i] - x.real[p]) ** 2 + (c_im[j] - x.imag[p]) ** 2
+
+        # the points binned into the grid, by column, then row, then index:
+        # bin b holds order[first[b]:first[b + 1]], int32 as the largest array
+        b = (np.clip(np.floor((x.real - lo[0]) / step[0]), 0, G[0] - 1) * G[1]
+             + np.clip(np.floor((x.imag - lo[1]) / step[1]), 0, G[1] - 1)).astype(np.intp)
+        order = np.argsort(b, kind="stable").astype(np.int32)
+        first = np.zeros(n_cells + 1, dtype=np.intp)
+        np.cumsum(np.bincount(b, minlength=n_cells), out=first[1:])
+        del b
+        # a point near each cell centre: one of its own, or a neighbour's
+        # when nearer, until no neighbour offers a nearer one
+        near = np.full(G + 2, -1)
+        own = near[1:-1, 1:-1]
+        full = first[:-1] < first[1:]
+        own.flat[full] = order[first[:-1][full]]
+        i, j = np.arange(G[0])[:, None], np.arange(G[1])
+        best = np.where(own >= 0, d2(i, j, own), np.inf)
+        moved = True
+        while moved:
+            moved = False
+            for di, dj in ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)):
+                p = near[1 + di:G[0] + 1 + di, 1 + dj:G[1] + 1 + dj]
+                d = np.where(p >= 0, d2(i, j, p), np.inf)
+                better = d < best
+                if better.any():
+                    moved = True
+                    own[better], best[better] = p[better], d[better]
+        # a radius r per cell over the rule's D(c) + diag + slack, with a
+        # slack to spare for rounding
+        r = (np.sqrt(best) + diag + 2 * slack).reshape(-1)
+        del near, own, best, p, d, better
+
+        def columns(cells):
+            """The first column within r of each cell's centre, and their number."""
+            i, reach = cells // G[1] + 0.5, r[cells] / step[0]
+            a0, a1 = (np.clip(np.floor(i + s * reach), 0, G[0] - 1).astype(np.intp) for s in (-1, 1))
+            return a0, a1 - a0 + 1
+
+        def window(cells, a):
+            """The slice of ``order`` in column ``a`` that holds every point
+            within r of each cell's centre."""
+            i, j = np.divmod(cells, G[1])
+            gap = np.maximum(np.abs(a - i) - 0.5, 0) * step[0]
+            half = np.sqrt(np.maximum(r[cells] ** 2 - gap ** 2, 0)) / step[1]
+            b0, b1 = (np.clip(np.floor(j + 0.5 + s * half), 0, G[1] - 1).astype(np.intp)
+                      for s in (-1, 1))
+            return first[a * G[1] + b0], first[a * G[1] + b1 + 1]
+
+        def rule(c0, c1):
+            """The lists of cells c0 .. c1 - 1 by the rule in the class
+            docstring, as (cell, point) pairs by cell, then index."""
+            a0, n = columns(np.arange(c0, c1))
+            cell = np.repeat(np.arange(c0, c1), n)
+            start, stop = window(cell, _ranges(a0, n))
+            cell = np.repeat(cell, stop - start)
+            p = order[_ranges(start, stop - start)]
+            local = cell - c0
+            dist = d2(*np.divmod(cell, G[1]), p)
+            at = np.flatnonzero(np.diff(local, prepend=-1))
+            nearest = np.minimum.reduceat(dist, at)
+            q = np.minimum.reduceat(np.where(dist == nearest[local], p, len(x)), at)
+            near = np.sqrt(nearest) + diag + slack
+            keep = np.flatnonzero(dist <= (near * near)[local])
+            cell, p, q = cell[keep], p[keep], q[local[keep]]
+            i, j = np.divmod(cell, G[1])
+            dp = x[p] - x[q]
+            least = (np.abs(x[p]) ** 2 - np.abs(x[q]) ** 2
+                     - 2 * (c_re[i] * dp.real + c_im[j] * dp.imag)
+                     - step[0] * np.abs(dp.real) - step[1] * np.abs(dp.imag))
+            keep = least <= beaten
+            cell, p = cell[keep], p[keep]
+            s = np.lexsort((p, cell))
+            return cell[s], p[s]
+
+        # cells in chunks of about _CHUNK / 4 slices and candidates, so that
+        # their temporaries stay near 1 MiB beside the lists built so far
+        a0, n = columns(np.arange(n_cells))
+        load = n.copy()
+        for k in range(n.max()):
+            on = np.flatnonzero(k < n)
+            start, stop = window(on, a0[on] + k)
+            load[on] += stop - start
+        part = (np.cumsum(load) - load) // (_CHUNK // 4)
+        starts = np.flatnonzero(np.diff(part, prepend=-1))
+        del a0, n, load, part, on, start, stop  # this frame lives through the chunks
+        for c0, c1 in zip(starts, np.append(starts[1:], n_cells)):
+            yield c0, c1, *rule(c0, c1)
 
     def settle(self, y, h, u, direct, idx, metric) -> np.ndarray:
         """Settle the ``direct`` rows in the box or within reach of it; returns
@@ -209,75 +318,14 @@ class _CellTable:
         return ~(in_box | hull)
 
 
-class _GroupBound:
-    """Branch-and-bound nearest-point search of u = y/h over ``x``.
-
-    The points are cut into about sqrt(A) groups of nearby points, each with
-    its bounding box. A row visits the groups in order of the distance from
-    u to their boxes, scanning each, until the next box lies farther than its
-    best point plus the slack, _TOL * (1 + |u| + max|x|). Every point within
-    the slack of the nearest is then scanned, and the best is kept by (metric,
-    index), so ties go to the lowest index.
-    """
-
-    def __init__(self, x: np.ndarray):
-        self.x = x
-        self.xmax = float(np.abs(x).max())
-        A = len(x)
-        S = math.isqrt(A - 1) + 1
-        n_g = -(-A // S)
-        per_strip = math.isqrt(n_g - 1) + 1
-        strip = np.empty(A, dtype=np.intp)  # strips of nearby real parts
-        strip[np.argsort(x.real, kind="stable")] = np.arange(A) // (S * per_strip)
-        order = np.pad(np.lexsort((x.real, x.imag, strip)), (0, n_g * S - A), mode="edge")
-        self.groups = np.sort(order.reshape(n_g, S), axis=1)
-        re, im = x.real[self.groups], x.imag[self.groups]
-        self.lo = re.min(axis=1) + 1j * im.min(axis=1)
-        self.hi = re.max(axis=1) + 1j * im.max(axis=1)
-
-    def settle(self, y, h, u, direct, idx, metric) -> np.ndarray:
-        """Settle the ``direct`` rows; returns the mask of rows left."""
-        rows = np.flatnonzero(direct)
-        step = max(1, _CHUNK // len(self.groups))
-        for s in range(0, len(rows), step):
-            r = rows[s:s + step]
-            idx[r], metric[r] = self._search(y[r], h[r], u[r])
-        return ~direct
-
-    def _search(self, y, h, u):
-        slack = _TOL * (1 + np.abs(u) + self.xmax)
-        u = u[:, None]
-        dx = np.maximum(self.lo.real - u.real, 0) + np.maximum(u.real - self.hi.real, 0)
-        dy = np.maximum(self.lo.imag - u.imag, 0) + np.maximum(u.imag - self.hi.imag, 0)
-        bound = dx * dx + dy * dy  # squared distance from u to each box
-        best = np.full(len(y), np.inf)
-        idx = np.zeros(len(y), dtype=np.intp)
-        reach = np.full(len(y), np.inf)  # squared
-        r = np.arange(len(y))
-        while len(r):
-            g = np.argmin(bound[r], axis=1)
-            near = bound[r, g] <= reach[r]
-            r, g = r[near], g[near]
-            bound[r, g] = np.inf
-            m = self.groups[g]
-            k, d = _scan(y[r], h[r], self.x[m])
-            i = m[np.arange(len(r)), k]
-            better = (d < best[r]) | ((d == best[r]) & (i < idx[r]))
-            b, d = r[better], d[better]
-            best[b], idx[b] = d, i[better]
-            reach[b] = (np.sqrt(d) / np.abs(h[b]) + slack[b]) ** 2
-        return idx, best
-
-
 def ml_block(y: np.ndarray, h: np.ndarray, alphabet: SuperAlphabet) -> tuple[np.ndarray, np.ndarray]:
     """Minimum-distance decision per subcarrier; returns (entry indices, metrics).
 
     The result equals an exhaustive scan of |y - h x|^2 bit for bit, ties
     toward the lowest entry index. Alphabets of at most ``SCAN_MAX`` points
-    are scanned. Larger ones are searched through the alphabet's cell table
-    (up to ``TABLE_MAX`` points) or group bound, built on first use, which
-    scan only candidates that hold the nearest point to y/h and every point
-    within the tie band of it. A row is scanned in full instead when its
+    are scanned. Larger ones are searched through the alphabet's cell table,
+    built on first use, which scans only candidates that hold the nearest
+    point to y/h and every point within the tie band of it. A row is scanned in full instead when its
     metrics would leave the normal float range (|h| = 0, y/h overflowing) or
     y/h lies beyond the cell table's reach.
     """
@@ -288,8 +336,7 @@ def ml_block(y: np.ndarray, h: np.ndarray, alphabet: SuperAlphabet) -> tuple[np.
         return _scan(y, h, x)
     search = getattr(alphabet, "_search", None)
     if search is None:
-        search = (_CellTable if len(x) <= TABLE_MAX else _GroupBound)(x)
-        alphabet._search = search
+        search = alphabet._search = _CellTable(x)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         u = y / h
         scale = 1 + np.abs(u) + search.xmax

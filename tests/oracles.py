@@ -19,7 +19,7 @@ from scipy.integrate import quad
 from scipy.special import erfc
 
 from imnomarc.constellation import Constellation
-from imnomarc.detectors import _MARGIN, _REACH, _TOL
+from imnomarc.detectors import _CELLS, _MARGIN, _REACH, _TOL
 from imnomarc.harness import BATCH_BLOCKS, BerRecord, ExperimentSpec, _decide, noise_variance
 from imnomarc.superposition import SystemConfig, label_fields, spectral_efficiency
 
@@ -345,20 +345,20 @@ def canonical_entry(alphabet, idx):
     return int(np.flatnonzero(np.abs(alphabet.x - alphabet.x[idx]) < 1e-9)[0])
 
 
-def brute_force_cell_lists(x):
-    """Every cell's candidate list in the ML cell table over ``x``, by flat
-    cell index, each sorted by entry index.
+def brute_force_cell_lists(x, cells=None):
+    """The candidate lists of ``cells`` (flat cell indices, default every
+    cell) in the ML cell table over ``x``, each sorted by entry index.
 
-    The grid is the table's: about 4A square cells over the points' bounding
-    box plus _MARGIN RMS amplitudes. Each column of cells is measured against
-    every point, O(A^2) in all: a cell with centre c lists each point within
-    D(c) + cell diagonal + slack of c that the point nearest to c beats by at
-    most the slack at every corner of the cell.
+    The grid is the table's: about 4A square cells, at most about _CELLS,
+    over the points' bounding box plus _MARGIN RMS amplitudes. Each cell is
+    measured against every point: a cell with centre c lists each point
+    within D(c) + cell diagonal + slack of c that the point nearest to c
+    beats by at most the slack at every corner of the cell.
     """
     margin = _MARGIN * np.sqrt(np.mean(np.abs(x) ** 2))
     lo = np.array([x.real.min(), x.imag.min()]) - margin
     hi = np.array([x.real.max(), x.imag.max()]) + margin
-    side = np.sqrt(np.prod(hi - lo) / (4 * len(x)))
+    side = np.sqrt(np.prod(hi - lo) / min(4 * len(x), _CELLS))
     G = np.ceil((hi - lo) / side).astype(int)
     step = (hi - lo) / G
     radius = float(np.hypot(*np.maximum(-lo, hi)))
@@ -367,19 +367,24 @@ def brute_force_cell_lists(x):
     beaten = 2 * slack * (radius + xmax)
     power = np.abs(x) ** 2
     c_im = lo[1] + (np.arange(G[1]) + 0.5) * step[1]
-    lists = []
-    for i in range(G[0]):
+    cells = np.arange(G[0] * G[1]) if cells is None else np.asarray(cells)
+    lists = {}
+    for i in np.unique(cells // G[1]):
         c = lo[0] + (i + 0.5) * step[0]
-        d2 = (c - x.real) ** 2 + (c_im[:, None] - x.imag) ** 2
-        q = np.argmin(d2, axis=1)
-        near = np.sqrt(d2[np.arange(G[1]), q]) + np.hypot(*step) + slack
-        j, p = np.nonzero(d2 <= (near * near)[:, None])
-        dp = x[p] - x[q[j]]
-        least = (power[p] - power[q[j]] - 2 * (c * dp.real + c_im[j] * dp.imag)
-                 - step[0] * np.abs(dp.real) - step[1] * np.abs(dp.imag))
-        keep = least <= beaten
-        lists += [p[keep & (j == col)] for col in range(G[1])]
-    return lists
+        rows = cells[cells // G[1] == i] % G[1]
+        # at most about 2^20 distances at once
+        for rows in np.array_split(rows, -(-len(rows) * len(x) // 2 ** 20)):
+            d2 = (c - x.real) ** 2 + (c_im[rows, None] - x.imag) ** 2
+            q = np.argmin(d2, axis=1)
+            near = np.sqrt(d2[np.arange(len(rows)), q]) + np.hypot(*step) + slack
+            j, p = np.nonzero(d2 <= (near * near)[:, None])
+            dp = x[p] - x[q[j]]
+            least = (power[p] - power[q[j]] - 2 * (c * dp.real + c_im[rows[j]] * dp.imag)
+                     - step[0] * np.abs(dp.real) - step[1] * np.abs(dp.imag))
+            keep = least <= beaten
+            for k, row in enumerate(rows):
+                lists[i * G[1] + row] = p[keep & (j == k)]
+    return [lists[cell] for cell in cells]
 
 
 # --- harness -----------------------------------------------------------------

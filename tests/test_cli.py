@@ -261,6 +261,14 @@ UNKNOWN_KEY_INIS = {
 }
 
 
+# INIs holding a value its key's parser rejects, and the place the message names.
+VALUE_PLACES = {
+    "[system]\nn_users = two\n": "config error: [system] n_users: invalid literal",
+    "[sweep]\nmax_bits = lots\n": "config error: [sweep] max_bits: invalid literal",
+    "[se]\nsubblock_size = x\n": "config error: [se] subblock_size: invalid literal",
+}
+
+
 @pytest.mark.parametrize("command, ini, args", [
     ("bound", None, ["--snr", "0:a:5"]),
     ("bound", None, ["--snr", "1,x"]),
@@ -271,6 +279,7 @@ UNKNOWN_KEY_INIS = {
     ("ber", None, ["--snr", "1,x"]),
     ("ber", "[system]\npower_coeffs = 0.9, abc\n", []),
     ("ber", "[system]\nn_users = two\n", []),
+    ("ber", "[sweep]\nmax_bits = lots\n", []),
     ("se", "[se]\ntuples = 2:x:2\n", []),
     ("flops", "[flops]\ntuples = 2:3:2\n", []),
     ("se", "[se]\nsubblock_size = x\n", []),
@@ -293,7 +302,7 @@ UNKNOWN_KEY_INIS = {
     *[(command, ini, []) for command in ("ber", "bound") for ini in UNKNOWN_KEY_INIS.values()],
 ], ids=["bound-snr-grid", "bound-snr-list", "bound-snr-decreasing",
         "bound-snr-repeated", "bound-snr-two-fields", "ber-snr-negative-step",
-        "ber-snr-list", "power-coeffs", "n-users", "se-tuple", "flops-tuple",
+        "ber-snr-list", "power-coeffs", "n-users", "max-bits", "se-tuple", "flops-tuple",
         "se-subblock", "se-active-over", "se-zero-subblock", "bound-alphabet-cap", "ber-alphabet-cap",
         "ini-zero-min-errors", "zero-max-bits-flag", "zero-min-errors-flag",
         "ofdm-order", "no-section-header", "duplicate-option",
@@ -306,7 +315,9 @@ def test_malformed_numbers_are_config_errors(tmp_path, capsys, command, ini, arg
         cfg.write_text(ini)
         args = ["--config", str(cfg), *args]
     assert run_cli([command, "--out", str(tmp_path / "out"), *args]) == 1
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert VALUE_PLACES.get(ini, "") in err
     assert not (tmp_path / "out").exists()
 
 

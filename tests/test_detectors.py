@@ -5,9 +5,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from imnomarc.detectors import (_WALK_MAX, SCAN_MAX, TABLE_MAX, _CellTable, _GroupBound,
-                                _scan, _SicStages, flops_ml, flops_sic, ml_block,
-                                sic_block)
+from imnomarc.detectors import (_WALK_MAX, SCAN_MAX, _CellTable, _scan, _SicStages, flops_ml,
+                                flops_sic, ml_block, sic_block)
 from imnomarc.harness import ExperimentSpec, _decide, _OfdmAlphabet, _PointContext
 from imnomarc.superposition import SystemConfig, build_super_alphabet, user_bit_positions
 
@@ -199,6 +198,26 @@ def test_cell_table_lists_match_the_brute_force_rule(name):
         assert np.array_equal(points[table.row[c]], x[cand[table.row[c]]])
 
 
+def test_capped_cell_table_lists_match_the_brute_force_rule():
+    # 14:1:2 BPSK, A = 2^17: the cell count is capped near 2^15, and each
+    # class holds int32 lists padded as above, its points gathered from x
+    # per call; 256 random cells and every edge cell, whose lists make the hull
+    x = build_super_alphabet(SystemConfig(**_halving_powers(14), mod_order=2)).x
+    table = _CellTable(x)
+    G = table.shape
+    assert len(x) == 2 ** 17 and 2 ** 15 <= np.prod(G) < 2 ** 15 * 1.1
+    assert all(cand.dtype == np.int32 and points is x for _, cand, points in table.classes)
+    i, j = np.divmod(np.arange(np.prod(G)), G[1])
+    edge = np.flatnonzero((i == 0) | (i == G[0] - 1) | (j == 0) | (j == G[1] - 1))
+    cells = np.concatenate([np.random.default_rng(5).choice(np.prod(G), 256, replace=False), edge])
+    classes = {w: cand for w, cand, _ in table.classes}
+    for c, listed in zip(cells, brute_force_cell_lists(x, cells)):
+        w = table.width[c]
+        assert w == 1 << (len(listed) - 1).bit_length()
+        assert np.array_equal(classes[w][table.row[c]], np.pad(listed, (0, w - len(listed)), mode="edge"))
+    assert np.array_equal(table.hull, np.unique(np.concatenate(brute_force_cell_lists(x, edge))))
+
+
 def test_detect_ml_on_a_table_searched_alphabet():
     cfg = SystemConfig(**FOUR_USER_QPSK, rotation_angle=np.pi / 4)
     alphabet = build_super_alphabet(cfg)
@@ -242,15 +261,18 @@ def test_ml_rows_outside_the_cell_table():
     _assert_matches_exhaustive(y, h, alphabet)
 
 
-def test_ml_above_the_table_cap_takes_the_group_bound():
-    # 3:1:4 16-QAM: A = 16^3 * 2 = 8192
-    cfg = SystemConfig(n_users=3, n_far=1, mod_order=16, family="QAM",
-                       power_coeffs=(0.8, 0.15, 0.05))
+@pytest.mark.parametrize("cfg", [
+    # 3:1:16 QAM: A = 16^3 * 2 = 8192, 4 cells per point
+    SystemConfig(n_users=3, n_far=1, mod_order=16, family="QAM", power_coeffs=(0.8, 0.15, 0.05)),
+    # 4:1:8 PSK at pi/8: A = 8^4 * 4 = 16384, the cell count capped
+    SystemConfig(**dict(FOUR_USER_QPSK, mod_order=8), rotation_angle=np.pi / 8),
+], ids=["3:1:16-qam", "4:1:8-psk-pi/8"])
+def test_ml_above_4096_points_takes_the_cell_table(cfg):
     alphabet = build_super_alphabet(cfg)
-    assert len(alphabet) > TABLE_MAX
+    assert len(alphabet) > 4096
     y, h = _ml_edge_inputs(alphabet.x, np.random.default_rng(12))
     _assert_matches_exhaustive(y, h, alphabet)
-    assert isinstance(alphabet._search, _GroupBound)
+    assert isinstance(alphabet._search, _CellTable)
 
 
 def test_ml_on_coincident_points():
@@ -289,12 +311,11 @@ def test_ml_block_memory_does_not_scale_with_rows_times_alphabet():
 
 
 def test_ml_block_first_call_memory_at_the_table_cap():
-    # 5:1:4 QPSK at pi/4: A = TABLE_MAX, the largest cell table; the first
-    # call builds it, and its width classes must not grow as A times the
-    # widest list
+    # 5:1:4 QPSK at pi/4: A = 4096; the first call builds the cell table,
+    # and its width classes must not grow as A times the widest list
     cfg = SystemConfig(**_halving_powers(5), mod_order=4, rotation_angle=np.pi / 4)
     alphabet = build_super_alphabet(cfg)
-    assert len(alphabet) == TABLE_MAX
+    assert len(alphabet) == 4096
     rng = np.random.default_rng(3)
     tx = rng.integers(0, len(alphabet), 2048)
     h = _rayleigh(rng, 2048)
