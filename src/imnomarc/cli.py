@@ -5,12 +5,14 @@ A flag beats the ``--config`` file, which beats ``default.ini``. Every command
 parses the whole config through ``KEYS`` and creates ``--out`` before any
 output. A bad value anywhere in the config, a section or key outside ``KEYS``,
 an unreadable or undecodable config or an unusable ``--out`` exits 1.
+``ber -v`` logs one line per SNR point to stderr; without it a run is silent.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import logging
 import math
 import sys
 from importlib import resources
@@ -255,6 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--scheme", dest="schemes", action="append", choices=SCHEMES)
             p.add_argument("--max-bits", type=int)
             p.add_argument("--min-errors", dest="min_bit_errors", metavar="MIN_ERRORS", type=int)
+            p.add_argument("-v", "--verbose", action="store_true",
+                           help="log each SNR point's seconds, blocks and stop reasons")
     return parser
 
 
@@ -272,11 +276,19 @@ def main(argv=None) -> int:
     except (ValueError, OSError, configparser.Error) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    log = logging.getLogger(__package__)
+    handler = logging.StreamHandler()  # this call's stderr
+    if getattr(args, "verbose", False):
+        log.addHandler(handler)
+        log.setLevel(logging.INFO)
     try:
         run()
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(logging.NOTSET)
     return EXIT_OK
 
 

@@ -2,12 +2,14 @@
 grids with per-user bit-error accounting and reproducible, batch-seeded RNG.
 
 The stop rule is evaluated on batches of ``BATCH_BLOCKS`` OFDM blocks of L
-subcarriers. Every batch draws its symbols, channels and noise from one RNG
-stream derived from (master seed, SNR point, first block), then every receiver
-detects the whole batch in one call per detector and each tracked channel
-counts its errors once. A sweep runs all of its detectors in one pass: each
-batch is drawn once for every detector still running, and each detector stops
-on its own stop rule, so it sees the batches a sweep of it alone would.
+subcarriers, per detector and tracked channel. Every batch draws its symbols,
+channels and noise from one RNG stream derived from (master seed, SNR point,
+first block), then each receiver that a running detector still needs detects
+the whole batch in one call per such detector, and each open channel counts
+its errors once. A sweep runs all of its detectors in one pass, and each
+(detector, channel) pair stops on its own stop rule, so a channel's row is the
+shared stream cut at its own stop batch: the row a sweep of that detector
+alone, with every receiver deciding every batch, would reach at that batch.
 Detection draws no random numbers, so a fixed seed reproduces results.csv
 byte for byte.
 """
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import datetime
 import json
+import logging
 import math
 import subprocess
 import sys
@@ -29,6 +32,8 @@ from . import __version__
 from .constellation import build_constellation
 from .detectors import SCAN_MAX, ml_block, sic_block
 from .superposition import SystemConfig, alphabet_size, build_super_alphabet, channels
+
+log = logging.getLogger(__package__)
 
 SCHEMES = ("imnomarc", "pdnoma", "ofdm")
 DETECTORS = ("ml", "sic")
@@ -171,7 +176,8 @@ class _PointContext:
     in the packed per-subcarrier string, receiver that decides it): the
     config's ``superposition.channels``, or OFDM's one channel. ``weights``
     maps each curve to its (A,) weight table: entry k carries weights[name][k]
-    of the curve's bits set.
+    of the curve's bits set. ``bits_per_block`` maps each curve to the bits
+    one block carries on it.
     ``draw`` holds one batch's (4R, n) Gaussian draw. It is refilled by every
     batch rather than allocated anew: an array over glibc's mmap threshold,
     freed each batch, is faulted back in from the kernel by the next.
@@ -190,6 +196,8 @@ class _PointContext:
         self.n_receivers = max(rx for _, _, rx in self.channels)
         self.weights = {name: self.alphabet.bits[:, pos].sum(axis=1, dtype=np.int64)
                         for name, pos, _ in self.channels}
+        self.bits_per_block = {name: spec.n_subcarriers * len(pos)
+                               for name, pos, _ in self.channels}
         self.draw = np.empty((4 * self.n_receivers, BATCH_BLOCKS * spec.n_subcarriers))
 
 
@@ -206,47 +214,55 @@ def _decide(ctx: _PointContext, detector: str, y: np.ndarray, h: np.ndarray,
 
 
 def _run_batch(ctx: _PointContext, snr_db: float, first_block: int,
-               detectors: tuple[str, ...]) -> dict[str, dict[str, int]]:
-    """Error counts per detector and channel over the BATCH_BLOCKS blocks from
-    ``first_block``; every detector decides the same draw.
+               live: dict[str, set[int]]) -> dict[str, dict[str, int]]:
+    """Error counts over the BATCH_BLOCKS blocks from ``first_block`` for each
+    detector of ``live`` and each channel decided at one of the receivers it
+    maps to; every detector decides the same draw.
 
     The batch is n = BATCH_BLOCKS * L subcarriers drawn from one stream: n tx
     entries, then one (4R, n) Gaussian array g holding h real and imaginary
     (R rows each), then each receiver's noise, real and imaginary. Receiver rx
     sees h = (g[rx-1] + j g[R+rx-1]) / sqrt(2) and y = h x + sqrt(sigma^2 / 2) w
-    with w = g[2(R+rx-1)] + j g[2(R+rx-1)+1]. Bit labels are linear over XOR in
-    the entry index, so a channel's errors on a subcarrier are its weight table
-    at (decided entry ^ sent entry).
+    with w = g[2(R+rx-1)] + j g[2(R+rx-1)+1]. The draw stops after the noise of
+    the highest live receiver; numpy fills it in order, so every row read is
+    the row of a full draw. A receiver no detector needs builds no h or y. Bit
+    labels are linear over XOR in the entry index, so a channel's errors on a
+    subcarrier are its weight table at (decided entry ^ sent entry).
     """
     n = BATCH_BLOCKS * ctx.spec.n_subcarriers
     R = ctx.n_receivers
+    receivers = sorted(set().union(*live.values()))
     noise_scale = np.sqrt(noise_variance(snr_db) / 2)
     rng = np.random.default_rng(np.random.SeedSequence(
         entropy=ctx.spec.master_seed, spawn_key=(_seed_key(snr_db), first_block)))
     tx_entry = rng.integers(0, len(ctx.alphabet.x), size=n)
-    g = rng.standard_normal(out=ctx.draw)
+    g = rng.standard_normal(out=ctx.draw[:2 * (R + receivers[-1])])
 
     x = ctx.alphabet.x[tx_entry]
-    errors: dict[str, dict[str, int]] = {detector: {} for detector in detectors}
-    for rx in range(1, R + 1):
+    errors: dict[str, dict[str, int]] = {detector: {} for detector in live}
+    for rx in receivers:
         h = (g[rx - 1] + 1j * g[R + rx - 1]) / np.sqrt(2)
         k = 2 * (R + rx - 1)  # this receiver's noise rows, real then imaginary
         y = h * x + noise_scale * (g[k] + 1j * g[k + 1])
-        for detector in detectors:
-            diff = _decide(ctx, detector, y, h, rx) ^ tx_entry
-            for name, _, owner in ctx.channels:
-                if owner == rx:
-                    errors[detector][name] = int(ctx.weights[name][diff].sum())
+        for detector, needs in live.items():
+            if rx in needs:
+                diff = _decide(ctx, detector, y, h, rx) ^ tx_entry
+                for name, _, owner in ctx.channels:
+                    if owner == rx:
+                        errors[detector][name] = int(ctx.weights[name][diff].sum())
     return errors
 
 
 def run_point(spec: ExperimentSpec, snr_db: float, *,
               ctx: _PointContext | None = None) -> list[BerRecord]:
-    """Simulate one SNR point until the stop rule fires for every tracked user
-    of every detector; returns the records of each detector in turn.
+    """Simulate one SNR point until the stop rule fires for every tracked
+    channel of every detector; returns the records of each detector in turn.
 
-    The detectors share each batch's draw, and each stops on its own rule, so
-    a detector's records equal those of a spec with it alone.
+    Each (detector, channel) pair counts batches and errors while it is open,
+    and closes once it reaches ``min_bit_errors`` or ``max_bits``. A batch is
+    decided only at the receivers where some detector has an open channel, so
+    a channel's record is the shared stream cut at its own stop batch, and a
+    detector's records equal those of a spec with it alone.
 
     ``snr_db`` must be a point of ``spec.snr_grid_db``, where it was checked.
 
@@ -257,30 +273,29 @@ def run_point(spec: ExperimentSpec, snr_db: float, *,
         raise ValueError(f"SNR {snr_db} dB is not a point of the spec's grid")
     if ctx is None:
         ctx = _PointContext(spec)
-    L = spec.n_subcarriers
-    totals = {detector: {name: 0 for name, _, _ in ctx.channels}
-              for detector in spec.detectors}
-    blocks_run = dict.fromkeys(spec.detectors, 0)
+    bits_per_block = ctx.bits_per_block
+    totals = {detector: dict.fromkeys(bits_per_block, 0) for detector in spec.detectors}
+    blocks_run = {detector: dict.fromkeys(bits_per_block, 0) for detector in spec.detectors}
 
-    def done(detector) -> bool:
-        for name, pos, _ in ctx.channels:
-            sent = blocks_run[detector] * L * len(pos)
-            if totals[detector][name] < spec.min_bit_errors and sent < spec.max_bits:
-                return False
-        return True
+    def open_channels(detector) -> list[tuple[str, int]]:
+        return [(name, rx) for name, _, rx in ctx.channels
+                if totals[detector][name] < spec.min_bit_errors
+                and blocks_run[detector][name] * bits_per_block[name] < spec.max_bits]
 
     first_block = 0
-    while running := tuple(d for d in spec.detectors if not done(d)):
-        for detector, errors in _run_batch(ctx, snr_db, first_block, running).items():
-            for name, errs in errors.items():
-                totals[detector][name] += errs
-            blocks_run[detector] += BATCH_BLOCKS
+    while opened := {d: chans for d in spec.detectors if (chans := open_channels(d))}:
+        live = {d: {rx for _, rx in chans} for d, chans in opened.items()}
+        errors = _run_batch(ctx, snr_db, first_block, live)
+        for detector, chans in opened.items():
+            for name, _ in chans:
+                totals[detector][name] += errors[detector][name]
+                blocks_run[detector][name] += BATCH_BLOCKS
         first_block += BATCH_BLOCKS
 
     records = []
     for detector in spec.detectors:
-        for name, pos, _ in ctx.channels:
-            sent = blocks_run[detector] * L * len(pos)
+        for name, _, _ in ctx.channels:
+            sent = blocks_run[detector][name] * bits_per_block[name]
             records.append(BerRecord(
                 scheme=spec.scheme, detector=detector, user=name,
                 snr_db=snr_db, bits_sent=sent, bit_errors=totals[detector][name],
@@ -316,16 +331,16 @@ def run_sweep(spec: ExperimentSpec) -> tuple[list[BerRecord], dict]:
     point by point within one, plus a manifest.
 
     The manifest echoes the spec and, for each point, its seconds and, per
-    detector, the blocks it ran, why each channel's count stopped
+    detector and channel, the blocks it ran, why its count stopped
     (``min_errors`` when it reached ``min_bit_errors``, ``max_bits``
-    otherwise) and the Wilson 95% interval on each channel's BER. It also
-    records the python and numpy versions.
+    otherwise) and the Wilson 95% interval on its BER. It also records the
+    python and numpy versions. Each point logs the same seconds, blocks and
+    stop reasons as one INFO line of the ``imnomarc`` logger.
     """
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     by_detector: dict[str, list[BerRecord]] = {d: [] for d in spec.detectors}
     points: dict[str, dict] = {}
     ctx = _PointContext(spec)
-    bits_per_block = {name: spec.n_subcarriers * len(pos) for name, pos, _ in ctx.channels}
     for snr_db in spec.snr_grid_db:
         t0 = time.perf_counter()
         point = run_point(spec, snr_db, ctx=ctx)
@@ -333,13 +348,16 @@ def run_sweep(spec: ExperimentSpec) -> tuple[list[BerRecord], dict]:
         blocks, reasons, intervals = {}, {}, {}
         for r in point:
             by_detector[r.detector].append(r)
-            blocks[r.detector] = r.bits_sent // bits_per_block[r.user]
+            blocks.setdefault(r.detector, {})[r.user] = r.bits_sent // ctx.bits_per_block[r.user]
             reasons.setdefault(r.detector, {})[r.user] = (
                 "min_errors" if r.bit_errors >= spec.min_bit_errors else "max_bits")
             intervals.setdefault(r.detector, {})[r.user] = _wilson_interval(
                 r.bit_errors, r.bits_sent)
         points[f"{snr_db:g}"] = {"seconds": seconds, "blocks_run": blocks,
                                  "stop_reason": reasons, "ber_interval": intervals}
+        log.info("%s %g dB: %.3f s; %s", spec.scheme, snr_db, seconds, "; ".join(
+            f"{d} " + ", ".join(f"{user} {n} blocks {reasons[d][user]}"
+                                for user, n in blocks[d].items()) for d in blocks))
     manifest = {
         "spec": asdict(spec),
         "master_seed": spec.master_seed,

@@ -3,9 +3,10 @@
 Each one computes a result the package computes on its production path, but
 one symbol, subcarrier or pair at a time: scalar bit mapping and
 superposition, the per-call channel draws, OFDM framing, the quadrature PEP,
-exhaustive ML scans, the cell table's candidate lists cell by cell and one
-stop-rule batch through the channel layer. The exact far-user BER of the
-default config pins the model itself. The loaders of run outputs live here
+exhaustive ML scans, the cell table's candidate lists cell by cell, one
+stop-rule batch through the channel layer and a point's rows cut from a run
+of such batches. The exact per-channel BER of the default config pins the
+model itself. The loaders of run outputs live here
 too: only tests read them back.
 """
 
@@ -16,11 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import erfc
+from scipy.special import erfc, ndtr
 
 from imnomarc.constellation import Constellation
 from imnomarc.detectors import _CELLS, _MARGIN, _REACH, _TOL
-from imnomarc.harness import BATCH_BLOCKS, BerRecord, ExperimentSpec, _decide, noise_variance
+from imnomarc.harness import (BATCH_BLOCKS, BerRecord, ExperimentSpec, _decide, _PointContext,
+                              noise_variance)
 from imnomarc.superposition import SystemConfig, label_fields, spectral_efficiency
 
 
@@ -233,6 +235,66 @@ def exact_far_ber_2u_bpsk(snr_db: float, scheme: str) -> float:
     return float(np.mean(0.5 * (1 - np.sqrt(snr / (1 + snr)))))
 
 
+def _legendre(lo, hi, panels: int, n: int):
+    """Nodes and weights of ``panels`` n-point Gauss-Legendre rules tiling
+    [lo, hi] along the last axis; lo and hi broadcast."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    lo, hi = np.asarray(lo, dtype=float)[..., None], np.asarray(hi, dtype=float)[..., None]
+    step = (hi - lo) / panels
+    starts = lo + step * np.arange(panels)
+    nodes = (starts[..., None] + step[..., None] * (x + 1) / 2).reshape(*starts.shape[:-1], -1)
+    weights = np.broadcast_to(step[..., None] * w / 2, starts.shape + (n,))
+    return nodes, weights.reshape(nodes.shape)
+
+
+def exact_ber_2u_bpsk(snr_db: float, scheme: str, user: str) -> float:
+    """Exact BER of channel ``user`` ("1", "2" or "index") of 2:1:2 BPSK at
+    power 0.9/0.1 over Rayleigh fading, by quadrature.
+
+    ML and SIC decide alike on this config (a test pins it), so take SIC on
+    z = y/h = x + n/h, with x = a s1 + u, a = sqrt(0.9), b = sqrt(0.1) and u
+    = b s2, or j b s2 when imnomarc rotates the near user. By symmetry s1 = 1.
+    Given t = |h|^2 the noise n/h has independent real and imaginary parts
+    xi / k and eta / k, standard normal over k = sqrt(2t / sigma^2). The far
+    bit is right iff a + Re u + xi / k > 0, and the residual is then r = u +
+    n/h, else r = 2a + u + n/h. The near bit is decided by the sign of Re r +
+    Im r (of Re r for PD-NOMA), the index bit "rotated" iff |Im r| > |Re r|.
+    Given t and xi each is a Gaussian tail in eta, so the BER is a double
+    integral: over xi by Gauss-Legendre on each piece of [-10, 10] between
+    the kinks (the far boundary and Re r = 0), and over log t, from 1e-12 to
+    60, by Gauss-Legendre panels against the Exp(1) density.
+    """
+    if user not in ("1", "2") and not (user == "index" and scheme == "imnomarc"):
+        raise ValueError(f"no channel {user!r} in {scheme}")
+    a, b = np.sqrt(0.9), np.sqrt(0.1)
+    sigma2 = noise_variance(snr_db)
+    log_t, w_t = _legendre(np.log(1e-12), np.log(60.0), 24, 32)
+    t = np.exp(log_t)
+    k = np.sqrt(2 * t / sigma2)[:, None]
+    total = 0.0
+    for u in [b, -b] + ([1j * b, -1j * b] if scheme == "imnomarc" else []):
+        # the kinks in xi / k, sorted: k > 0 keeps their order for every t
+        kinks = np.sort([-(a + u.real), -u.real, -(2 * a + u.real)])
+        edges = np.clip(np.concatenate([[-np.inf], kinks, [np.inf]]) * k, -10.0, 10.0)
+        xi, w_xi = _legendre(edges[:, :-1], edges[:, 1:], 1, 64)
+        xi, w_xi = xi.reshape(len(t), -1), w_xi.reshape(len(t), -1)
+        right = xi > -(a + u.real) * k
+        if user == "1":
+            err = ~right
+        else:
+            re = np.where(right, u.real, 2 * a + u.real) * k + xi  # k Re r
+            im = u.imag * k                                        # k Im r = im + eta
+            if user == "2":
+                s2 = np.sign(u.real + u.imag)
+                err = s2 * re < 0 if scheme == "pdnoma" else ndtr(-s2 * (re + im))
+            else:
+                inside = ndtr(np.abs(re) - im) - ndtr(-np.abs(re) - im)  # |Im r| < |Re r|
+                err = inside if u.imag else 1 - inside
+        conditional = np.sum(w_xi * np.exp(-xi * xi / 2) * err, axis=1) / np.sqrt(2 * np.pi)
+        total += np.sum(w_t * t * np.exp(-t) * conditional)
+    return float(total / (4 if scheme == "imnomarc" else 2))
+
+
 # --- detection ---------------------------------------------------------------
 
 def exhaustive_ml(y, h, alphabet):
@@ -415,6 +477,29 @@ def run_block_oracle(ctx, snr_db, first_block, noiseless=False):
                     errors[detector][name] = int(
                         np.count_nonzero(rx_bits[:, pos] != tx_bits[:, pos]))
     return errors
+
+
+def run_prefix_oracle(spec, snr_db):
+    """``run_point``'s (detector, user, bits_sent, bit_errors) rows by the rule
+    it replaced: every batch decided at every receiver by every detector, one
+    ``run_block_oracle`` call each, until every channel is done. Each
+    channel's count is then cut at the first batch where it met
+    ``min_bit_errors`` or ``max_bits``."""
+    ctx = _PointContext(spec)
+    names = {name: len(pos) for name, pos, _ in ctx.channels}
+    totals = {(d, name): 0 for d in spec.detectors for name in names}
+    cut = {}
+    first_block = 0
+    while len(cut) < len(totals):
+        errors = run_block_oracle(ctx, snr_db, first_block)
+        first_block += BATCH_BLOCKS
+        for d, name in totals:
+            if (d, name) not in cut:
+                totals[d, name] += errors[d][name]
+                sent = first_block * spec.n_subcarriers * names[name]
+                if totals[d, name] >= spec.min_bit_errors or sent >= spec.max_bits:
+                    cut[d, name] = (sent, totals[d, name])
+    return [(d, name, *cut[d, name]) for d in spec.detectors for name in names]
 
 
 # --- run outputs -------------------------------------------------------------

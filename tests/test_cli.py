@@ -120,6 +120,23 @@ def test_ber_multiple_detectors(tmp_path):
     assert set(manifest["runs"][0]["points"]["10"]["blocks_run"]) == {"sic", "ml"}
 
 
+def test_ber_verbose_logs_one_line_per_point_and_is_silent_without(tmp_path, capsys):
+    args = ["ber", "--out", str(tmp_path), "--snr", "10:5:20", "--detector", "ml",
+            "--detector", "sic", "--min-errors", "20", "--max-bits", "10000"]
+    assert run_cli([*args, "-v"]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    points = json.loads((tmp_path / "manifest.json").read_text())["runs"][0]["points"]
+    assert len(lines) == len(points) == 3
+    for line, (snr, point) in zip(lines, points.items()):
+        assert line.startswith(f"imnomarc {snr} dB: ")
+        for detector, blocks in point["blocks_run"].items():
+            reasons = point["stop_reason"][detector]
+            assert f"{detector} " + ", ".join(
+                f"{user} {n} blocks {reasons[user]}" for user, n in blocks.items()) in line
+    assert run_cli(args) == 0  # the logger is quiet again
+    assert capsys.readouterr().err == ""
+
+
 def test_repeated_sweeps_run_once(tmp_path):
     # one SNR point of imnomarc/ml: users 1, 2 and index, each once
     args = ["--snr", "10", "--min-errors", "20", "--max-bits", "10000"]
@@ -325,8 +342,8 @@ def test_malformed_numbers_are_config_errors(tmp_path, capsys, command, ini, arg
 # READ_FLAGS[c] of them.
 ALL_FLAGS = {"--config": "x.ini", "--out": "out", "--snr": "0:5:10", "--seed": "3",
              "--detector": "sic", "--scheme": "pdnoma", "--max-bits": "1000",
-             "--min-errors": "10"}
-READ_FLAGS = {"se": 2, "flops": 2, "bound": 3, "ber": 8}
+             "--min-errors": "10", "--verbose": None}
+READ_FLAGS = {"se": 2, "flops": 2, "bound": 3, "ber": 9}
 
 
 def test_parser_choices_are_the_harness_names():
@@ -347,7 +364,8 @@ def test_help_lists_only_read_flags(capsys, command, n):
 @pytest.mark.parametrize("command, flag", [
     (command, flag) for command, n in READ_FLAGS.items() for flag in list(ALL_FLAGS)[n:]])
 def test_unread_flag_is_config_error(tmp_path, command, flag):
-    assert run_cli([command, "--out", str(tmp_path / "out"), flag, ALL_FLAGS[flag]]) == 1
+    value = [] if ALL_FLAGS[flag] is None else [ALL_FLAGS[flag]]
+    assert run_cli([command, "--out", str(tmp_path / "out"), flag, *value]) == 1
     assert not (tmp_path / "out").exists()
 
 

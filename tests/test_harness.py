@@ -19,7 +19,8 @@ from imnomarc.harness import (BATCH_BUDGET, CSV_HEADER, BerRecord, ExperimentSpe
                               run_sweep)
 from imnomarc.superposition import SystemConfig, build_super_alphabet
 
-from oracles import exact_far_ber_2u_bpsk, load_results, run_block_oracle, spec_from_dict
+from oracles import (exact_ber_2u_bpsk, exact_far_ber_2u_bpsk, load_results, run_block_oracle,
+                     run_prefix_oracle, spec_from_dict)
 
 TWO_USER = dict(n_users=2, n_far=1, mod_order=2, power_coeffs=(0.9, 0.1))
 
@@ -29,6 +30,11 @@ def small_spec(**overrides):
                 master_seed=3)
     base.update(overrides)
     return ExperimentSpec(**base)
+
+
+def every_receiver(ctx):
+    """``_run_batch``'s live map with every detector deciding at every receiver."""
+    return dict.fromkeys(ctx.spec.detectors, set(range(1, ctx.n_receivers + 1)))
 
 
 def silence_noise(monkeypatch):
@@ -70,7 +76,9 @@ GOLDEN_CONFIGS = {
 
 # (config, scheme, detector, index_user_mode) -> [(snr_db, [(user, bits_sent,
 # bit_errors), ...]), ...] from run_point with n_subcarriers=32, max_bits=3000,
-# min_bit_errors=20, master_seed=11, one RNG stream per 16-block batch.
+# min_bit_errors=20, master_seed=11, one RNG stream per 16-block batch, each
+# channel stopped at its own batch (the 2:1:2 rows at 15 dB stop users 2 and
+# index before user 1; test_run_point_equals_the_prefix_oracle derives them).
 # Detection draws no random numbers, so any change to how blocks are detected
 # or scored must reproduce these exactly.
 # The PD-NOMA SIC near-user rows equal the PD-NOMA ML rows: without index bits
@@ -78,35 +86,35 @@ GOLDEN_CONFIGS = {
 GOLDEN = {
     ('2:1:2', 'imnomarc', 'ml', 'virtual'): [
         (5.0, [('1', 512, 47), ('2', 512, 180), ('index', 512, 219)]),
-        (15.0, [('1', 2048, 20), ('2', 2048, 251), ('index', 2048, 356)]),
+        (15.0, [('1', 2048, 20), ('2', 512, 67), ('index', 512, 96)]),
     ],
     ('2:1:2', 'imnomarc', 'ml', 'near'): [
         (5.0, [('1', 512, 43), ('2', 512, 164), ('index', 512, 220)]),
-        (15.0, [('1', 2560, 22), ('2', 2560, 276), ('index', 2560, 420)]),
+        (15.0, [('1', 2560, 22), ('2', 512, 63), ('index', 512, 95)]),
     ],
     ('2:1:2', 'imnomarc', 'sic', 'virtual'): [
         (5.0, [('1', 512, 47), ('2', 512, 180), ('index', 512, 219)]),
-        (15.0, [('1', 2048, 20), ('2', 2048, 251), ('index', 2048, 356)]),
+        (15.0, [('1', 2048, 20), ('2', 512, 67), ('index', 512, 96)]),
     ],
     ('2:1:2', 'imnomarc', 'sic', 'near'): [
         (5.0, [('1', 512, 43), ('2', 512, 164), ('index', 512, 220)]),
-        (15.0, [('1', 2560, 22), ('2', 2560, 276), ('index', 2560, 420)]),
+        (15.0, [('1', 2560, 22), ('2', 512, 63), ('index', 512, 95)]),
     ],
     ('2:1:2', 'pdnoma', 'ml', 'virtual'): [
         (5.0, [('1', 512, 47), ('2', 512, 154)]),
-        (15.0, [('1', 2048, 20), ('2', 2048, 138)]),
+        (15.0, [('1', 2048, 20), ('2', 512, 42)]),
     ],
     ('2:1:2', 'pdnoma', 'ml', 'near'): [
         (5.0, [('1', 512, 47), ('2', 512, 154)]),
-        (15.0, [('1', 2048, 20), ('2', 2048, 138)]),
+        (15.0, [('1', 2048, 20), ('2', 512, 42)]),
     ],
     ('2:1:2', 'pdnoma', 'sic', 'virtual'): [
         (5.0, [('1', 512, 47), ('2', 512, 154)]),
-        (15.0, [('1', 2048, 20), ('2', 2048, 138)]),
+        (15.0, [('1', 2048, 20), ('2', 512, 42)]),
     ],
     ('2:1:2', 'pdnoma', 'sic', 'near'): [
         (5.0, [('1', 512, 47), ('2', 512, 154)]),
-        (15.0, [('1', 2048, 20), ('2', 2048, 138)]),
+        (15.0, [('1', 2048, 20), ('2', 512, 42)]),
     ],
     ('2:1:2', 'ofdm', 'ml', 'virtual'): [
         (5.0, [('1', 1536, 264)]),
@@ -188,9 +196,65 @@ def test_batch_counts_equal_per_block_oracle(case, monkeypatch):
         ctx = _PointContext(spec)
         want = run_block_oracle(ctx, snr_db, first_block, noiseless)
         assert list(want) == list(spec.detectors)
-        assert _run_batch(ctx, snr_db, first_block, spec.detectors) == want
+        assert _run_batch(ctx, snr_db, first_block, every_receiver(ctx)) == want
         if not noiseless:
             assert all(sum(errors.values()) > 0 for errors in want.values())
+
+
+PREFIX_CASES = {
+    "2:1:2-virtual": dict(cfg=("2:1:2", "virtual"), detectors=("ml", "sic")),
+    # user 2 and index share receiver 2
+    "2:1:2-near": dict(cfg=("2:1:2", "near"), detectors=("sic", "ml")),
+    "2:1:2-pdnoma": dict(cfg=("2:1:2", "virtual"), detectors=("ml",), scheme="pdnoma"),
+    "3:2:2-near": dict(cfg=("3:2:2", "near"), detectors=("ml", "sic")),
+    "4:1:4": dict(cfg=("4:1:4", "virtual"), detectors=("ml",)),
+}
+
+
+@pytest.mark.parametrize("case", PREFIX_CASES)
+def test_run_point_equals_the_prefix_oracle(case):
+    # each channel's row is the every-receiver run cut at its own stop batch
+    kw = dict(PREFIX_CASES[case])
+    cfg_name, mode = kw.pop("cfg")
+    cfg = SystemConfig(**GOLDEN_CONFIGS[cfg_name], index_user_mode=mode)
+    spec = ExperimentSpec(cfg=cfg, snr_grid_db=(5.0, 15.0, 25.0), n_subcarriers=32,
+                          max_bits=12_000, min_bit_errors=60, master_seed=13, **kw)
+    bits = {name: len(pos) for name, pos, _ in _PointContext(spec).channels}
+    split = False
+    for snr_db in spec.snr_grid_db:
+        want = run_prefix_oracle(spec, snr_db)
+        assert [(r.detector, r.user, r.bits_sent, r.bit_errors)
+                for r in run_point(spec, snr_db)] == want
+        split |= len({n // bits[user] for _, user, n, _ in want}) > 1
+    assert split  # at some point some channels stop before others
+
+
+@pytest.mark.parametrize("cfg_name, mode", [("2:1:2", "virtual"), ("2:1:2", "near"),
+                                            ("3:2:2", "near"), ("4:1:4", "virtual")])
+def test_run_batch_counts_a_live_channel_as_with_every_receiver_live(cfg_name, mode,
+                                                                     monkeypatch):
+    # the draw stops after the last live receiver's noise, and the rows it
+    # holds are those of the full draw
+    cfg = SystemConfig(**GOLDEN_CONFIGS[cfg_name], index_user_mode=mode)
+    spec = ExperimentSpec(cfg=cfg, detectors=("ml", "sic"), n_subcarriers=37, master_seed=7)
+    ctx = _PointContext(spec)
+    every = _run_batch(ctx, 10.0, 32, every_receiver(ctx))
+    decided = []
+    decide = harness._decide
+
+    def recorded(ctx, detector, y, h, rx):
+        decided.append((detector, rx))
+        return decide(ctx, detector, y, h, rx)
+
+    monkeypatch.setattr(harness, "_decide", recorded)
+    R = ctx.n_receivers
+    for live in ({"ml": {1}, "sic": {R}}, {"ml": {R}}, {"sic": {1, R}, "ml": {2}},
+                 {"sic": {1}}, {"ml": {2}, "sic": {2}}):
+        decided.clear()
+        assert _run_batch(ctx, 10.0, 32, live) == {
+            d: {name: every[d][name] for name, _, rx in ctx.channels if rx in receivers}
+            for d, receivers in live.items()}
+        assert sorted(decided) == sorted((d, rx) for d, rxs in live.items() for rx in rxs)
 
 
 def test_tracked_channels_by_scheme():
@@ -245,6 +309,25 @@ def test_far_user_ber_matches_the_exact_oracle(scheme):
         assert abs(z) <= 3, (r.detector, r.snr_db, z)
 
 
+def test_near_user_and_index_ber_match_the_exact_oracle():
+    # default 2:1:2 BPSK at 0.9/0.1: each channel stops at its own batch, so
+    # these rows rest on about min_bit_errors errors each
+    for scheme in ("imnomarc", "pdnoma"):
+        spec = ExperimentSpec(scheme=scheme, detectors=("ml", "sic"),
+                              snr_grid_db=(0.0, 10.0, 20.0, 30.0), max_bits=100_000,
+                              master_seed=5)
+        records, _ = run_sweep(spec)
+        rows = [r for r in records if r.user != "1"]
+        assert len(rows) == (16 if scheme == "imnomarc" else 8)
+        for r in rows:
+            exact = exact_ber_2u_bpsk(r.snr_db, scheme, r.user)
+            z = (r.ber - exact) / np.sqrt(exact * (1 - exact) / r.bits_sent)
+            assert abs(z) <= 3, (scheme, r.detector, r.user, r.snr_db, z)
+        for snr_db in spec.snr_grid_db:  # the quadrature reproduces the closed form
+            assert exact_ber_2u_bpsk(snr_db, scheme, "1") == pytest.approx(
+                exact_far_ber_2u_bpsk(snr_db, scheme), rel=1e-7, abs=0)
+
+
 def test_ml_and_sic_decide_alike_on_the_default_config(monkeypatch):
     # the 8-point 2:1:2 BPSK alphabet is symmetric under Re -> -Re, so ML's
     # far decision is the sign of Re(y/h), SIC's first stage, and so on down
@@ -261,7 +344,7 @@ def test_ml_and_sic_decide_alike_on_the_default_config(monkeypatch):
 
     monkeypatch.setattr(harness, "_decide", recorded)
     for snr_db in spec.snr_grid_db:
-        errors = _run_batch(ctx, snr_db, 0, spec.detectors)
+        errors = _run_batch(ctx, snr_db, 0, every_receiver(ctx))
         for name, _, rx in ctx.channels:
             diff = decided["ml", rx] ^ decided["sic", rx]
             assert not ctx.weights[name][diff].any(), (snr_db, name)
@@ -330,8 +413,11 @@ def test_manifest_reports_blocks_run_and_stop_reasons():
             "1": "max_bits", "2": "min_errors", "index": "min_errors"}
         assert manifest["points"]["5"]["stop_reason"][detector] == dict.fromkeys(
             ("1", "2", "index"), "min_errors")
+    for detector in ("ml", "sic"):  # users 2 and index stop before user 1
+        blocks = point["blocks_run"][detector]
+        assert blocks["2"] < blocks["1"] and blocks["index"] < blocks["1"]
     for r in records:
-        blocks = manifest["points"][f"{r.snr_db:g}"]["blocks_run"][r.detector]
+        blocks = manifest["points"][f"{r.snr_db:g}"]["blocks_run"][r.detector][r.user]
         assert r.bits_sent == blocks * 64  # one BPSK bit per subcarrier and channel
         reason = manifest["points"][f"{r.snr_db:g}"]["stop_reason"][r.detector][r.user]
         assert (r.bit_errors >= 20) == (reason == "min_errors")
@@ -374,7 +460,7 @@ def test_shared_pass_equals_separate_sweeps():
                     for r in run_sweep(replace(spec, detectors=(detector,)))[0]]
         assert shared == separate
         blocks = [point["blocks_run"] for point in manifest["points"].values()]
-        assert any(b["ml"] != b["sic"] for b in blocks)
+        assert any(b["ml"][user] != b["sic"][user] for b in blocks for user in b["ml"])
 
 
 def test_spec_refuses_a_batch_over_the_memory_budget(monkeypatch):
