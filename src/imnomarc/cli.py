@@ -276,9 +276,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, configparser.Error) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    log = logging.getLogger(__package__)
-    handler = logging.StreamHandler()  # this call's stderr
-    if getattr(args, "verbose", False):
+    log, verbose = logging.getLogger(__package__), getattr(args, "verbose", False)
+    level, handler = log.level, logging.StreamHandler()  # this call's stderr
+    if verbose:
         log.addHandler(handler)
         log.setLevel(logging.INFO)
     try:
@@ -287,8 +287,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     finally:
-        log.removeHandler(handler)
-        log.setLevel(logging.NOTSET)
+        if verbose:  # the embedding program's level and handlers again
+            log.removeHandler(handler)
+            log.setLevel(level)
     return EXIT_OK
 
 

@@ -178,9 +178,9 @@ class _PointContext:
     maps each curve to its (A,) weight table: entry k carries weights[name][k]
     of the curve's bits set. ``bits_per_block`` maps each curve to the bits
     one block carries on it.
-    ``draw`` holds one batch's (4R, n) Gaussian draw. It is refilled by every
-    batch rather than allocated anew: an array over glibc's mmap threshold,
-    freed each batch, is faulted back in from the kernel by the next.
+    ``draw`` holds one batch's (4R, n) Gaussian draw, 4 rows per receiver. It is
+    refilled by every batch rather than allocated anew: an array over glibc's
+    mmap threshold, freed each batch, is faulted back in from the kernel by the next.
     """
 
     def __init__(self, spec: ExperimentSpec):
@@ -220,30 +220,29 @@ def _run_batch(ctx: _PointContext, snr_db: float, first_block: int,
     maps to; every detector decides the same draw.
 
     The batch is n = BATCH_BLOCKS * L subcarriers drawn from one stream: n tx
-    entries, then one (4R, n) Gaussian array g holding h real and imaginary
-    (R rows each), then each receiver's noise, real and imaginary. Receiver rx
-    sees h = (g[rx-1] + j g[R+rx-1]) / sqrt(2) and y = h x + sqrt(sigma^2 / 2) w
-    with w = g[2(R+rx-1)] + j g[2(R+rx-1)+1]. The draw stops after the noise of
+    entries, then a Gaussian array g of one 4-row block per receiver, each h
+    real, h imaginary, noise real, noise imaginary. Receiver rx reads rows
+    k = 4(rx-1) to k+3: h = (g[k] + j g[k+1]) / sqrt(2) and y = h x +
+    sqrt(sigma^2 / 2) (g[k+2] + j g[k+3]). The draw stops after the block of
     the highest live receiver; numpy fills it in order, so every row read is
     the row of a full draw. A receiver no detector needs builds no h or y. Bit
     labels are linear over XOR in the entry index, so a channel's errors on a
     subcarrier are its weight table at (decided entry ^ sent entry).
     """
     n = BATCH_BLOCKS * ctx.spec.n_subcarriers
-    R = ctx.n_receivers
     receivers = sorted(set().union(*live.values()))
     noise_scale = np.sqrt(noise_variance(snr_db) / 2)
     rng = np.random.default_rng(np.random.SeedSequence(
         entropy=ctx.spec.master_seed, spawn_key=(_seed_key(snr_db), first_block)))
     tx_entry = rng.integers(0, len(ctx.alphabet.x), size=n)
-    g = rng.standard_normal(out=ctx.draw[:2 * (R + receivers[-1])])
+    g = rng.standard_normal(out=ctx.draw[:4 * receivers[-1]])
 
     x = ctx.alphabet.x[tx_entry]
     errors: dict[str, dict[str, int]] = {detector: {} for detector in live}
     for rx in receivers:
-        h = (g[rx - 1] + 1j * g[R + rx - 1]) / np.sqrt(2)
-        k = 2 * (R + rx - 1)  # this receiver's noise rows, real then imaginary
-        y = h * x + noise_scale * (g[k] + 1j * g[k + 1])
+        k = 4 * (rx - 1)
+        h = (g[k] + 1j * g[k + 1]) / np.sqrt(2)
+        y = h * x + noise_scale * (g[k + 2] + 1j * g[k + 3])
         for detector, needs in live.items():
             if rx in needs:
                 diff = _decide(ctx, detector, y, h, rx) ^ tx_entry

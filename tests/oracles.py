@@ -453,9 +453,9 @@ def brute_force_cell_lists(x, cells=None):
 
 def run_block_oracle(ctx, snr_db, first_block, noiseless=False):
     """The stop-rule batch from ``first_block`` through the channel layer:
-    draw_channel over all its subcarriers, then one apply_channel per receiver
-    and one detection by each of the spec's detectors, bits compared one by
-    one. Returns the errors per detector and channel."""
+    per receiver in turn, one draw_channel over all its subcarriers, one
+    apply_channel and one detection by each of the spec's detectors, bits
+    compared one by one. Returns the errors per detector and channel."""
     spec = ctx.spec
     n = BATCH_BLOCKS * spec.n_subcarriers
     ss = np.random.SeedSequence(entropy=spec.master_seed,
@@ -465,13 +465,15 @@ def run_block_oracle(ctx, snr_db, first_block, noiseless=False):
     tx_entry = rng.integers(0, len(ctx.alphabet.x), size=n)
     tx_bits = ctx.alphabet.bits[tx_entry]
     x = ctx.alphabet.x[tx_entry]
-    ch = draw_channel(ctx.n_receivers, n, np.inf if noiseless else snr_db, rng=rng)
 
     errors = {detector: {} for detector in spec.detectors}
     for rx in range(1, ctx.n_receivers + 1):
-        y = apply_channel(x, ch, rx, rng)
+        ch = draw_channel(1, n, np.inf if noiseless else snr_db, rng=rng)
+        y = apply_channel(x, ch, 1, rng)
+        if noiseless:  # apply_channel drew no noise; the next receiver's h follows it
+            rng.standard_normal(2 * n)
         for detector in spec.detectors:
-            rx_bits = ctx.alphabet.bits[_decide(ctx, detector, y, ch.h[rx - 1], rx)]
+            rx_bits = ctx.alphabet.bits[_decide(ctx, detector, y, ch.h[0], rx)]
             for name, pos, owner in ctx.channels:
                 if owner == rx:
                     errors[detector][name] = int(

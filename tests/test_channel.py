@@ -35,20 +35,23 @@ def test_noiseless_apply_is_elementwise_product():
 
 @pytest.mark.parametrize("n_rx", [1, 3])
 def test_one_gaussian_draw_equals_channel_then_noise_draws(n_rx):
-    """Rows h real, h imaginary, then noise real and imaginary per receiver:
-    the variates draw_channel and n_rx apply_channel calls consume, in order."""
+    """One 4-row block per receiver, h real, h imaginary, noise real and
+    imaginary: the variates one draw_channel and one apply_channel call per
+    receiver consume, in order."""
     L, snr_db = 50, 7.0
     x = np.exp(1j * np.arange(L))
     rng = np.random.default_rng(9)
-    ch = draw_channel(n_rx, L, snr_db, rng=rng)
-    ys = [apply_channel(x, ch, rx, rng) for rx in range(1, n_rx + 1)]
     g = np.random.default_rng(9).standard_normal((4 * n_rx, L))
-    h = (g[:n_rx] + 1j * g[n_rx:2 * n_rx]) / np.sqrt(2)
-    assert h.tobytes() == ch.h.tobytes()
     sigma2 = noise_variance(snr_db)
-    for rx, y in enumerate(ys):
-        w = g[2 * n_rx + 2 * rx] + 1j * g[2 * n_rx + 2 * rx + 1]
-        assert (h[rx] * x + np.sqrt(sigma2 / 2) * w).tobytes() == y.tobytes()
+    for rx in range(n_rx):
+        ch = draw_channel(1, L, snr_db, rng=rng)
+        y = apply_channel(x, ch, 1, rng)
+        k = 4 * rx
+        h = (g[k] + 1j * g[k + 1]) / np.sqrt(2)
+        assert h.tobytes() == ch.h[0].tobytes()
+        w = g[k + 2] + 1j * g[k + 3]
+        assert (h * x + np.sqrt(sigma2 / 2) * w).tobytes() == y.tobytes()
+
 
 def test_identity_channel():
     ch = ChannelRealization(h=np.ones((1, 32)), noise_var=0.0)

@@ -1,5 +1,6 @@
 import argparse
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -135,6 +136,20 @@ def test_ber_verbose_logs_one_line_per_point_and_is_silent_without(tmp_path, cap
                 f"{user} {n} blocks {reasons[user]}" for user, n in blocks.items()) in line
     assert run_cli(args) == 0  # the logger is quiet again
     assert capsys.readouterr().err == ""
+
+
+def test_main_leaves_the_logger_as_the_embedding_program_set_it(tmp_path, capsys):
+    log = logging.getLogger("imnomarc")
+    level, handlers = log.level, list(log.handlers)
+    log.setLevel(logging.WARNING)
+    try:
+        for args in (["se"], ["ber", "--out", str(tmp_path), "--snr", "10:5:10",
+                              "--min-errors", "20", "--max-bits", "10000", "-v"]):
+            assert run_cli(args) == 0
+            assert (log.level, log.handlers) == (logging.WARNING, handlers), args
+        assert capsys.readouterr().err.startswith("imnomarc 10 dB: ")  # -v still logs
+    finally:
+        log.setLevel(level)
 
 
 def test_repeated_sweeps_run_once(tmp_path):

@@ -19,6 +19,7 @@ from imnomarc.harness import (BATCH_BUDGET, CSV_HEADER, BerRecord, ExperimentSpe
                               run_sweep)
 from imnomarc.superposition import SystemConfig, build_super_alphabet
 
+import oracles
 from oracles import (exact_ber_2u_bpsk, exact_far_ber_2u_bpsk, load_results, run_block_oracle,
                      run_prefix_oracle, spec_from_dict)
 
@@ -76,45 +77,48 @@ GOLDEN_CONFIGS = {
 
 # (config, scheme, detector, index_user_mode) -> [(snr_db, [(user, bits_sent,
 # bit_errors), ...]), ...] from run_point with n_subcarriers=32, max_bits=3000,
-# min_bit_errors=20, master_seed=11, one RNG stream per 16-block batch, each
-# channel stopped at its own batch (the 2:1:2 rows at 15 dB stop users 2 and
-# index before user 1; test_run_point_equals_the_prefix_oracle derives them).
+# min_bit_errors=20, master_seed=11, one RNG stream per 16-block batch with 4
+# Gaussian rows per receiver, each channel stopped at its own batch (the 2:1:2
+# rows at 15 dB stop users 2 and index before user 1;
+# test_run_point_equals_the_prefix_oracle derives them). A receiver's rows do
+# not depend on how many receivers follow it, so the virtual and near rows of
+# one config differ only where the index bits are decided.
 # Detection draws no random numbers, so any change to how blocks are detected
 # or scored must reproduce these exactly.
 # The PD-NOMA SIC near-user rows equal the PD-NOMA ML rows: without index bits
 # the near stage searches only the rotations the transmitter sends (none).
 GOLDEN = {
     ('2:1:2', 'imnomarc', 'ml', 'virtual'): [
-        (5.0, [('1', 512, 47), ('2', 512, 180), ('index', 512, 219)]),
-        (15.0, [('1', 2048, 20), ('2', 512, 67), ('index', 512, 96)]),
+        (5.0, [('1', 512, 30), ('2', 512, 161), ('index', 512, 213)]),
+        (15.0, [('1', 2560, 25), ('2', 512, 55), ('index', 512, 104)]),
     ],
     ('2:1:2', 'imnomarc', 'ml', 'near'): [
-        (5.0, [('1', 512, 43), ('2', 512, 164), ('index', 512, 220)]),
-        (15.0, [('1', 2560, 22), ('2', 512, 63), ('index', 512, 95)]),
+        (5.0, [('1', 512, 30), ('2', 512, 161), ('index', 512, 207)]),
+        (15.0, [('1', 2560, 25), ('2', 512, 55), ('index', 512, 84)]),
     ],
     ('2:1:2', 'imnomarc', 'sic', 'virtual'): [
-        (5.0, [('1', 512, 47), ('2', 512, 180), ('index', 512, 219)]),
-        (15.0, [('1', 2048, 20), ('2', 512, 67), ('index', 512, 96)]),
+        (5.0, [('1', 512, 30), ('2', 512, 161), ('index', 512, 213)]),
+        (15.0, [('1', 2560, 25), ('2', 512, 55), ('index', 512, 104)]),
     ],
     ('2:1:2', 'imnomarc', 'sic', 'near'): [
-        (5.0, [('1', 512, 43), ('2', 512, 164), ('index', 512, 220)]),
-        (15.0, [('1', 2560, 22), ('2', 512, 63), ('index', 512, 95)]),
+        (5.0, [('1', 512, 30), ('2', 512, 161), ('index', 512, 207)]),
+        (15.0, [('1', 2560, 25), ('2', 512, 55), ('index', 512, 84)]),
     ],
     ('2:1:2', 'pdnoma', 'ml', 'virtual'): [
-        (5.0, [('1', 512, 47), ('2', 512, 154)]),
-        (15.0, [('1', 2048, 20), ('2', 512, 42)]),
+        (5.0, [('1', 512, 31), ('2', 512, 146)]),
+        (15.0, [('1', 2048, 23), ('2', 512, 44)]),
     ],
     ('2:1:2', 'pdnoma', 'ml', 'near'): [
-        (5.0, [('1', 512, 47), ('2', 512, 154)]),
-        (15.0, [('1', 2048, 20), ('2', 512, 42)]),
+        (5.0, [('1', 512, 31), ('2', 512, 146)]),
+        (15.0, [('1', 2048, 23), ('2', 512, 44)]),
     ],
     ('2:1:2', 'pdnoma', 'sic', 'virtual'): [
-        (5.0, [('1', 512, 47), ('2', 512, 154)]),
-        (15.0, [('1', 2048, 20), ('2', 512, 42)]),
+        (5.0, [('1', 512, 31), ('2', 512, 146)]),
+        (15.0, [('1', 2048, 23), ('2', 512, 44)]),
     ],
     ('2:1:2', 'pdnoma', 'sic', 'near'): [
-        (5.0, [('1', 512, 47), ('2', 512, 154)]),
-        (15.0, [('1', 2048, 20), ('2', 512, 42)]),
+        (5.0, [('1', 512, 31), ('2', 512, 146)]),
+        (15.0, [('1', 2048, 23), ('2', 512, 44)]),
     ],
     ('2:1:2', 'ofdm', 'ml', 'virtual'): [
         (5.0, [('1', 1536, 264)]),
@@ -125,28 +129,28 @@ GOLDEN = {
         (15.0, [('1', 1536, 55)]),
     ],
     ('4:1:4', 'imnomarc', 'ml', 'virtual'): [
-        (5.0, [('1', 1024, 175), ('2', 1024, 371), ('3', 1024, 483), ('4', 1024, 499), ('index', 1024, 488)]),
-        (15.0, [('1', 1024, 80), ('2', 1024, 276), ('3', 1024, 402), ('4', 1024, 467), ('index', 1024, 483)]),
+        (5.0, [('1', 1024, 182), ('2', 1024, 377), ('3', 1024, 491), ('4', 1024, 473), ('index', 1024, 513)]),
+        (15.0, [('1', 1024, 66), ('2', 1024, 241), ('3', 1024, 403), ('4', 1024, 464), ('index', 1024, 516)]),
     ],
     ('4:1:4', 'imnomarc', 'ml', 'near'): [
-        (5.0, [('1', 1024, 172), ('2', 1024, 386), ('3', 1024, 464), ('4', 1024, 468), ('index', 1024, 492)]),
-        (15.0, [('1', 1024, 82), ('2', 1024, 267), ('3', 1024, 414), ('4', 1024, 433), ('index', 1024, 522)]),
+        (5.0, [('1', 1024, 182), ('2', 1024, 377), ('3', 1024, 491), ('4', 1024, 473), ('index', 1024, 484)]),
+        (15.0, [('1', 1024, 66), ('2', 1024, 241), ('3', 1024, 403), ('4', 1024, 464), ('index', 1024, 503)]),
     ],
     ('4:1:4', 'imnomarc', 'sic', 'virtual'): [
-        (5.0, [('1', 1024, 175), ('2', 1024, 375), ('3', 1024, 472), ('4', 1024, 483), ('index', 1024, 503)]),
-        (15.0, [('1', 1024, 81), ('2', 1024, 259), ('3', 1024, 423), ('4', 1024, 467), ('index', 1024, 520)]),
+        (5.0, [('1', 1024, 182), ('2', 1024, 379), ('3', 1024, 478), ('4', 1024, 512), ('index', 1024, 499)]),
+        (15.0, [('1', 1024, 64), ('2', 1024, 261), ('3', 1024, 420), ('4', 1024, 467), ('index', 1024, 505)]),
     ],
     ('4:1:4', 'imnomarc', 'sic', 'near'): [
-        (5.0, [('1', 1024, 169), ('2', 1024, 362), ('3', 1024, 471), ('4', 1024, 483), ('index', 1024, 515)]),
-        (15.0, [('1', 1024, 75), ('2', 1024, 272), ('3', 1024, 422), ('4', 1024, 493), ('index', 1024, 519)]),
+        (5.0, [('1', 1024, 182), ('2', 1024, 379), ('3', 1024, 478), ('4', 1024, 512), ('index', 1024, 522)]),
+        (15.0, [('1', 1024, 64), ('2', 1024, 261), ('3', 1024, 420), ('4', 1024, 467), ('index', 1024, 516)]),
     ],
     ('3:2:2', 'imnomarc', 'ml', 'near'): [
-        (5.0, [('1', 512, 96), ('2', 512, 146), ('3', 512, 180), ('index', 512, 233)]),
-        (15.0, [('1', 512, 60), ('2', 512, 81), ('3', 512, 81), ('index', 512, 100)]),
+        (5.0, [('1', 512, 87), ('2', 512, 159), ('3', 512, 188), ('index', 512, 227)]),
+        (15.0, [('1', 512, 59), ('2', 512, 65), ('3', 512, 90), ('index', 512, 96)]),
     ],
     ('3:2:2', 'imnomarc', 'sic', 'near'): [
-        (5.0, [('1', 512, 97), ('2', 512, 150), ('3', 512, 181), ('index', 512, 231)]),
-        (15.0, [('1', 512, 51), ('2', 512, 82), ('3', 512, 90), ('index', 512, 105)]),
+        (5.0, [('1', 512, 82), ('2', 512, 159), ('3', 512, 186), ('index', 512, 229)]),
+        (15.0, [('1', 512, 72), ('2', 512, 78), ('3', 512, 108), ('index', 512, 101)]),
     ],
 }
 
@@ -191,12 +195,28 @@ def test_batch_counts_equal_per_block_oracle(case, monkeypatch):
     if noiseless:
         silence_noise(monkeypatch)
     cfg = SystemConfig(**GOLDEN_CONFIGS[cfg_name], index_user_mode=mode)
+    # each detector decides the oracle's h and y at every receiver: noiseless
+    # counts are 0 or SIC's floor whatever h is, so they alone cannot show it
+    decided, decide = [], harness._decide
+
+    def recorded(ctx, detector, y, h, rx):
+        decided.append((detector, rx, y, h))
+        return decide(ctx, detector, y, h, rx)
+
+    monkeypatch.setattr(harness, "_decide", recorded)
+    monkeypatch.setattr(oracles, "_decide", recorded)
     for n_subcarriers, snr_db, first_block in [(128, 10.0, 0), (37, 25.0, 48)]:
         spec = ExperimentSpec(cfg=cfg, n_subcarriers=n_subcarriers, master_seed=7, **kw)
         ctx = _PointContext(spec)
         want = run_block_oracle(ctx, snr_db, first_block, noiseless)
         assert list(want) == list(spec.detectors)
+        oracle_decided = decided[:]
+        decided.clear()
         assert _run_batch(ctx, snr_db, first_block, every_receiver(ctx)) == want
+        assert len(decided) == len(oracle_decided)
+        for (*ours, y, h), (*theirs, y_o, h_o) in zip(decided, oracle_decided):
+            assert ours == theirs and np.array_equal(h, h_o) and np.array_equal(y, y_o)
+        decided.clear()
         if not noiseless:
             assert all(sum(errors.values()) > 0 for errors in want.values())
 
@@ -255,6 +275,21 @@ def test_run_batch_counts_a_live_channel_as_with_every_receiver_live(cfg_name, m
             d: {name: every[d][name] for name, _, rx in ctx.channels if rx in receivers}
             for d, receivers in live.items()}
         assert sorted(decided) == sorted((d, rx) for d, rxs in live.items() for rx in rxs)
+
+
+@pytest.mark.parametrize("cfg_name", ["2:1:2", "4:1:4"])
+def test_run_batch_draws_the_row_blocks_up_to_the_last_live_receiver(cfg_name):
+    # 4 rows per receiver: a batch that decides receiver 1 alone draws 4 rows
+    cfg = SystemConfig(**GOLDEN_CONFIGS[cfg_name])
+    spec = ExperimentSpec(cfg=cfg, detectors=("ml", "sic"), n_subcarriers=37, master_seed=7)
+    ctx = _PointContext(spec)
+    R, n = ctx.n_receivers, harness.BATCH_BLOCKS * spec.n_subcarriers
+    assert ctx.draw.nbytes == 32 * R * n  # the draw term of batch_bytes
+    for live, last in (({"ml": {1}}, 1), ({"sic": {2}}, 2), ({"ml": {R}}, R)):
+        ctx.draw.fill(np.nan)
+        _run_batch(ctx, 10.0, 32, live)
+        assert not np.isnan(ctx.draw[:4 * last]).any(), live
+        assert np.isnan(ctx.draw[4 * last:]).all(), live
 
 
 def test_tracked_channels_by_scheme():
