@@ -47,6 +47,8 @@ def build_constellation(order: int, family: str = "PSK") -> Constellation:
 
     PSK places points on the unit circle (QPSK on the pi/4 diagonals). QAM
     uses the rectangular grid: square for M in {4, 16, 64}, 4x2 for M = 8.
+    Every constellation is exactly antipodal: negating a point, bit for bit,
+    gives the point whose label is its own XOR one fixed mask.
     """
     family = family.upper()
     if order < 2 or order & (order - 1):
@@ -67,10 +69,10 @@ def _gray_code(i: np.ndarray) -> np.ndarray:
 def _build_psk(order: int) -> Constellation:
     k = np.arange(order)
     offset = np.pi / 4 if order == 4 else 0.0
-    points = np.exp(1j * (2 * np.pi * k / order + offset))
-    if order == 2:
-        points = np.array([1.0 + 0j, -1.0 + 0j])
-    # point k carries the Gray code of k
+    half = np.exp(1j * (2 * np.pi * k[:order // 2] / order + offset))
+    # point k + M/2 is the exact negation of point k, which exp misses by an
+    # ulp; point k carries the Gray code of k
+    points = np.concatenate([half, -half])
     return Constellation(points=points, bits=bit_rows(_gray_code(k), int(np.log2(order))))
 
 

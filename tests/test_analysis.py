@@ -173,20 +173,54 @@ def brute_force_spectrum(x, sigma2):
     return pep_rayleigh_closed_form(x[i ^ i[:, None]] - x[i], sigma2).sum(axis=1)
 
 
-@pytest.mark.parametrize("angle", [np.pi / 4, np.pi / 2])
-def test_pair_spectrum_matches_brute_force_over_many_tiles(angle):
+def many_tile_alphabet(case):
+    """x of 4:1:4 QPSK at rotation angle ``case`` (A = 1024), of the same at
+    pi/4 shifted by +0.1, or of 2:1:16 QAM at pi/2 (A = 512)."""
+    if case == "2-1-16-qam":
+        return build_super_alphabet(SystemConfig(n_users=2, n_far=1, mod_order=16, family="QAM",
+                                                 power_coeffs=(0.8, 0.2))).x
+    angle = np.pi / 4 if case == "4-1-4-shifted" else case
+    x = build_super_alphabet(SystemConfig(n_users=4, n_far=1, mod_order=4,
+                                          power_coeffs=(0.75, 0.18, 0.05, 0.02),
+                                          rotation_angle=angle)).x
+    return x + 0.1 if case == "4-1-4-shifted" else x
+
+
+@pytest.mark.parametrize("case", [np.pi / 4, np.pi / 2, "2-1-16-qam", "4-1-4-shifted"])
+def test_pair_spectrum_matches_brute_force_over_many_tiles(case):
     # A = 1024 spans 32 x 32 tiles, so row blocks meet column blocks at every
     # XOR block distance; pi/4 keeps the points distinct, pi/2 makes some
-    # coincide (d = 0 pairs at PEP 0.5)
-    cfg = SystemConfig(n_users=4, n_far=1, mod_order=4,
-                       power_coeffs=(0.75, 0.18, 0.05, 0.02), rotation_angle=angle)
-    x = build_super_alphabet(cfg).x
-    assert len(x) == 1024 and len(x) // analysis._TILE == 32
-    distinct = len(np.unique(np.round(x, 9)))
-    assert distinct == 1024 if angle == np.pi / 4 else distinct < 1024
+    # coincide (d = 0 pairs at PEP 0.5). Both, and 2:1:16 QAM, negate under a
+    # mask with a block part, so the pass folds; the shifted copy has no
+    # negation map, so the pass walks the whole upper triangle
+    x = many_tile_alphabet(case)
+    assert len(x) // analysis._TILE == (16 if case == "2-1-16-qam" else 32)
+    fold = analysis._negation_mask(x) // analysis._TILE
+    assert (fold == 0) == (case == "4-1-4-shifted")
+    if case in (np.pi / 4, np.pi / 2):
+        distinct = len(np.unique(np.round(x, 9)))
+        assert distinct == 1024 if case == np.pi / 4 else distinct < 1024
     for sigma2 in (0.05, 0.002):
         np.testing.assert_allclose(analysis._pair_spectrum(x, sigma2),
                                    brute_force_spectrum(x, sigma2), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("case, peps", [(np.pi / 4, 278_528), (np.pi / 2, 278_528),
+                                        ("4-1-4-shifted", 540_672)])
+def test_pair_spectrum_work_per_pass(monkeypatch, case, peps):
+    # 32 row blocks in 32 x 32 tiles: the upper triangle is 528 tiles, and
+    # the negation fold walks row blocks k = 0..15 against 32 - 2k columns,
+    # 272 tiles
+    counted = []
+    pep_of_c = analysis._pep_of_c
+
+    def counting(c, scratch):
+        counted.append(c.size)
+        return pep_of_c(c, scratch)
+
+    monkeypatch.setattr(analysis, "_pep_of_c", counting)
+    analysis._pair_spectrum(many_tile_alphabet(case), 0.01)
+    assert sum(counted) == peps
 
 
 def test_pair_spectrum_working_set_grows_as_a_times_the_tile():

@@ -164,3 +164,18 @@ def test_labels_are_linear_over_xor(order, family):
     bits = build_constellation(order, family).bits
     i = np.arange(order)
     assert np.array_equal(bits[i[:, None] ^ i], bits[:, None, :] ^ bits[None, :, :])
+
+
+@pytest.mark.parametrize("order,family", [(m, "PSK") for m in (2, 4, 8, 16, 32)]
+                         + [(m, "QAM") for m in (4, 8, 16, 64)])
+def test_negation_is_one_label_mask_bit_for_bit(order, family):
+    # The bound folds an alphabet's pairs under x[i ^ m] == -x[i]; that needs
+    # the point with label l ^ mask to be the exact negation of the point
+    # with label l, for one mask and every l
+    c = build_constellation(order, family)
+    labels = c.bits @ (1 << np.arange(c.bits_per_symbol - 1, -1, -1))
+    point_of_label = np.argsort(labels)
+    negated = (-c.points).view(np.uint64)
+    masks = [m for m in range(1, order)
+             if np.array_equal(c.points[point_of_label[labels ^ m]].view(np.uint64), negated)]
+    assert len(masks) == 1
