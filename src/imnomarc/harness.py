@@ -1,6 +1,10 @@
 """Monte Carlo experiment engine: transmit -> channel -> detect loops over SNR
 grids with per-user bit-error accounting and reproducible, batch-seeded RNG.
 
+Every scheme is a ``SystemConfig`` (``ExperimentSpec.scheme_cfg``): IM-NOMA-RC
+the spec's config, PD-NOMA that config without index bits and OFDM the
+one-user system. A sweep runs on that config's super-alphabet and channel table.
+
 The stop rule is evaluated on batches of ``BATCH_BLOCKS`` OFDM blocks of L
 subcarriers, per detector and tracked channel. Every batch draws its symbols,
 channels and noise from one RNG stream derived from (master seed, SNR point,
@@ -29,7 +33,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .constellation import build_constellation
 from .detectors import SCAN_MAX, ml_block, sic_block
 from .superposition import SystemConfig, alphabet_size, build_super_alphabet, channels
 
@@ -122,17 +125,13 @@ class ExperimentSpec:
             raise ValueError("max_bits must be at least 10x min_bit_errors")
         if self.n_subcarriers < 1:
             raise ValueError("n_subcarriers must be positive")
-        if self.scheme == "ofdm":
-            if self.detectors != ("ml",):
-                raise ValueError("the ofdm scheme is detected by ml only")
-            build_constellation(self.ofdm_order, self.ofdm_family)
-            size, receivers = self.ofdm_order, 1
-        else:
-            cfg = self.scheme_cfg()
-            size, receivers = alphabet_size(cfg), cfg.n_users + 1  # at most
-        width = min(size, SCAN_MAX)
+        if self.scheme == "ofdm" and self.detectors != ("ml",):
+            raise ValueError("the ofdm scheme is detected by ml only")
+        cfg = self.scheme_cfg()
+        width = min(alphabet_size(cfg), SCAN_MAX)
         if "sic" in self.detectors:  # a near stage scans every (symbol, rotation)
-            width = max(width, 2 * self.cfg.mod_order)
+            width = max(width, 2 * cfg.mod_order)
+        receivers = max(rx for _, _, rx in channels(cfg))
         need = batch_bytes(self.n_subcarriers, receivers, width)
         if need > BATCH_BUDGET:
             raise ValueError(f"{self.n_subcarriers} subcarriers need {need} bytes per "
@@ -145,7 +144,12 @@ class ExperimentSpec:
         return "+".join(self.detectors)
 
     def scheme_cfg(self) -> SystemConfig:
-        """The system the scheme transmits: PD-NOMA is the config without IM."""
+        """The system the scheme transmits: PD-NOMA is the config without IM,
+        and OFDM the one-user system on the ``ofdm_order``-point
+        ``ofdm_family`` constellation, whose single user takes all the power."""
+        if self.scheme == "ofdm":
+            return SystemConfig(n_users=1, n_far=1, mod_order=self.ofdm_order,
+                                family=self.ofdm_family, power_coeffs=(1.0,))
         return self.cfg if self.scheme == "imnomarc" else replace(self.cfg, im_enabled=False)
 
 
@@ -160,23 +164,14 @@ class BerRecord:
     ber: float
 
 
-class _OfdmAlphabet:
-    """Single-user alphabet: the plain constellation."""
-
-    def __init__(self, order, family):
-        const = build_constellation(order, family)
-        self.x = const.points
-        self.bits = const.bits
-
-
 class _PointContext:
     """Everything a block needs, built once per sweep.
 
+    ``cfg`` is the spec's ``scheme_cfg()`` and ``alphabet`` its super-alphabet.
     ``channels`` lists each tracked error curve once as (name, bit positions
     in the packed per-subcarrier string, receiver that decides it): the
-    config's ``superposition.channels``, or OFDM's one channel. ``weights``
-    maps each curve to its (A,) weight table: entry k carries weights[name][k]
-    of the curve's bits set. ``bits_per_block`` maps each curve to the bits
+    config's ``superposition.channels``. ``weights`` maps each curve to its
+    (A,) weight table: entry k carries weights[name][k] of the curve's bits set. ``bits_per_block`` maps each curve to the bits
     one block carries on it.
     ``draw`` holds one batch's (4R, n) Gaussian draw, 4 rows per receiver. It is
     refilled by every batch rather than allocated anew: an array over glibc's
@@ -185,14 +180,9 @@ class _PointContext:
 
     def __init__(self, spec: ExperimentSpec):
         self.spec = spec
-        if spec.scheme == "ofdm":
-            self.cfg = None
-            self.alphabet = _OfdmAlphabet(spec.ofdm_order, spec.ofdm_family)
-            self.channels = [("1", range(self.alphabet.bits.shape[1]), 1)]
-        else:
-            self.cfg = spec.scheme_cfg()
-            self.alphabet = build_super_alphabet(self.cfg)
-            self.channels = channels(self.cfg)
+        self.cfg = spec.scheme_cfg()
+        self.alphabet = build_super_alphabet(self.cfg)
+        self.channels = channels(self.cfg)
         self.n_receivers = max(rx for _, _, rx in self.channels)
         self.weights = {name: self.alphabet.bits[:, pos].sum(axis=1, dtype=np.int64)
                         for name, pos, _ in self.channels}
@@ -302,11 +292,16 @@ def run_point(spec: ExperimentSpec, snr_db: float, *,
     return records
 
 
-def _version_string() -> str:
+def _version_string(package: Path = Path(__file__).parent) -> str:
+    """``__version__``, plus ``git describe`` of the checkout whose
+    ``src/imnomarc`` the package is; a copy anywhere else, for one installed
+    inside another project's checkout, reads ``__version__`` alone."""
+    root = package.parent.parent
+    if package.parent.name != "src" or not (root / ".git").exists():
+        return __version__
     try:
         out = subprocess.run(["git", "describe", "--always", "--dirty"],
-                             cwd=Path(__file__).parent, capture_output=True,
-                             text=True, timeout=5)
+                             cwd=root, capture_output=True, text=True, timeout=5)
         if out.returncode == 0:
             return f"{__version__}+{out.stdout.strip()}"
     except (OSError, subprocess.SubprocessError):  # no git, or it hung

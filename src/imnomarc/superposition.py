@@ -21,7 +21,9 @@ class SystemConfig:
 
     Users are ordered far-to-near: power coefficients strictly decreasing,
     users 1..n_far form the far group, the rest the near group. Index bits
-    select which suffix of near users gets its constellation rotated.
+    select which suffix of near users gets its constellation rotated. The
+    one-user system (n_users = n_far = 1, power_coeffs = (1.0,)) has no near
+    group and so no index bits: it is the OFDM/OMA baseline.
 
     index_user_mode:
         "near"    - index bits belong to the near users' own payload;
@@ -45,10 +47,10 @@ class SystemConfig:
     total_power: ClassVar[float] = 1.0
 
     def __post_init__(self):
-        if self.n_users < 2:
-            raise ValueError("need at least two users")
-        if not 1 <= self.n_far < self.n_users:
-            raise ValueError("n_far must satisfy 1 <= n_far < n_users")
+        if self.n_users < 1:
+            raise ValueError("need at least one user")
+        if not 1 <= self.n_far < max(self.n_users, 2):
+            raise ValueError("n_far must satisfy 1 <= n_far < n_users, or n_far = n_users = 1")
         self.power_coeffs = tuple(float(a) for a in self.power_coeffs)
         if len(self.power_coeffs) != self.n_users:
             raise ValueError("one power coefficient per user required")

@@ -93,6 +93,18 @@ def test_union_bound_degenerate_antipodal_pair():
     assert np.isclose(bound, pep_rayleigh(2 * amp, sigma2), rtol=1e-9)
 
 
+def test_one_user_bpsk_bound_is_the_flat_rayleigh_closed_form():
+    # one antipodal pair: the bound is BPSK's exact BER over flat Rayleigh
+    # fading, 0.5 (1 - sqrt(g / (1 + g))) at SNR g
+    alphabet = build_super_alphabet(SystemConfig(n_users=1, n_far=1, power_coeffs=(1.0,)))
+    for snr_db in range(0, 31, 2):
+        g = 10 ** (snr_db / 10)
+        want = 0.5 * (1 - np.sqrt(g / (1 + g)))
+        for user in (None, 1):
+            got = union_bound_ber(alphabet, noise_variance(snr_db), user=user)
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
 def test_union_bound_increases_with_noise():
     alphabet = build_super_alphabet(SystemConfig(**TWO_USER))
     assert union_bound_ber(alphabet, 0.02) > union_bound_ber(alphabet, 0.01)

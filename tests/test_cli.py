@@ -40,6 +40,35 @@ def test_flops_table(capsys):
     assert table[("2", "1", "2", "sic", "2")] == 23
 
 
+def test_one_user_tuples_are_table_rows(tmp_path, capsys):
+    # 1:1:M is the one-user system: log2(M) bits, no index bits, one SIC stage
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("[se]\ntuples = 1:1:4\n[flops]\ntuples = 1:1:4\n")
+    assert run_cli(["se", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "se.csv").read_text().splitlines()[1].startswith("1,1,4,2,2,")
+    assert run_cli(["flops", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "flops.csv").read_text().splitlines()[1:] == [
+        "1,1,4,ml,-,12", "1,1,4,sic,1,12"]
+
+
+def test_one_user_system_rows_equal_the_ofdm_rows(tmp_path):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("[system]\nn_users = 1\nn_far = 1\nmod_order = 8\nfamily = QAM\n"
+                   "power_coeffs = 1.0\n")  # [ofdm] stays 8-QAM
+    assert run_cli(["ber", "--config", str(cfg), "--out", str(tmp_path), "--snr", "0:10:20",
+                    "--scheme", "imnomarc", "--scheme", "ofdm", "--min-errors", "20",
+                    "--max-bits", "10000"]) == 0
+    rows = [line.split(",", 1) for line in
+            (tmp_path / "results.csv").read_text().splitlines()[1:]]
+    assert [scheme for scheme, _ in rows] == ["imnomarc"] * 3 + ["ofdm"] * 3
+    assert [rest for _, rest in rows[:3]] == [rest for _, rest in rows[3:]]
+    assert run_cli(["bound", "--config", str(cfg), "--out", str(tmp_path),
+                    "--snr", "0:10:20"]) == 0
+    users = [line.split(",")[2] for line in
+             (tmp_path / "bound.csv").read_text().splitlines()[1:]]
+    assert users == ["1"] * 3
+
+
 def test_se_writes_csv(tmp_path):
     assert run_cli(["se", "--out", str(tmp_path)]) == 0
     text = (tmp_path / "se.csv").read_text().splitlines()

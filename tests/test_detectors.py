@@ -7,7 +7,7 @@ import pytest
 
 from imnomarc.detectors import (_WALK_MAX, SCAN_MAX, _CellTable, _scan, _SicStages, flops_ml,
                                 flops_sic, ml_block, sic_block)
-from imnomarc.harness import ExperimentSpec, _decide, _OfdmAlphabet, _PointContext
+from imnomarc.harness import ExperimentSpec, _decide, _PointContext
 from imnomarc.superposition import SystemConfig, build_super_alphabet, user_bit_positions
 
 from oracles import (brute_force_cell_lists, brute_force_hypotheses, brute_force_scan,
@@ -137,10 +137,16 @@ def _halving_powers(n_users):
     return dict(n_users=n_users, n_far=1, power_coeffs=tuple(raw / raw.sum()))
 
 
+def _ofdm_alphabet(order, family):
+    """The OFDM scheme's alphabet: the one-user system's super-alphabet."""
+    return build_super_alphabet(ExperimentSpec(
+        scheme="ofdm", ofdm_order=order, ofdm_family=family).scheme_cfg())
+
+
 def _twice_128psk():
     """Every point of 128-PSK stored twice, bit-identical: exact metric ties
     that only the lowest-index rule settles."""
-    return SimpleNamespace(x=np.tile(_OfdmAlphabet(128, "PSK").x, 2))
+    return SimpleNamespace(x=np.tile(_ofdm_alphabet(128, "PSK").x, 2))
 
 
 # name -> (builder, largest number of entries sharing a point)
@@ -150,10 +156,10 @@ ML_ALPHABETS = {
     "4:1:4-qpsk-pi/2": (lambda: build_super_alphabet(SystemConfig(**FOUR_USER_QPSK)), 4),
     "4:2:2-bpsk": (lambda: build_super_alphabet(SystemConfig(
         n_users=4, n_far=2, mod_order=2, power_coeffs=(0.5, 0.3, 0.15, 0.05))), 1),
-    "ofdm-256psk": (lambda: _OfdmAlphabet(256, "PSK"), 1),
+    "ofdm-256psk": (lambda: _ofdm_alphabet(256, "PSK"), 1),
     # at most _WALK_MAX points: walked one hypothesis at a time
     "2:1:2-bpsk": (lambda: build_super_alphabet(SystemConfig(**TWO_USER)), 1),
-    "ofdm-8qam": (lambda: _OfdmAlphabet(8, "QAM"), 1),
+    "ofdm-8qam": (lambda: _ofdm_alphabet(8, "QAM"), 1),
     "128psk-twice": (_twice_128psk, 2),
     # PD-NOMA, every point on the real axis and on the hull
     "10:1:2-bpsk-collinear": (lambda: build_super_alphabet(SystemConfig(

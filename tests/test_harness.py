@@ -3,6 +3,7 @@ import json
 import math
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -87,6 +88,8 @@ GOLDEN_CONFIGS = {
 # or scored must reproduce these exactly.
 # The PD-NOMA SIC near-user rows equal the PD-NOMA ML rows: without index bits
 # the near stage searches only the rotations the transmitter sends (none).
+# The OFDM rows are the one-user 8-QAM system's, whose entries are in label
+# order like every alphabet's; the config and its mode do not enter them.
 GOLDEN = {
     ('2:1:2', 'imnomarc', 'ml', 'virtual'): [
         (5.0, [('1', 512, 30), ('2', 512, 161), ('index', 512, 213)]),
@@ -121,12 +124,12 @@ GOLDEN = {
         (15.0, [('1', 2048, 23), ('2', 512, 44)]),
     ],
     ('2:1:2', 'ofdm', 'ml', 'virtual'): [
-        (5.0, [('1', 1536, 264)]),
-        (15.0, [('1', 1536, 55)]),
+        (5.0, [('1', 1536, 274)]),
+        (15.0, [('1', 1536, 54)]),
     ],
     ('2:1:2', 'ofdm', 'ml', 'near'): [
-        (5.0, [('1', 1536, 264)]),
-        (15.0, [('1', 1536, 55)]),
+        (5.0, [('1', 1536, 274)]),
+        (15.0, [('1', 1536, 54)]),
     ],
     ('4:1:4', 'imnomarc', 'ml', 'virtual'): [
         (5.0, [('1', 1024, 182), ('2', 1024, 377), ('3', 1024, 491), ('4', 1024, 473), ('index', 1024, 513)]),
@@ -506,15 +509,38 @@ def test_spec_refuses_a_batch_over_the_memory_budget(monkeypatch):
     # one batch's (4R, 16 L) draw alone would be 1430 GiB
     with pytest.raises(ValueError, match="budget"):
         ExperimentSpec(n_subcarriers=10 ** 9)
-    # (scheme, receivers, widest scan): 2:1:2 scans A = 8 entries, 8-QAM OFDM 8 points
-    for scheme, receivers, width in (("imnomarc", 3, 8), ("ofdm", 1, 8)):
+    # (scheme, index_user_mode, receivers, widest scan): 2:1:2 scans A = 8
+    # entries, its PD-NOMA 4 and 8-QAM OFDM 8 points. The receivers are those
+    # of the scheme's channel table: PD-NOMA and near mode have no virtual one.
+    for scheme, mode, receivers, width in (("imnomarc", "virtual", 3, 8),
+                                           ("imnomarc", "near", 2, 8),
+                                           ("pdnoma", "virtual", 2, 4),
+                                           ("ofdm", "virtual", 1, 8)):
+        cfg = SystemConfig(**TWO_USER, index_user_mode=mode)
         largest = BATCH_BUDGET // harness.batch_bytes(1, receivers, width)
-        ExperimentSpec(scheme=scheme, n_subcarriers=largest)
-        with pytest.raises(ValueError, match="budget"):
-            ExperimentSpec(scheme=scheme, n_subcarriers=largest + 1)
+        ExperimentSpec(scheme=scheme, cfg=cfg, n_subcarriers=largest)
+        need = harness.batch_bytes(largest + 1, receivers, width)
+        with pytest.raises(ValueError, match=f"need {need} bytes per batch, over the budget"):
+            ExperimentSpec(scheme=scheme, cfg=cfg, n_subcarriers=largest + 1)
     # L = 128 passes with room to spare, also at A = 1024
     assert harness.batch_bytes(128, 5, SCAN_MAX) < BATCH_BUDGET // 100
     ExperimentSpec(cfg=SystemConfig(**GOLDEN_CONFIGS["4:1:4"]), detectors=("ml", "sic"))
+
+
+@pytest.mark.parametrize("order, family", [(2, "PSK"), (4, "PSK"), (8, "QAM"), (16, "QAM")])
+def test_ofdm_is_the_one_user_system(order, family):
+    # the ofdm scheme transmits the one-user system: same rows at one seed,
+    # and SIC's one stage decides as ML does
+    one_user = SystemConfig(n_users=1, n_far=1, mod_order=order, family=family,
+                            power_coeffs=(1.0,))
+    grid = dict(snr_grid_db=(0.0, 10.0, 20.0), max_bits=20_000, min_bit_errors=50,
+                master_seed=5, n_subcarriers=16)
+    ofdm, _ = run_sweep(ExperimentSpec(scheme="ofdm", ofdm_order=order, ofdm_family=family,
+                                       **grid))
+    system, _ = run_sweep(ExperimentSpec(cfg=one_user, detectors=("ml", "sic"), **grid))
+    assert [r.user for r in system] == ["1"] * 6
+    assert [replace(r, scheme="imnomarc") for r in ofdm] == system[:3]
+    assert [replace(r, detector="ml") for r in system[3:]] == system[:3]
 
 
 def test_sweep_builds_its_alphabet_once(monkeypatch):
@@ -594,6 +620,30 @@ def test_spec_validation():
         with pytest.raises(ValueError, match="ofdm"):
             ExperimentSpec(scheme="ofdm", detectors=detectors)
     ExperimentSpec(scheme="imnomarc", ofdm_order=3)  # read by the OFDM scheme only
+
+
+def _git(cwd, *args):
+    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                   cwd=cwd, check=True, capture_output=True, timeout=30)
+
+
+def test_version_string_names_only_the_checkout_holding_the_package(tmp_path):
+    package = Path(harness.__file__).parent
+    _git(tmp_path, "init", "-q")
+    _git(tmp_path, "commit", "-q", "--allow-empty", "-m", "other project")
+    # an untracked copy the other project's checkout merely holds, as an
+    # installed copy inside a virtualenv in that checkout
+    copy = tmp_path / "venv" / "site-packages" / "imnomarc"
+    shutil.copytree(package, copy)
+    assert harness._version_string(copy) == __version__
+    # the package as that checkout's src/imnomarc: git describes the checkout
+    shutil.copytree(package, tmp_path / "src" / "imnomarc")
+    _git(tmp_path, "add", "src")
+    _git(tmp_path, "commit", "-q", "-m", "the package")
+    head = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=30).stdout.strip()
+    version = harness._version_string(tmp_path / "src" / "imnomarc")
+    assert version.startswith(f"{__version__}+{head}")
 
 
 def test_version_string_survives_a_git_timeout(monkeypatch):

@@ -221,8 +221,15 @@ def test_channel_table_names_each_curve_and_its_receiver(kw, want):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="two users"):
-        SystemConfig(n_users=1, n_far=1, power_coeffs=(1.0,))
+    # the one-user system is the OFDM baseline: no near group, no index bits
+    one = SystemConfig(n_users=1, n_far=1, power_coeffs=(1.0,))
+    assert one.n_index_bits == 0 and spectral_efficiency(one) == 1
+    with pytest.raises(ValueError, match="one user"):
+        SystemConfig(n_users=0, n_far=1, power_coeffs=())
+    valid_powers = {1: (1.0,), 2: (0.9, 0.1), 3: (0.6, 0.3, 0.1)}
+    for n_users, n_far in ((1, 0), (2, 0), (2, 2), (3, 3)):
+        with pytest.raises(ValueError, match="n_far"):
+            SystemConfig(n_users=n_users, n_far=n_far, power_coeffs=valid_powers[n_users])
     with pytest.raises(ValueError, match="one power coefficient per user"):
         SystemConfig(n_users=3, n_far=1, power_coeffs=(0.9, 0.1))
     with pytest.raises(ValueError):
