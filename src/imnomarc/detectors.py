@@ -3,7 +3,9 @@
 Detectors are pure functions of (received signal, channel, config/alphabet)
 and are deterministic: argmin ties always break toward the lowest hypothesis
 index. Both operate on whole subcarrier vectors at once, a single subcarrier
-being a 1-row call, and both return (alphabet entry indices, metrics).
+being a 1-row call, and both return (alphabet entry indices, metrics). The
+channel h is (L,), one gain per subcarrier, or a scalar every row shares: the
+harness equalises each receiver's signal to z = y/h and passes h = 1.
 
 Every decision goes through one kernel, ``_scan``, the argmin of |y - g x|^2
 over a hypothesis set x: an ML scan, the ML searches' candidate scans, and
@@ -63,26 +65,25 @@ _HUGE = np.sqrt(np.finfo(float).max) / 2
 
 def _scan(y: np.ndarray, h: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Argmin of |y - h x|^2 over the last axis of ``x``, (A,) or (L, k), ties
-    and NaN metrics as ``np.argmin`` takes them: the first least, or the first NaN.
+    and NaN metrics as ``np.argmin`` takes them: the first least, or the first
+    NaN. ``h`` is (L,) or a scalar.
 
     A set of up to _WALK_MAX hypotheses shared by every row is walked one
     hypothesis at a time on (L,) arrays, a NaN metric entering the running
-    minimum as -1. Others are scanned as one (L, k) array in place, one
-    complex and one real (L, k) array a call. Both form the same products
-    h x; the exhaustive-scan tests pin that both give the same bits.
+    minimum as -1. Others are scanned as one (L, k) array, one complex and one
+    real (L, k) array a call. Both form the same products h x; the
+    exhaustive-scan tests pin that both give the same bits.
     """
     if x.ndim == 2 or len(x) > _WALK_MAX:
-        d = h[:, None] * x
-        np.subtract(y[:, None], d, out=d)
-        d = np.abs(d)
+        d = h[..., None] * x  # one (k,) row for every row of y when h is a scalar
+        d = np.abs(np.subtract(y[:, None], d, out=d if d.ndim == 2 else None))
         d *= d
         idx = np.argmin(d, axis=1)
         return idx, d[np.arange(len(y)), idx]
     idx = np.zeros(len(y), dtype=np.intp)
     for j, x_j in enumerate(x):
-        d = h * x_j
-        np.subtract(y, d, out=d)
-        m = np.abs(d)
+        d = h * x_j  # a scalar when h is
+        m = np.abs(np.subtract(y, d, out=d if d.ndim else None))
         m *= m
         np.fmax(m, -1.0, out=m)  # NaN -> -1, below every metric
         if j == 0:
@@ -105,16 +106,18 @@ def _settle(y, h, rows, cand, points, idx, metric, table_row=None):
     indices sorted by index: one (width,) list shared by every row, with
     ``points`` its points, or an (n, width) table whose row ``table_row[i]``
     lists the candidates of ``rows[i]``, with ``points`` the (n, width) table
-    of their points or the alphabet itself, gathered per call."""
+    of their points or the alphabet itself, gathered per call. A scalar ``h``
+    serves every row."""
     step = max(1, _CHUNK // cand.shape[-1])
     for s in range(0, len(rows), step):
         r = rows[s:s + step]
+        g = h[r] if h.ndim else h
         if table_row is None:
-            k, metric[r] = _scan(y[r], h[r], points)
+            k, metric[r] = _scan(y[r], g, points)
             idx[r] = cand[k]
         else:
             t = table_row[s:s + step]
-            k, metric[r] = _scan(y[r], h[r], points.take(t, axis=0) if points.ndim == 2
+            k, metric[r] = _scan(y[r], g, points.take(t, axis=0) if points.ndim == 2
                                  else points[cand[t]])
             idx[r] = cand[t, k]
 
@@ -321,13 +324,14 @@ class _CellTable:
 def ml_block(y: np.ndarray, h: np.ndarray, alphabet: SuperAlphabet) -> tuple[np.ndarray, np.ndarray]:
     """Minimum-distance decision per subcarrier; returns (entry indices, metrics).
 
-    The result equals an exhaustive scan of |y - h x|^2 bit for bit, ties
-    toward the lowest entry index. Alphabets of at most ``SCAN_MAX`` points
-    are scanned. Larger ones are searched through the alphabet's cell table,
-    built on first use, which scans only candidates that hold the nearest
-    point to y/h and every point within the tie band of it. A row is scanned in full instead when its
-    metrics would leave the normal float range (|h| = 0, y/h overflowing) or
-    y/h lies beyond the cell table's reach.
+    ``h`` is (L,) or a scalar gain every subcarrier shares. The result equals
+    an exhaustive scan of |y - h x|^2 bit for bit, ties toward the lowest
+    entry index. Alphabets of at most ``SCAN_MAX`` points are scanned. Larger
+    ones are searched through the alphabet's cell table, built on first use,
+    which scans only candidates that hold the nearest point to y/h and every
+    point within the tie band of it. A row is scanned in full instead when
+    its metrics would leave the normal float range (|h| = 0, y/h overflowing
+    or not finite) or y/h lies beyond the cell table's reach.
     """
     y = np.asarray(y, dtype=complex)
     h = np.asarray(h, dtype=complex)
@@ -390,9 +394,10 @@ class _SicStages:
 def sic_block(y: np.ndarray, h: np.ndarray, cfg: SystemConfig, user: int) -> tuple[np.ndarray, np.ndarray]:
     """Successive cancellation per subcarrier; returns (entry indices, metrics).
 
-    Stage l is one ``_scan`` of the residual with gain amplitude_l * h over
-    the stage's hypotheses (see ``_SicStages``, built on the config's first
-    call) and cancels the chosen one. Far stages search the base
+    ``h`` is (L,) or a scalar gain every subcarrier shares. Stage l is one
+    ``_scan`` of the residual with gain amplitude_l * h, a scalar when h is,
+    over the stage's hypotheses (see ``_SicStages``, built on the config's
+    first call) and cancels the chosen one. Far stages search the base
     constellation; near stages search (symbol, rotation) pairs when the
     config carries index bits and the base constellation otherwise (a
     transmitter without index bits never rotates). Detection stops at the

@@ -7,13 +7,14 @@ one-user system. A sweep runs on that config's super-alphabet and channel table.
 
 The stop rule is evaluated on batches of ``BATCH_BLOCKS`` OFDM blocks of L
 subcarriers, per detector and tracked channel. Every batch draws its symbols,
-channels and noise from one RNG stream derived from (master seed, SNR point,
-first block), then each receiver that a running detector still needs detects
-the whole batch in one call per such detector, and each open channel counts
-its errors once. A sweep runs all of its detectors in one pass, and each
-(detector, channel) pair stops on its own stop rule, so a channel's row is the
-shared stream cut at its own stop batch: the row a sweep of that detector
-alone, with every receiver deciding every batch, would reach at that batch.
+fading powers and noise from one RNG stream derived from (master seed, SNR
+point, first block), then each receiver that a running detector still needs
+detects the whole batch, equalised to z = y/h, in one call per such detector,
+and each open channel counts its errors once. A sweep runs all of its
+detectors in one pass, and each (detector, channel) pair stops on its own stop
+rule, so a channel's row is the shared stream cut at its own stop batch: the
+row a sweep of that detector alone, with every receiver deciding every batch,
+would reach at that batch.
 Detection draws no random numbers, so a fixed seed reproduces results.csv
 byte for byte.
 """
@@ -34,7 +35,8 @@ import numpy as np
 
 from . import __version__
 from .detectors import SCAN_MAX, ml_block, sic_block
-from .superposition import SystemConfig, alphabet_size, build_super_alphabet, channels
+from .superposition import (SystemConfig, alphabet_size, build_super_alphabet, channels,
+                            spectral_efficiency)
 
 log = logging.getLogger(__package__)
 
@@ -84,11 +86,12 @@ def check_snr_grid(snr_grid_db) -> tuple[float, ...]:
 
 
 def batch_bytes(n_subcarriers: int, n_receivers: int, scan_width: int) -> int:
-    """Bytes a batch of ``BATCH_BLOCKS`` blocks holds at its peak: the (4R, n)
-    draw, n tx entries and symbols, one receiver's h, y and decisions, and a
-    (n, scan_width) complex plus real scan temporary."""
+    """Bytes a batch of ``BATCH_BLOCKS`` blocks holds at its peak: the (R, 3n)
+    draw, in which each receiver's z is built, n tx entries and symbols, one
+    receiver's decisions, and a (n, scan_width) complex plus real scan
+    temporary. No h array is held: the detectors take a unit gain."""
     n = BATCH_BLOCKS * n_subcarriers
-    return n * (32 * n_receivers + 8 + 16 + 40 + 24 * scan_width)
+    return n * (24 * n_receivers + 8 + 16 + 8 + 24 * scan_width)
 
 
 @dataclass
@@ -125,8 +128,6 @@ class ExperimentSpec:
             raise ValueError("max_bits must be at least 10x min_bit_errors")
         if self.n_subcarriers < 1:
             raise ValueError("n_subcarriers must be positive")
-        if self.scheme == "ofdm" and self.detectors != ("ml",):
-            raise ValueError("the ofdm scheme is detected by ml only")
         cfg = self.scheme_cfg()
         width = min(alphabet_size(cfg), SCAN_MAX)
         if "sic" in self.detectors:  # a near stage scans every (symbol, rotation)
@@ -171,11 +172,13 @@ class _PointContext:
     ``channels`` lists each tracked error curve once as (name, bit positions
     in the packed per-subcarrier string, receiver that decides it): the
     config's ``superposition.channels``. ``weights`` maps each curve to its
-    (A,) weight table: entry k carries weights[name][k] of the curve's bits set. ``bits_per_block`` maps each curve to the bits
-    one block carries on it.
-    ``draw`` holds one batch's (4R, n) Gaussian draw, 4 rows per receiver. It is
-    refilled by every batch rather than allocated anew: an array over glibc's
-    mmap threshold, freed each batch, is faulted back in from the kernel by the next.
+    (A,) weight table: entry k carries weights[name][k] of the curve's bits
+    set. ``bits_per_block`` maps each curve to the bits one block carries on it.
+    ``draw`` holds one batch's (R, 3n) draw, one row per receiver: n fading
+    powers, then n complex noise values as 2n floats, overwritten by that
+    receiver's z. It is refilled by every batch rather than allocated anew: an
+    array over glibc's mmap threshold, freed each batch, is faulted back in
+    from the kernel by the next.
     """
 
     def __init__(self, spec: ExperimentSpec):
@@ -188,12 +191,13 @@ class _PointContext:
                         for name, pos, _ in self.channels}
         self.bits_per_block = {name: spec.n_subcarriers * len(pos)
                                for name, pos, _ in self.channels}
-        self.draw = np.empty((4 * self.n_receivers, BATCH_BLOCKS * spec.n_subcarriers))
+        self.draw = np.empty((self.n_receivers, 3 * BATCH_BLOCKS * spec.n_subcarriers))
 
 
 def _decide(ctx: _PointContext, detector: str, y: np.ndarray, h: np.ndarray,
             rx: int) -> np.ndarray:
-    """Decided (L,) alphabet entries of ``detector`` at receiver ``rx``.
+    """Decided (L,) alphabet entries of ``detector`` at receiver ``rx`` from
+    the signal ``y`` through the gain ``h``, (L,) or a scalar.
 
     ML decides whole entries; the fields SIC leaves undecided belong to no
     channel of ``rx``.
@@ -209,13 +213,17 @@ def _run_batch(ctx: _PointContext, snr_db: float, first_block: int,
     detector of ``live`` and each channel decided at one of the receivers it
     maps to; every detector decides the same draw.
 
-    The batch is n = BATCH_BLOCKS * L subcarriers drawn from one stream: n tx
-    entries, then a Gaussian array g of one 4-row block per receiver, each h
-    real, h imaginary, noise real, noise imaginary. Receiver rx reads rows
-    k = 4(rx-1) to k+3: h = (g[k] + j g[k+1]) / sqrt(2) and y = h x +
-    sqrt(sigma^2 / 2) (g[k+2] + j g[k+3]). The draw stops after the block of
-    the highest live receiver; numpy fills it in order, so every row read is
-    the row of a full draw. A receiver no detector needs builds no h or y. Bit
+    Detection decides argmin |y - h x|^2 = argmin |z - x|^2 on z = y/h = x +
+    n/h, and n/h, circularly symmetric noise over an independent Rayleigh
+    fade, has the law of n'/sqrt(t) with t = |h|^2 ~ Exp(1) (Tse and
+    Viswanath 2005, ch. 3). So the batch of n = BATCH_BLOCKS * L subcarriers
+    draws from one stream n tx entries, then per receiver in turn one row of
+    3n floats: t from ``standard_exponential``, then n' as n complex values
+    from ``standard_normal``. Receiver rx builds z = x + sqrt(sigma^2 / 2) n'
+    / sqrt(t) in its row and decides it at unit gain. The draw stops after
+    the highest live receiver's row, so every row read is the row of a full
+    draw; a receiver no detector needs builds no z. A fade t = 0 makes z
+    infinite or NaN, and every detector decides it as h = 0: entry 0. Bit
     labels are linear over XOR in the entry index, so a channel's errors on a
     subcarrier are its weight table at (decided entry ^ sent entry).
     """
@@ -225,17 +233,24 @@ def _run_batch(ctx: _PointContext, snr_db: float, first_block: int,
     rng = np.random.default_rng(np.random.SeedSequence(
         entropy=ctx.spec.master_seed, spawn_key=(_seed_key(snr_db), first_block)))
     tx_entry = rng.integers(0, len(ctx.alphabet.x), size=n)
-    g = rng.standard_normal(out=ctx.draw[:4 * receivers[-1]])
+    draw = ctx.draw[:receivers[-1]]
+    for row in draw:
+        rng.standard_exponential(out=row[:n])
+        rng.standard_normal(out=row[n:])
 
     x = ctx.alphabet.x[tx_entry]
     errors: dict[str, dict[str, int]] = {detector: {} for detector in live}
     for rx in receivers:
-        k = 4 * (rx - 1)
-        h = (g[k] + 1j * g[k + 1]) / np.sqrt(2)
-        y = h * x + noise_scale * (g[k + 2] + 1j * g[k + 3])
+        scale, noise = draw[rx - 1, :n], draw[rx - 1, n:].reshape(n, 2)
+        with np.errstate(divide="ignore", invalid="ignore"):  # t = 0
+            np.sqrt(scale, out=scale)
+            np.divide(noise_scale, scale, out=scale)
+            noise *= scale[:, None]
+        z = noise.view(complex)[:, 0]
+        z += x
         for detector, needs in live.items():
             if rx in needs:
-                diff = _decide(ctx, detector, y, h, rx) ^ tx_entry
+                diff = _decide(ctx, detector, z, 1.0, rx) ^ tx_entry
                 for name, _, owner in ctx.channels:
                     if owner == rx:
                         errors[detector][name] = int(ctx.weights[name][diff].sum())
@@ -328,7 +343,9 @@ def run_sweep(spec: ExperimentSpec) -> tuple[list[BerRecord], dict]:
     detector and channel, the blocks it ran, why its count stopped
     (``min_errors`` when it reached ``min_bit_errors``, ``max_bits``
     otherwise) and the Wilson 95% interval on its BER. It also records the
-    python and numpy versions. Each point logs the same seconds, blocks and
+    python and numpy versions, and the system the scheme transmits: ``system``,
+    the fields of ``spec.scheme_cfg()``, and ``bits_per_subcarrier``, its
+    spectral efficiency. Each point logs the same seconds, blocks and
     stop reasons as one INFO line of the ``imnomarc`` logger.
     """
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
@@ -354,6 +371,8 @@ def run_sweep(spec: ExperimentSpec) -> tuple[list[BerRecord], dict]:
                                 for user, n in blocks[d].items()) for d in blocks))
     manifest = {
         "spec": asdict(spec),
+        "system": asdict(ctx.cfg),
+        "bits_per_subcarrier": spectral_efficiency(ctx.cfg),
         "master_seed": spec.master_seed,
         "version": _version_string(),
         "python": "{}.{}.{}".format(*sys.version_info),

@@ -4,10 +4,10 @@ Each one computes a result the package computes on its production path, but
 one symbol, subcarrier or pair at a time: scalar bit mapping and
 superposition, the per-call channel draws, OFDM framing, the quadrature PEP,
 exhaustive ML scans, the cell table's candidate lists cell by cell, one
-stop-rule batch through the channel layer and a point's rows cut from a run
-of such batches. The exact per-channel BER of the default config pins the
-model itself. The loaders of run outputs live here
-too: only tests read them back.
+stop-rule batch drawn receiver by receiver on z = y/h and a point's rows cut
+from a run of such batches. The exact per-channel BER of the default config
+pins the model itself. The loaders of run outputs live here too: only tests
+read them back.
 """
 
 from __future__ import annotations
@@ -298,10 +298,11 @@ def exact_ber_2u_bpsk(snr_db: float, scheme: str, user: str) -> float:
 # --- detection ---------------------------------------------------------------
 
 def exhaustive_ml(y, h, alphabet):
-    """Exhaustive scan of |y - h x|^2 over the whole alphabet, lowest index on ties."""
+    """Exhaustive scan of |y - h x|^2 over the whole alphabet, lowest index on
+    ties; ``h`` is (L,) or a scalar every row shares."""
     y = np.asarray(y, dtype=complex)
     h = np.asarray(h, dtype=complex)
-    d = np.abs(y[:, None] - h[:, None] * alphabet.x[None, :]) ** 2
+    d = np.abs(y[:, None] - h[..., None] * alphabet.x[None, :]) ** 2
     idx = np.argmin(d, axis=1)
     return idx, d[np.arange(len(y)), idx]
 
@@ -322,7 +323,8 @@ def sic_scalar(y, h, cfg, user):
     with index bits, the rotation flags map to the suffix pattern of least
     Hamming distance, ties toward fewer rotated users. The entry is the
     packed bit-string of the decided labels, then of the pattern; what no
-    stage decides is 0. The metric is the last stage's least score.
+    stage decides is 0. The metric is the last stage's least score. ``h`` is
+    (L,) or a scalar every subcarrier shares.
     """
     c = cfg.constellation
     b = cfg.bits_per_symbol
@@ -331,7 +333,7 @@ def sic_scalar(y, h, cfg, user):
     thetas = [0.0, cfg.rotation_angle] if p2 else [0.0]
     turns = [complex(np.exp(1j * np.array([theta]))[0]) for theta in thetas]
     entries, metrics = [], []
-    for y_i, h_i in zip(y, h):
+    for y_i, h_i in zip(y, np.broadcast_to(h, np.shape(y))):
         r = complex(y_i)
         bits, flags = [], []
         for l in range(n_stages):
@@ -452,10 +454,12 @@ def brute_force_cell_lists(x, cells=None):
 # --- harness -----------------------------------------------------------------
 
 def run_block_oracle(ctx, snr_db, first_block, noiseless=False):
-    """The stop-rule batch from ``first_block`` through the channel layer:
-    per receiver in turn, one draw_channel over all its subcarriers, one
-    apply_channel and one detection by each of the spec's detectors, bits
-    compared one by one. Returns the errors per detector and channel."""
+    """The stop-rule batch from ``first_block``, one receiver at a time: the
+    fading powers t = |h|^2 of all its subcarriers in one exponential draw,
+    then 2n Gaussians, the real and imaginary part of each subcarrier's noise
+    in turn. Its signal equalised by h is z = x + sqrt(sigma^2 / 2) w / sqrt(t),
+    part by part, and each of the spec's detectors decides z at unit gain,
+    bits compared one by one. Returns the errors per detector and channel."""
     spec = ctx.spec
     n = BATCH_BLOCKS * spec.n_subcarriers
     ss = np.random.SeedSequence(entropy=spec.master_seed,
@@ -466,14 +470,16 @@ def run_block_oracle(ctx, snr_db, first_block, noiseless=False):
     tx_bits = ctx.alphabet.bits[tx_entry]
     x = ctx.alphabet.x[tx_entry]
 
+    sigma2 = 0.0 if noiseless else noise_variance(snr_db)
     errors = {detector: {} for detector in spec.detectors}
     for rx in range(1, ctx.n_receivers + 1):
-        ch = draw_channel(1, n, np.inf if noiseless else snr_db, rng=rng)
-        y = apply_channel(x, ch, 1, rng)
-        if noiseless:  # apply_channel drew no noise; the next receiver's h follows it
-            rng.standard_normal(2 * n)
+        t = rng.standard_exponential(n)
+        w = rng.standard_normal(2 * n)
+        z = np.empty(n, dtype=complex)
+        z.real = x.real + w[0::2] * (np.sqrt(sigma2 / 2) / np.sqrt(t))
+        z.imag = x.imag + w[1::2] * (np.sqrt(sigma2 / 2) / np.sqrt(t))
         for detector in spec.detectors:
-            rx_bits = ctx.alphabet.bits[_decide(ctx, detector, y, ch.h[0], rx)]
+            rx_bits = ctx.alphabet.bits[_decide(ctx, detector, z, 1.0, rx)]
             for name, pos, owner in ctx.channels:
                 if owner == rx:
                     errors[detector][name] = int(

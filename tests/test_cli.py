@@ -69,6 +69,17 @@ def test_one_user_system_rows_equal_the_ofdm_rows(tmp_path):
     assert users == ["1"] * 3
 
 
+def test_ofdm_sic_rows_equal_its_ml_rows(tmp_path):
+    # the one-user system's SIC is its one stage, the nearest point: ML
+    assert run_cli(["ber", "--out", str(tmp_path), "--snr", "0:10:20", "--scheme", "ofdm",
+                    "--detector", "ml", "--detector", "sic", "--min-errors", "20",
+                    "--max-bits", "10000"]) == 0
+    rows = [line.split(",") for line in
+            (tmp_path / "results.csv").read_text().splitlines()[1:]]
+    assert [row[:2] for row in rows] == [["ofdm", "ml"]] * 3 + [["ofdm", "sic"]] * 3
+    assert [row[2:] for row in rows[:3]] == [row[2:] for row in rows[3:]]
+
+
 def test_se_writes_csv(tmp_path):
     assert run_cli(["se", "--out", str(tmp_path)]) == 0
     text = (tmp_path / "se.csv").read_text().splitlines()
@@ -358,7 +369,6 @@ VALUE_PLACES = {
     ("ber", "[sweep]\nseed = -1\n", ["--snr", "10"]),
     ("ber", "[system]\npower_coeffs = nan, nan\n", ["--snr", "10"]),
     ("bound", "[system]\npower_coeffs = nan, nan\n", ["--snr", "10"]),
-    ("ber", None, ["--snr", "10", "--scheme", "ofdm", "--detector", "sic"]),
     ("ber", "[sweep]\nn_subcarriers = 1000000000\n", ["--snr", "10"]),
     *[(command, ini, []) for command in ("ber", "bound") for ini in UNKNOWN_KEY_INIS.values()],
 ], ids=["bound-snr-grid", "bound-snr-list", "bound-snr-decreasing",
@@ -368,7 +378,7 @@ VALUE_PLACES = {
         "ini-zero-min-errors", "zero-max-bits-flag", "zero-min-errors-flag",
         "ofdm-order", "no-section-header", "duplicate-option",
         "negative-seed-flag", "ini-negative-seed", "ber-nan-power-coeffs",
-        "bound-nan-power-coeffs", "ofdm-sic", "batch-over-memory-budget",
+        "bound-nan-power-coeffs", "batch-over-memory-budget",
         *[f"{command}-{name}" for command in ("ber", "bound") for name in UNKNOWN_KEY_INIS]])
 def test_malformed_numbers_are_config_errors(tmp_path, capsys, command, ini, args):
     if ini is not None:

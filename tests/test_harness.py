@@ -7,11 +7,13 @@ import shutil
 import statistics
 import subprocess
 import sys
+import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import kstest
 
 from imnomarc import __version__, harness
 from imnomarc.detectors import SCAN_MAX
@@ -21,8 +23,8 @@ from imnomarc.harness import (BATCH_BUDGET, CSV_HEADER, BerRecord, ExperimentSpe
 from imnomarc.superposition import SystemConfig, build_super_alphabet
 
 import oracles
-from oracles import (exact_ber_2u_bpsk, exact_far_ber_2u_bpsk, load_results, run_block_oracle,
-                     run_prefix_oracle, spec_from_dict)
+from oracles import (apply_channel, draw_channel, exact_ber_2u_bpsk, exact_far_ber_2u_bpsk,
+                     load_results, run_block_oracle, run_prefix_oracle, spec_from_dict)
 
 TWO_USER = dict(n_users=2, n_far=1, mod_order=2, power_coeffs=(0.9, 0.1))
 
@@ -78,10 +80,11 @@ GOLDEN_CONFIGS = {
 
 # (config, scheme, detector, index_user_mode) -> [(snr_db, [(user, bits_sent,
 # bit_errors), ...]), ...] from run_point with n_subcarriers=32, max_bits=3000,
-# min_bit_errors=20, master_seed=11, one RNG stream per 16-block batch with 4
-# Gaussian rows per receiver, each channel stopped at its own batch (the 2:1:2
-# rows at 15 dB stop users 2 and index before user 1;
-# test_run_point_equals_the_prefix_oracle derives them). A receiver's rows do
+# min_bit_errors=20, master_seed=11, one RNG stream per 16-block batch with one
+# row of 3n floats per receiver (n fading powers, n complex noise values),
+# each channel stopped at its own batch (the 2:1:2 rows at 15 dB stop users 2
+# and index before user 1). The test checks every entry against
+# run_prefix_oracle, which derives it from the z draw. A receiver's rows do
 # not depend on how many receivers follow it, so the virtual and near rows of
 # one config differ only where the index bits are decided.
 # Detection draws no random numbers, so any change to how blocks are detected
@@ -92,68 +95,68 @@ GOLDEN_CONFIGS = {
 # order like every alphabet's; the config and its mode do not enter them.
 GOLDEN = {
     ('2:1:2', 'imnomarc', 'ml', 'virtual'): [
-        (5.0, [('1', 512, 30), ('2', 512, 161), ('index', 512, 213)]),
-        (15.0, [('1', 2560, 25), ('2', 512, 55), ('index', 512, 104)]),
+        (5.0, [('1', 512, 33), ('2', 512, 167), ('index', 512, 211)]),
+        (15.0, [('1', 1536, 21), ('2', 512, 60), ('index', 512, 79)]),
     ],
     ('2:1:2', 'imnomarc', 'ml', 'near'): [
-        (5.0, [('1', 512, 30), ('2', 512, 161), ('index', 512, 207)]),
-        (15.0, [('1', 2560, 25), ('2', 512, 55), ('index', 512, 84)]),
+        (5.0, [('1', 512, 33), ('2', 512, 167), ('index', 512, 206)]),
+        (15.0, [('1', 1536, 21), ('2', 512, 60), ('index', 512, 86)]),
     ],
     ('2:1:2', 'imnomarc', 'sic', 'virtual'): [
-        (5.0, [('1', 512, 30), ('2', 512, 161), ('index', 512, 213)]),
-        (15.0, [('1', 2560, 25), ('2', 512, 55), ('index', 512, 104)]),
+        (5.0, [('1', 512, 33), ('2', 512, 167), ('index', 512, 211)]),
+        (15.0, [('1', 1536, 21), ('2', 512, 60), ('index', 512, 79)]),
     ],
     ('2:1:2', 'imnomarc', 'sic', 'near'): [
-        (5.0, [('1', 512, 30), ('2', 512, 161), ('index', 512, 207)]),
-        (15.0, [('1', 2560, 25), ('2', 512, 55), ('index', 512, 84)]),
+        (5.0, [('1', 512, 33), ('2', 512, 167), ('index', 512, 206)]),
+        (15.0, [('1', 1536, 21), ('2', 512, 60), ('index', 512, 86)]),
     ],
     ('2:1:2', 'pdnoma', 'ml', 'virtual'): [
-        (5.0, [('1', 512, 31), ('2', 512, 146)]),
-        (15.0, [('1', 2048, 23), ('2', 512, 44)]),
+        (5.0, [('1', 512, 35), ('2', 512, 142)]),
+        (15.0, [('1', 1536, 23), ('2', 512, 27)]),
     ],
     ('2:1:2', 'pdnoma', 'ml', 'near'): [
-        (5.0, [('1', 512, 31), ('2', 512, 146)]),
-        (15.0, [('1', 2048, 23), ('2', 512, 44)]),
+        (5.0, [('1', 512, 35), ('2', 512, 142)]),
+        (15.0, [('1', 1536, 23), ('2', 512, 27)]),
     ],
     ('2:1:2', 'pdnoma', 'sic', 'virtual'): [
-        (5.0, [('1', 512, 31), ('2', 512, 146)]),
-        (15.0, [('1', 2048, 23), ('2', 512, 44)]),
+        (5.0, [('1', 512, 35), ('2', 512, 142)]),
+        (15.0, [('1', 1536, 23), ('2', 512, 27)]),
     ],
     ('2:1:2', 'pdnoma', 'sic', 'near'): [
-        (5.0, [('1', 512, 31), ('2', 512, 146)]),
-        (15.0, [('1', 2048, 23), ('2', 512, 44)]),
+        (5.0, [('1', 512, 35), ('2', 512, 142)]),
+        (15.0, [('1', 1536, 23), ('2', 512, 27)]),
     ],
     ('2:1:2', 'ofdm', 'ml', 'virtual'): [
-        (5.0, [('1', 1536, 274)]),
-        (15.0, [('1', 1536, 54)]),
+        (5.0, [('1', 1536, 260)]),
+        (15.0, [('1', 1536, 49)]),
     ],
     ('2:1:2', 'ofdm', 'ml', 'near'): [
-        (5.0, [('1', 1536, 274)]),
-        (15.0, [('1', 1536, 54)]),
+        (5.0, [('1', 1536, 260)]),
+        (15.0, [('1', 1536, 49)]),
     ],
     ('4:1:4', 'imnomarc', 'ml', 'virtual'): [
-        (5.0, [('1', 1024, 182), ('2', 1024, 377), ('3', 1024, 491), ('4', 1024, 473), ('index', 1024, 513)]),
-        (15.0, [('1', 1024, 66), ('2', 1024, 241), ('3', 1024, 403), ('4', 1024, 464), ('index', 1024, 516)]),
+        (5.0, [('1', 1024, 181), ('2', 1024, 374), ('3', 1024, 474), ('4', 1024, 501), ('index', 1024, 507)]),
+        (15.0, [('1', 1024, 80), ('2', 1024, 254), ('3', 1024, 404), ('4', 1024, 467), ('index', 1024, 527)]),
     ],
     ('4:1:4', 'imnomarc', 'ml', 'near'): [
-        (5.0, [('1', 1024, 182), ('2', 1024, 377), ('3', 1024, 491), ('4', 1024, 473), ('index', 1024, 484)]),
-        (15.0, [('1', 1024, 66), ('2', 1024, 241), ('3', 1024, 403), ('4', 1024, 464), ('index', 1024, 503)]),
+        (5.0, [('1', 1024, 181), ('2', 1024, 374), ('3', 1024, 474), ('4', 1024, 501), ('index', 1024, 525)]),
+        (15.0, [('1', 1024, 80), ('2', 1024, 254), ('3', 1024, 404), ('4', 1024, 467), ('index', 1024, 529)]),
     ],
     ('4:1:4', 'imnomarc', 'sic', 'virtual'): [
-        (5.0, [('1', 1024, 182), ('2', 1024, 379), ('3', 1024, 478), ('4', 1024, 512), ('index', 1024, 499)]),
-        (15.0, [('1', 1024, 64), ('2', 1024, 261), ('3', 1024, 420), ('4', 1024, 467), ('index', 1024, 505)]),
+        (5.0, [('1', 1024, 177), ('2', 1024, 380), ('3', 1024, 484), ('4', 1024, 514), ('index', 1024, 501)]),
+        (15.0, [('1', 1024, 68), ('2', 1024, 246), ('3', 1024, 391), ('4', 1024, 483), ('index', 1024, 520)]),
     ],
     ('4:1:4', 'imnomarc', 'sic', 'near'): [
-        (5.0, [('1', 1024, 182), ('2', 1024, 379), ('3', 1024, 478), ('4', 1024, 512), ('index', 1024, 522)]),
-        (15.0, [('1', 1024, 64), ('2', 1024, 261), ('3', 1024, 420), ('4', 1024, 467), ('index', 1024, 516)]),
+        (5.0, [('1', 1024, 177), ('2', 1024, 380), ('3', 1024, 484), ('4', 1024, 514), ('index', 1024, 505)]),
+        (15.0, [('1', 1024, 68), ('2', 1024, 246), ('3', 1024, 391), ('4', 1024, 483), ('index', 1024, 491)]),
     ],
     ('3:2:2', 'imnomarc', 'ml', 'near'): [
-        (5.0, [('1', 512, 87), ('2', 512, 159), ('3', 512, 188), ('index', 512, 227)]),
-        (15.0, [('1', 512, 59), ('2', 512, 65), ('3', 512, 90), ('index', 512, 96)]),
+        (5.0, [('1', 512, 84), ('2', 512, 143), ('3', 512, 204), ('index', 512, 237)]),
+        (15.0, [('1', 512, 57), ('2', 512, 67), ('3', 512, 90), ('index', 512, 99)]),
     ],
     ('3:2:2', 'imnomarc', 'sic', 'near'): [
-        (5.0, [('1', 512, 82), ('2', 512, 159), ('3', 512, 186), ('index', 512, 229)]),
-        (15.0, [('1', 512, 72), ('2', 512, 78), ('3', 512, 108), ('index', 512, 101)]),
+        (5.0, [('1', 512, 87), ('2', 512, 135), ('3', 512, 207), ('index', 512, 238)]),
+        (15.0, [('1', 512, 66), ('2', 512, 73), ('3', 512, 95), ('index', 512, 97)]),
     ],
 }
 
@@ -168,6 +171,7 @@ def test_run_point_matches_golden_counts(case):
     for snr_db, want in GOLDEN[case]:
         got = [(r.user, r.bits_sent, r.bit_errors) for r in run_point(spec, snr_db)]
         assert got == want
+        assert [(u, n, e) for _, u, n, e in run_prefix_oracle(spec, snr_db)] == want
 
 
 BATCH_CASES = {
@@ -198,8 +202,9 @@ def test_batch_counts_equal_per_block_oracle(case, monkeypatch):
     if noiseless:
         silence_noise(monkeypatch)
     cfg = SystemConfig(**GOLDEN_CONFIGS[cfg_name], index_user_mode=mode)
-    # each detector decides the oracle's h and y at every receiver: noiseless
-    # counts are 0 or SIC's floor whatever h is, so they alone cannot show it
+    # each detector decides the oracle's z, at unit gain, at every receiver:
+    # noiseless counts are 0 or SIC's floor whatever the fade is, so they
+    # alone cannot show it
     decided, decide = [], harness._decide
 
     def recorded(ctx, detector, y, h, rx):
@@ -282,17 +287,90 @@ def test_run_batch_counts_a_live_channel_as_with_every_receiver_live(cfg_name, m
 
 @pytest.mark.parametrize("cfg_name", ["2:1:2", "4:1:4"])
 def test_run_batch_draws_the_row_blocks_up_to_the_last_live_receiver(cfg_name):
-    # 4 rows per receiver: a batch that decides receiver 1 alone draws 4 rows
+    # 3n floats per receiver, t and the noise: a batch that decides receiver 1
+    # alone draws 3n floats
     cfg = SystemConfig(**GOLDEN_CONFIGS[cfg_name])
     spec = ExperimentSpec(cfg=cfg, detectors=("ml", "sic"), n_subcarriers=37, master_seed=7)
     ctx = _PointContext(spec)
     R, n = ctx.n_receivers, harness.BATCH_BLOCKS * spec.n_subcarriers
-    assert ctx.draw.nbytes == 32 * R * n  # the draw term of batch_bytes
+    assert ctx.draw.nbytes == 24 * R * n  # the draw term of batch_bytes
     for live, last in (({"ml": {1}}, 1), ({"sic": {2}}, 2), ({"ml": {R}}, R)):
         ctx.draw.fill(np.nan)
         _run_batch(ctx, 10.0, 32, live)
-        assert not np.isnan(ctx.draw[:4 * last]).any(), live
-        assert np.isnan(ctx.draw[4 * last:]).all(), live
+        drawn = ctx.draw.reshape(-1)
+        assert not np.isnan(drawn[:3 * n * last]).any(), live
+        assert np.isnan(drawn[3 * n * last:]).all(), live
+
+
+def test_the_z_draw_has_the_law_of_the_equalised_channel(monkeypatch):
+    # y/h - x = n/h over h ~ CN(0, 1) and n ~ CN(0, sigma^2) is circularly
+    # symmetric with P(|n/h|^2 <= v) = v / (v + sigma^2): so are the harness's
+    # z - x and the channel layer's y/h - x
+    spec = small_spec(n_subcarriers=4096)
+    ctx = _PointContext(spec)
+    n, sigma2 = harness.BATCH_BLOCKS * spec.n_subcarriers, harness.noise_variance(10.0)
+    seen = []
+
+    def recorded(ctx, detector, z, h, rx):
+        seen.append(z.copy())
+        return np.zeros(n, dtype=int)
+
+    monkeypatch.setattr(harness, "_decide", recorded)
+    _run_batch(ctx, 10.0, 0, {"ml": {1}})
+    rng = np.random.default_rng(np.random.SeedSequence(
+        entropy=spec.master_seed, spawn_key=(harness._seed_key(10.0), 0)))
+    x = ctx.alphabet.x[rng.integers(0, len(ctx.alphabet.x), size=n)]  # the batch's first draw
+    ch = draw_channel(1, n, 10.0, rng=rng)
+    equalised = apply_channel(x, ch, 1, rng) / ch.h[0]
+    for w in (seen[0] - x, equalised - x):
+        assert kstest(np.abs(w) ** 2, lambda v: v / (v + sigma2)).pvalue > 1e-3
+        assert kstest(np.angle(w), "uniform", args=(-np.pi, 2 * np.pi)).pvalue > 1e-3
+
+
+class _ZeroFades:
+    """A generator that returns fading power t = 0 on every 5th subcarrier."""
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def standard_exponential(self, *, out):
+        self._rng.standard_exponential(out=out)
+        out[::5] = 0.0
+        return out
+
+
+@pytest.mark.parametrize("cfg_name, mode", [("2:1:2", "virtual"), ("4:1:4", "virtual"),
+                                            ("3:2:2", "near")])
+def test_a_zero_fade_decides_entry_0(cfg_name, mode, monkeypatch):
+    # standard_exponential can return t = |h|^2 = 0, where z = y/h is infinite
+    # or NaN: ML and SIC at every receiver decide entry 0 there, as at h = 0,
+    # where every hypothesis ties, and raise no floating-point warning
+    cfg = SystemConfig(**GOLDEN_CONFIGS[cfg_name], index_user_mode=mode)
+    spec = ExperimentSpec(cfg=cfg, detectors=("ml", "sic"), n_subcarriers=37, master_seed=7)
+    ctx = _PointContext(spec)
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _ZeroFades(default_rng(seed)))
+    decided, decide = [], harness._decide
+
+    def recorded(ctx, detector, z, h, rx):
+        entries = decide(ctx, detector, z, h, rx)
+        decided.append((detector, rx, z.copy(), entries))
+        return entries
+
+    monkeypatch.setattr(harness, "_decide", recorded)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _run_batch(ctx, 10.0, 0, every_receiver(ctx))
+    assert len(decided) == 2 * ctx.n_receivers
+    for detector, rx, z, entries in decided:
+        assert not np.isfinite(z[::5]).any() and np.isfinite(z[1::5]).all()
+        assert not entries[::5].any(), (detector, rx)
+        zero_gain = decide(ctx, detector, np.ones(8, dtype=complex), np.zeros(8), rx)
+        assert not zero_gain.any(), (detector, rx)
+        assert entries[1::5].any()
 
 
 def test_tracked_channels_by_scheme():
@@ -392,9 +470,10 @@ def test_ml_and_sic_decide_alike_on_the_default_config(monkeypatch):
 
 
 def test_batches_do_not_fault_their_draw_back_in(tmp_path):
-    # A (4R, n) draw allocated and freed every batch was faulted back in from
-    # the kernel by the next one: ~100 minor faults a batch through the CLI,
-    # once no import had raised glibc's mmap threshold by accident. A fresh
+    # A batch's (R, 3n) draw, were it allocated and freed every batch, would be
+    # faulted back in from the kernel by the next one: the (4R, n) Gaussian
+    # draw it replaced took ~100 minor faults a batch through the CLI, once no
+    # import had raised glibc's mmap threshold by accident. A fresh
     # interpreter keeps this process's imports out of the count.
     code = """if True:
         import contextlib, io, resource, statistics, sys
@@ -506,7 +585,7 @@ def test_spec_refuses_a_batch_over_the_memory_budget(monkeypatch):
         raise AssertionError("a run started")
 
     monkeypatch.setattr(harness, "_PointContext", refuse)
-    # one batch's (4R, 16 L) draw alone would be 1430 GiB
+    # one batch's (R, 48 L) draw alone would be 1073 GiB
     with pytest.raises(ValueError, match="budget"):
         ExperimentSpec(n_subcarriers=10 ** 9)
     # (scheme, index_user_mode, receivers, widest scan): 2:1:2 scans A = 8
@@ -554,6 +633,20 @@ def test_sweep_builds_its_alphabet_once(monkeypatch):
     records, _ = run_sweep(small_spec(snr_grid_db=(0.0, 5.0, 10.0)))
     assert len(builds) == 1
     assert sorted({r.snr_db for r in records}) == [0.0, 5.0, 10.0]
+
+
+def test_manifest_records_the_system_the_scheme_transmits():
+    # the spec echoes the [system] config; "system" is what the scheme sends
+    for scheme, system, bits in (
+            ("imnomarc", SystemConfig(), 3),
+            ("pdnoma", SystemConfig(im_enabled=False), 2),
+            ("ofdm", SystemConfig(n_users=1, n_far=1, mod_order=8, family="QAM",
+                                  power_coeffs=(1.0,)), 3)):
+        _, manifest = run_sweep(small_spec(scheme=scheme, snr_grid_db=()))
+        assert manifest["system"] == asdict(system)
+        assert manifest["bits_per_subcarrier"] == bits
+        assert manifest["spec"]["cfg"] == asdict(SystemConfig())
+        assert manifest["system"]["im_enabled"] == (scheme != "pdnoma")
 
 
 def test_manifest_echo_roundtrips():
@@ -616,9 +709,7 @@ def test_spec_validation():
             ExperimentSpec(min_bit_errors=min_bit_errors)
     with pytest.raises(ValueError, match="unsupported order 3"):
         ExperimentSpec(scheme="ofdm", ofdm_order=3)
-    for detectors in (("sic",), ("ml", "sic")):
-        with pytest.raises(ValueError, match="ofdm"):
-            ExperimentSpec(scheme="ofdm", detectors=detectors)
+    ExperimentSpec(scheme="ofdm", detectors=("ml", "sic"))  # the one-user system runs SIC
     ExperimentSpec(scheme="imnomarc", ofdm_order=3)  # read by the OFDM scheme only
 
 
