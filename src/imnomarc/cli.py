@@ -1,6 +1,9 @@
 """Command-line front end: spectral-efficiency tables, detector FLOP tables,
 analytical bound curves, and Monte Carlo BER sweeps.
 
+``bound`` and ``ber`` run the same specs, one per scheme of ``[sweep] schemes``,
+each on its ``scheme_cfg()``: ``bound`` writes one block of rows per scheme.
+
 A flag beats the ``--config`` file, which beats ``default.ini``. Every command
 parses the whole config through ``KEYS`` and creates ``--out`` before any
 output. A bad value anywhere in the config, a section or key outside ``KEYS``,
@@ -20,8 +23,8 @@ from pathlib import Path
 
 from .analysis import PAIR_BUDGET, union_bound_ber
 from .detectors import flops_ml, flops_sic
-from .harness import (DETECTORS, SCHEMES, BerRecord, ExperimentSpec, check_snr_grid,
-                      noise_variance, persist, run_sweep, write_csv)
+from .harness import (DETECTORS, SCHEMES, BerRecord, ExperimentSpec, noise_variance, persist,
+                      run_sweep, write_csv)
 from .superposition import (SystemConfig, alphabet_size, build_super_alphabet, channels,
                             spectral_efficiency)
 
@@ -39,6 +42,12 @@ def _parse_floats(text: str, sep: str | None = None) -> tuple[float, ...]:
         raise ValueError(f"bad number in {text!r}") from None
 
 
+# The most points a start:step:stop grid may name. Each point is a bound pass or
+# a Monte Carlo sweep point, so no curve needs more, and a grid over it is refused
+# from its count before a point is built: 0:1e-9:30 would be 3e10 floats.
+SNR_GRID_MAX = 10_000
+
+
 def _parse_snr(text: str) -> tuple[float, ...]:
     """Grid start:step:stop, ending at the last step within 1e-9 steps of stop, or a list."""
     if ":" not in text:
@@ -51,8 +60,10 @@ def _parse_snr(text: str) -> tuple[float, ...]:
     start, step, stop = values
     if step <= 0 or stop < start:
         raise ValueError(f"bad SNR grid {text!r}")
-    n = math.floor((stop - start) / step + 1e-9) + 1
-    return tuple(start + k * step for k in range(n))
+    steps = (stop - start) / step + 1e-9  # inf for a step too small to divide by
+    if steps >= SNR_GRID_MAX:
+        raise ValueError(f"SNR grid {text!r} has over {SNR_GRID_MAX} points")
+    return tuple(start + k * step for k in range(math.floor(steps) + 1))
 
 
 def _parse_tuples(text: str) -> list[tuple[int, int, int]]:
@@ -182,19 +193,23 @@ def cmd_flops(conf, out):
 
 
 def cmd_bound(conf, out):
-    cfg = _system_config(conf["system"])
-    snr = check_snr_grid(conf["sweep"]["snr_db"])
-    size = alphabet_size(cfg)
-    if size * (size - 1) > PAIR_BUDGET:
-        raise ValueError(f"alphabet size {size} has {size * (size - 1)} ordered pairs, "
-                         f"over the bound's budget of {PAIR_BUDGET}")
+    specs = _experiment_specs(conf)
+    for spec in specs:
+        size = alphabet_size(spec.scheme_cfg())
+        if size * (size - 1) > PAIR_BUDGET:
+            raise ValueError(f"{spec.scheme} alphabet size {size} has {size * (size - 1)} "
+                             f"ordered pairs, over the bound's budget of {PAIR_BUDGET}")
     path = _out_dir(out or ".") / "bound.csv"
 
     def run():
-        alphabet = build_super_alphabet(cfg)
-        write_csv([BerRecord("imnomarc", "bound", user, snr_db, 0, 0,
-                             union_bound_ber(alphabet, noise_variance(snr_db), user=user))
-                   for snr_db in snr for user, _, _ in channels(cfg)], path)
+        records = []
+        for spec in specs:
+            cfg = spec.scheme_cfg()
+            alphabet = build_super_alphabet(cfg)
+            records += [BerRecord(spec.scheme, "bound", user, snr_db, 0, 0,
+                                  union_bound_ber(alphabet, noise_variance(snr_db), user=user))
+                        for snr_db in spec.snr_grid_db for user, _, _ in channels(cfg)]
+        write_csv(records, path)
         print(f"wrote {path}")
     return run
 
@@ -242,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in [
         ("se", "spectral-efficiency comparison table"),
         ("flops", "detector complexity table"),
-        ("bound", "analytical union-bound BER curves"),
+        ("bound", "analytical union-bound BER curves, one block per scheme"),
         ("ber", "Monte Carlo BER sweep"),
     ]:
         p = sub.add_parser(name, help=help_text)

@@ -1,15 +1,18 @@
 import argparse
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 from imnomarc import cli, harness
-from imnomarc.analysis import PAIR_BUDGET
+from imnomarc.analysis import PAIR_BUDGET, union_bound_ber
 from imnomarc.cli import im_noma_baseline_se, main
+from imnomarc.superposition import SystemConfig, build_super_alphabet, channels
 
 
 def run_cli(args):
@@ -54,19 +57,16 @@ def test_one_user_tuples_are_table_rows(tmp_path, capsys):
 def test_one_user_system_rows_equal_the_ofdm_rows(tmp_path):
     cfg = tmp_path / "exp.ini"
     cfg.write_text("[system]\nn_users = 1\nn_far = 1\nmod_order = 8\nfamily = QAM\n"
-                   "power_coeffs = 1.0\n")  # [ofdm] stays 8-QAM
+                   "power_coeffs = 1.0\n[sweep]\nschemes = imnomarc, ofdm\n")  # [ofdm] stays 8-QAM
     assert run_cli(["ber", "--config", str(cfg), "--out", str(tmp_path), "--snr", "0:10:20",
-                    "--scheme", "imnomarc", "--scheme", "ofdm", "--min-errors", "20",
-                    "--max-bits", "10000"]) == 0
-    rows = [line.split(",", 1) for line in
-            (tmp_path / "results.csv").read_text().splitlines()[1:]]
-    assert [scheme for scheme, _ in rows] == ["imnomarc"] * 3 + ["ofdm"] * 3
-    assert [rest for _, rest in rows[:3]] == [rest for _, rest in rows[3:]]
+                    "--min-errors", "20", "--max-bits", "10000"]) == 0
     assert run_cli(["bound", "--config", str(cfg), "--out", str(tmp_path),
                     "--snr", "0:10:20"]) == 0
-    users = [line.split(",")[2] for line in
-             (tmp_path / "bound.csv").read_text().splitlines()[1:]]
-    assert users == ["1"] * 3
+    for name in ("results.csv", "bound.csv"):
+        rows = [line.split(",", 1) for line in
+                (tmp_path / name).read_text().splitlines()[1:]]
+        assert [scheme for scheme, _ in rows] == ["imnomarc"] * 3 + ["ofdm"] * 3, name
+        assert [rest for _, rest in rows[:3]] == [rest for _, rest in rows[3:]], name
 
 
 def test_ofdm_sic_rows_equal_its_ml_rows(tmp_path):
@@ -118,6 +118,72 @@ def test_bound_command(tmp_path):
         by_user.setdefault(r[2], {})[float(r[3])] = float(r[6])
     for curve in by_user.values():
         assert curve[10.0] >= curve[30.0]
+
+
+# `bound --snr 0:10:30` on default.ini, byte for byte
+BOUND_GOLDEN = """\
+scheme,detector,user,snr_db,bits_sent,bit_errors,ber
+imnomarc,bound,1,0,0,0,6.27725e-01
+imnomarc,bound,2,0,0,0,1.05523e+00
+imnomarc,bound,index,0,0,0,1.09528e+00
+imnomarc,bound,1,10,0,0,1.07622e-01
+imnomarc,bound,2,10,0,0,4.13035e-01
+imnomarc,bound,index,10,0,0,4.76050e-01
+imnomarc,bound,1,20,0,0,1.17086e-02
+imnomarc,bound,2,20,0,0,7.28918e-02
+imnomarc,bound,index,20,0,0,9.29195e-02
+imnomarc,bound,1,30,0,0,1.18151e-03
+imnomarc,bound,2,30,0,0,8.01957e-03
+imnomarc,bound,index,30,0,0,1.04365e-02
+"""
+
+
+def test_default_bound_csv_matches_golden_text(tmp_path):
+    assert run_cli(["bound", "--out", str(tmp_path), "--snr", "0:10:30"]) == 0
+    assert (tmp_path / "bound.csv").read_text() == BOUND_GOLDEN
+
+
+@pytest.fixture
+def bound_records(monkeypatch) -> list:
+    """The records each ``bound`` run hands to ``write_csv``, unrounded."""
+    calls = []
+
+    def recorded(records, path):
+        calls.append(records)
+        harness.write_csv(records, path)
+
+    monkeypatch.setattr(cli, "write_csv", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("schemes", [("imnomarc", "pdnoma", "ofdm"),
+                                     ("ofdm", "imnomarc", "pdnoma")])
+def test_bound_writes_one_block_per_scheme(tmp_path, bound_records, schemes):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(f"[sweep]\nschemes = {', '.join(schemes)}\n"
+                   "[ofdm]\nmod_order = 2\nfamily = PSK\n")
+    assert run_cli(["bound", "--config", str(cfg), "--out", str(tmp_path),
+                    "--snr", "0:10:30"]) == 0
+    lines = (tmp_path / "bound.csv").read_text().splitlines()[1:]
+    blocks = {scheme: [line for line in lines if line.startswith(f"{scheme},")]
+              for scheme in schemes}
+    assert [line for scheme in schemes for line in blocks[scheme]] == lines
+    assert blocks["imnomarc"] == BOUND_GOLDEN.splitlines()[1:]
+    # PD-NOMA is the [system] config without index bits
+    pdnoma = replace(SystemConfig(n_users=2, n_far=1, mod_order=2, power_coeffs=(0.9, 0.1)),
+                     im_enabled=False)
+    alphabet = build_super_alphabet(pdnoma)
+    assert blocks["pdnoma"] == [
+        f"pdnoma,bound,{user},{snr:g},0,0,"
+        f"{union_bound_ber(alphabet, harness.noise_variance(snr), user=user):.5e}"
+        for snr in (0.0, 10.0, 20.0, 30.0) for user, _, _ in channels(pdnoma)]
+    # one-user BPSK: the flat-Rayleigh closed form
+    (records,) = bound_records
+    ofdm = [r for r in records if r.scheme == "ofdm"]
+    assert [(r.user, r.snr_db) for r in ofdm] == [("1", snr) for snr in (0.0, 10.0, 20.0, 30.0)]
+    for r in ofdm:
+        gamma = 10 ** (r.snr_db / 10)
+        assert r.ber == pytest.approx(0.5 * (1 - math.sqrt(gamma / (1 + gamma))), rel=1e-12)
 
 
 @pytest.mark.parametrize("grid, want", [
@@ -333,6 +399,10 @@ UNKNOWN_KEY_INIS = {
 }
 
 
+# Grids refused from their point count: 3e10 and 3e7 points, and a subnormal step
+# whose point count is inf. Building any of them would exhaust memory or overflow.
+OVERSIZED_GRIDS = ["0:1e-9:30", "0:1e-6:30", "0:1e-320:30"]
+
 # INIs holding a value its key's parser rejects, and the place the message names.
 VALUE_PLACES = {
     "[system]\nn_users = two\n": "config error: [system] n_users: invalid literal",
@@ -370,6 +440,8 @@ VALUE_PLACES = {
     ("ber", "[system]\npower_coeffs = nan, nan\n", ["--snr", "10"]),
     ("bound", "[system]\npower_coeffs = nan, nan\n", ["--snr", "10"]),
     ("ber", "[sweep]\nn_subcarriers = 1000000000\n", ["--snr", "10"]),
+    ("bound", "[sweep]\nmin_bit_errors = 0\n", []),
+    *[(command, None, ["--snr", grid]) for command in ("ber", "bound") for grid in OVERSIZED_GRIDS],
     *[(command, ini, []) for command in ("ber", "bound") for ini in UNKNOWN_KEY_INIS.values()],
 ], ids=["bound-snr-grid", "bound-snr-list", "bound-snr-decreasing",
         "bound-snr-repeated", "bound-snr-two-fields", "ber-snr-negative-step",
@@ -378,7 +450,8 @@ VALUE_PLACES = {
         "ini-zero-min-errors", "zero-max-bits-flag", "zero-min-errors-flag",
         "ofdm-order", "no-section-header", "duplicate-option",
         "negative-seed-flag", "ini-negative-seed", "ber-nan-power-coeffs",
-        "bound-nan-power-coeffs", "batch-over-memory-budget",
+        "bound-nan-power-coeffs", "batch-over-memory-budget", "bound-ini-zero-min-errors",
+        *[f"{command}-grid-{grid}" for command in ("ber", "bound") for grid in OVERSIZED_GRIDS],
         *[f"{command}-{name}" for command in ("ber", "bound") for name in UNKNOWN_KEY_INIS]])
 def test_malformed_numbers_are_config_errors(tmp_path, capsys, command, ini, args):
     if ini is not None:
@@ -454,7 +527,8 @@ def test_bound_makes_one_pair_pass_per_snr_point(tmp_path, pair_spectra):
 
 def test_bound_refuses_pair_count_over_budget(tmp_path, capsys, monkeypatch):
     # 5:1:8: A = 8^5 * 4 = 2^17, A(A-1) ~ 2^34 ordered pairs, the smallest
-    # power-of-two alphabet over the 2^32 budget
+    # power-of-two alphabet over the 2^32 budget; its PD-NOMA alphabet of 2^15
+    # is under it, and no scheme's alphabet is built before every scheme is checked
     def refuse(*args, **kwargs):
         raise AssertionError("alphabet built before the pair-budget check")
 
@@ -462,11 +536,13 @@ def test_bound_refuses_pair_count_over_budget(tmp_path, capsys, monkeypatch):
     size = 2 ** 17
     assert (size // 2) * (size // 2 - 1) <= PAIR_BUDGET < size * (size - 1)
     cfg = tmp_path / "exp.ini"
-    cfg.write_text("[system]\nn_users = 5\nn_far = 1\nmod_order = 8\n"
-                   "power_coeffs = 0.5, 0.25, 0.15, 0.07, 0.03\n")
-    assert run_cli(["bound", "--config", str(cfg), "--out", str(tmp_path / "out"),
-                    "--snr", "10"]) == 1
-    err = capsys.readouterr().err
-    assert "config error" in err and f"alphabet size {size}" in err
-    assert not (tmp_path / "out").exists()
+    for schemes in ("imnomarc", "pdnoma, imnomarc"):
+        cfg.write_text("[system]\nn_users = 5\nn_far = 1\nmod_order = 8\n"
+                       "power_coeffs = 0.5, 0.25, 0.15, 0.07, 0.03\n"
+                       f"[sweep]\nschemes = {schemes}\n")
+        assert run_cli(["bound", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                        "--snr", "10"]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and f"imnomarc alphabet size {size}" in err, schemes
+        assert not (tmp_path / "out").exists()
 
