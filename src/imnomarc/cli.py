@@ -8,7 +8,8 @@ A flag beats the ``--config`` file, which beats ``default.ini``. Every command
 parses the whole config through ``KEYS`` and creates ``--out`` before any
 output. A bad value anywhere in the config, a section or key outside ``KEYS``,
 an unreadable or undecodable config or an unusable ``--out`` exits 1.
-``ber -v`` logs one line per SNR point to stderr; without it a run is silent.
+``ber -v`` logs one line per SNR point to stderr, ``-vv`` one more per batch;
+without it a run is silent.
 """
 
 from __future__ import annotations
@@ -272,8 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--scheme", dest="schemes", action="append", choices=SCHEMES)
             p.add_argument("--max-bits", type=int)
             p.add_argument("--min-errors", dest="min_bit_errors", metavar="MIN_ERRORS", type=int)
-            p.add_argument("-v", "--verbose", action="store_true",
-                           help="log each SNR point's seconds, blocks and stop reasons")
+            p.add_argument("-v", "--verbose", action="count", default=0,
+                           help="log each SNR point's seconds, blocks and stop reasons; "
+                                "twice, each batch's errors and decided rows too")
     return parser
 
 
@@ -291,11 +293,11 @@ def main(argv=None) -> int:
     except (ValueError, OSError, configparser.Error) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    log, verbose = logging.getLogger(__package__), getattr(args, "verbose", False)
+    log, verbose = logging.getLogger(__package__), getattr(args, "verbose", 0)
     level, handler = log.level, logging.StreamHandler()  # this call's stderr
     if verbose:
         log.addHandler(handler)
-        log.setLevel(logging.INFO)
+        log.setLevel(logging.INFO if verbose == 1 else logging.DEBUG)
     try:
         run()
     except Exception as exc:

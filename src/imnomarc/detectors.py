@@ -19,6 +19,12 @@ and Yao, ACM TOMS 1980) built once per alphabet. The table only narrows the
 scan to candidates that hold the nearest point and every point within a tie
 band of it, and a row it cannot settle is scanned in full, so both paths
 return the same indices and metric bits as the exhaustive scan, ties included.
+
+``ml_safe_radii`` and ``sic_noiseless`` give each alphabet entry x_e a safe
+radius: no u within it of x_e changes the decision from that at u = x_e, in
+the bits that matter, so a caller may skip detecting such a u. For ML it is
+the packing radius of sphere decoding (Viterbo and Boutros, IEEE Trans. IT
+1999), half the distance to the nearest entry that differs in those bits.
 """
 
 from __future__ import annotations
@@ -48,6 +54,14 @@ _CELLS = 2 ** 15
 # classes often get a few rows, where the walk's k times more numpy calls
 # cost more.
 _WALK_MAX = 8
+# Rows per shared hypothesis below which ``_scan`` takes the (L, k) scan all
+# the same: on few rows the walk's k times more numpy calls cost more, as on
+# the few rows a batch leaves undecided after its skip. Median of 7 x 300
+# calls on a 2-vCPU Xeon (numpy 2.4), walk against (L, k) scan: k = 8 at
+# L = 64 in 34 against 9 us and at L = 512 in 55 against 33; k = 2 at L = 64
+# in 12 against 7.5 and at L = 256 in 11 against 13. Below this the (L, 8)
+# scan's temporaries stay under 64 KiB, clear of the heap trim above.
+_WALK_ROWS = 64
 # Width of the cell table's margin around the points, in RMS amplitudes.
 _MARGIN = 0.5
 # Rows with |y/h| beyond _REACH box radii are scanned in full.
@@ -68,13 +82,14 @@ def _scan(y: np.ndarray, h: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.n
     and NaN metrics as ``np.argmin`` takes them: the first least, or the first
     NaN. ``h`` is (L,) or a scalar.
 
-    A set of up to _WALK_MAX hypotheses shared by every row is walked one
-    hypothesis at a time on (L,) arrays, a NaN metric entering the running
-    minimum as -1. Others are scanned as one (L, k) array, one complex and one
-    real (L, k) array a call. Both form the same products h x; the
-    exhaustive-scan tests pin that both give the same bits.
+    A set of up to _WALK_MAX hypotheses shared by every row, on at least
+    _WALK_ROWS rows per hypothesis, is walked one hypothesis at a time on (L,)
+    arrays, a NaN metric entering the running minimum as -1. Others are
+    scanned as one (L, k) array, one complex and one real (L, k) array a
+    call. Both form the same products h x; the exhaustive-scan tests pin that
+    both give the same bits.
     """
-    if x.ndim == 2 or len(x) > _WALK_MAX:
+    if x.ndim == 2 or len(x) > _WALK_MAX or len(y) < _WALK_ROWS * len(x):
         d = h[..., None] * x  # one (k,) row for every row of y when h is a scalar
         d = np.abs(np.subtract(y[:, None], d, out=d if d.ndim == 2 else None))
         d *= d
@@ -413,24 +428,95 @@ def sic_block(y: np.ndarray, h: np.ndarray, cfg: SystemConfig, user: int) -> tup
         raise ValueError("virtual user requires index_user_mode='virtual'")
     y = np.asarray(y, dtype=complex)
     h = np.asarray(h, dtype=complex)
+    stages = _sic_stages(cfg)
+    n_stages = min(user, cfg.n_users)
+    code = 0
+    for l, _, _, k, metric in _sic_scans(y, h, cfg, stages, n_stages):
+        code = code | stages.codes[l][k]
+    return _sic_entries(cfg, stages, code, n_stages), metric
+
+
+def _sic_stages(cfg: SystemConfig) -> _SicStages:
+    """The config's stage tables, built on its first use."""
     stages = getattr(cfg, "_sic", None)
     if stages is None:
         stages = cfg._sic = _SicStages(cfg)
-    n_stages = min(user, cfg.n_users)
+    return stages
 
-    residual = y
-    code = 0
-    for l in range(n_stages):
-        hyp = stages.hyps[l]
-        gain = cfg.amplitudes[l] * h
-        k, metric = _scan(residual, gain, hyp)
-        code = code | stages.codes[l][k]
-        if l + 1 < n_stages:
-            residual = residual - gain * hyp[k]
+
+def _sic_entries(cfg, stages, code, n_stages):
+    """The entries of the codes that SIC's first ``n_stages`` stages built:
+    their users' fields and, after all N stages with index bits, the
+    nearest rotation pattern."""
     entries = code >> stages.flag_bits
     if n_stages == cfg.n_users and stages.phi is not None:
         entries |= stages.phi[code & (len(stages.phi) - 1)]
-    return entries, metric
+    return entries
+
+
+def _sic_scans(y, h, cfg, stages, n_stages):
+    """Yield SIC's first ``n_stages`` stages on ``y`` as (stage, residual,
+    gain, chosen hypotheses, metrics), each stage's residual cancelled of the
+    previous stage's choice."""
+    residual = y
+    for l in range(n_stages):
+        gain = cfg.amplitudes[l] * h
+        k, metric = _scan(residual, gain, stages.hyps[l])
+        yield l, residual, gain, k, metric
+        if l + 1 < n_stages:
+            residual = residual - gain * stages.hyps[l][k]
+
+
+def _radii(r, p0, points, rival, scale):
+    """Per row i, how far r[i] may move and stay nearer to p0[i] than to
+    every point points[j] that rival[i, j] marks: the distance from r[i] to
+    the nearest bisector of p0[i] and a rival, less a slack of _TOL * scale,
+    clamped at 0. Within it a rival p's metric |u - p|^2 exceeds p0[i]'s by
+    at least 2 |p - p0[i]| _TOL scale. The metrics' rounding, a few ulps of
+    scale^2, cannot undo that once |p - p0[i]| > sqrt(_TOL) scale, so a
+    nearer rival gives 0."""
+    out = np.full(len(r), np.inf)
+    for j, p in enumerate(points):
+        delta = p - p0
+        d = np.abs(delta)
+        with np.errstate(divide="ignore", invalid="ignore"):  # d = 0
+            dist = (((p + p0) / 2 - r) * delta.conj()).real / d
+        dist[d <= np.sqrt(_TOL) * scale] = 0
+        np.minimum(out, np.where(rival[:, j], dist, np.inf), out=out)
+    return np.maximum(out - _TOL * scale, 0)
+
+
+def ml_safe_radii(x: np.ndarray, rival: np.ndarray) -> np.ndarray:
+    """(A,) safe radius of each alphabet entry under ML: every u within it
+    of x[e] is nearer to x[e] than to any entry j that rival[e, j] marks, so
+    ``ml_block`` decides no rival of e there at unit gain. Without a slack it
+    would be half the distance to the nearest rival. O(A^2)."""
+    return _radii(x, x, x, rival, 1 + 2 * np.abs(x).max())
+
+
+def sic_noiseless(x: np.ndarray, cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """SIC on the points ``x`` of the alphabet of ``cfg`` themselves, in one
+    pass over the N stages: (N, A) decisions and (N, A) safe radii, row l for
+    a user that runs stages 0..l. Row l's decision at x[e] is ``sic_block``'s
+    at unit gain, and every u within row l's radius of x[e] takes at each of
+    those stages the hypothesis x[e] takes, so it decides the same entry.
+    Each stage adds the same u - x[e] to its residual, so row l's radius is
+    the least over those stages of the residual's ``_radii`` to the rivals
+    of its choice. O(A * N * 2M)."""
+    stages = _sic_stages(cfg)
+    scale = 1 + 2 * np.abs(x).max()
+    decided = np.empty((cfg.n_users, len(x)), dtype=np.intp)
+    out = np.empty((cfg.n_users, len(x)))
+    radii = np.full(len(x), np.inf)
+    code = 0
+    h = np.asarray(1.0, dtype=complex)
+    for l, residual, gain, k, _ in _sic_scans(x, h, cfg, stages, cfg.n_users):
+        code = code | stages.codes[l][k]
+        decided[l] = _sic_entries(cfg, stages, code, l + 1)
+        points = gain * stages.hyps[l]
+        rival = np.arange(len(points)) != k[:, None]
+        out[l] = radii = np.minimum(radii, _radii(residual, points[k], points, rival, scale))
+    return decided, out
 
 
 def flops_ml(cfg: SystemConfig) -> int:

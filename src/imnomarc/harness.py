@@ -8,9 +8,11 @@ one-user system. A sweep runs on that config's super-alphabet and channel table.
 The stop rule is evaluated on batches of ``BATCH_BLOCKS`` OFDM blocks of L
 subcarriers, per detector and tracked channel. Every batch draws its symbols,
 fading powers and noise from one RNG stream derived from (master seed, SNR
-point, first block), then each receiver that a running detector still needs
-detects the whole batch, equalised to z = y/h, in one call per such detector,
-and each open channel counts its errors once. A sweep runs all of its
+point, first block). Then, at each receiver that a running detector still
+needs, the detector skips each row whose noise lies inside the sent entry's
+safe radius, counting the errors of its noiseless decision, and decides the
+other rows, equalised to z = y/h, in one call; each open channel counts its
+errors once. A sweep runs all of its
 detectors in one pass, and each (detector, channel) pair stops on its own stop
 rule, so a channel's row is the shared stream cut at its own stop batch: the
 row a sweep of that detector alone, with every receiver deciding every batch,
@@ -34,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .detectors import SCAN_MAX, ml_block, sic_block
+from .detectors import SCAN_MAX, ml_block, ml_safe_radii, sic_block, sic_noiseless
 from .superposition import (SystemConfig, alphabet_size, build_super_alphabet, channels,
                             spectral_efficiency)
 
@@ -46,7 +48,7 @@ DETECTORS = ("ml", "sic")
 # of it draws from one stream, so changing it changes results.csv at every seed.
 BATCH_BLOCKS = 16
 # Most bytes a batch may hold at once (``batch_bytes``). L = 128 needs 0.7 MiB
-# on 2:1:2 and 1.9 MiB on 4:1:4 (A = 1024); 2^30 B admits L up to 190k and 67k.
+# on 2:1:2 and 1.9 MiB on 4:1:4 (A = 1024); 2^30 B admits L up to 194k and 69k.
 BATCH_BUDGET = 2 ** 30
 
 
@@ -86,12 +88,14 @@ def check_snr_grid(snr_grid_db) -> tuple[float, ...]:
 
 
 def batch_bytes(n_subcarriers: int, n_receivers: int, scan_width: int) -> int:
-    """Bytes a batch of ``BATCH_BLOCKS`` blocks holds at its peak: the (R, 3n)
-    draw, in which each receiver's z is built, n tx entries and symbols, one
-    receiver's decisions, and a (n, scan_width) complex plus real scan
-    temporary. No h array is held: the detectors take a unit gain."""
+    """Bytes a batch of ``BATCH_BLOCKS`` blocks holds at its peak, while one
+    receiver scans: the (R, 3n) draw, n tx entries, the skip test's (n,)
+    squared noise and bound and a row mask per detector (two at most), the
+    decided rows' indices, entries and z, the scan's (n, scan_width) complex
+    plus real temporary, and its decisions, row index and metrics. No h array
+    is held: the detectors take a unit gain."""
     n = BATCH_BLOCKS * n_subcarriers
-    return n * (24 * n_receivers + 8 + 16 + 8 + 24 * scan_width)
+    return n * (24 * n_receivers + 8 + (8 + 8 + 2) + (8 + 8 + 16) + 24 * scan_width + 24)
 
 
 @dataclass
@@ -175,10 +179,20 @@ class _PointContext:
     (A,) weight table: entry k carries weights[name][k] of the curve's bits
     set. ``bits_per_block`` maps each curve to the bits one block carries on it.
     ``draw`` holds one batch's (R, 3n) draw, one row per receiver: n fading
-    powers, then n complex noise values as 2n floats, overwritten by that
-    receiver's z. It is refilled by every batch rather than allocated anew: an
-    array over glibc's mmap threshold, freed each batch, is faulted back in
-    from the kernel by the next.
+    powers, then n complex noise values as 2n floats, which a receiver whose
+    every row is decided overwrites with its z. It is refilled by every batch
+    rather than allocated anew: an array over glibc's mmap threshold, freed
+    each batch, is faulted back in from the kernel by the next.
+
+    ``safe`` maps (detector, receiver) to the tables that let a row skip
+    detection: the (A,) squared safe radius of each entry
+    (``ml_safe_radii`` over the entries that differ in a bit the receiver
+    decides, or ``sic_noiseless``), and for each channel the receiver
+    decides whose noiseless decision D0 (of z = x) errs, its (A,) error
+    table weights[name][D0 ^ e] at entry e. ML over more than ``SCAN_MAX``
+    entries has none: its pair pass would cost more than the skip saves.
+    ``decided`` and ``drawn`` count, per detector, the rows it decided and
+    the rows drawn for its live receivers since ``run_point`` reset them.
     """
 
     def __init__(self, spec: ExperimentSpec):
@@ -192,6 +206,26 @@ class _PointContext:
         self.bits_per_block = {name: spec.n_subcarriers * len(pos)
                                for name, pos, _ in self.channels}
         self.draw = np.empty((self.n_receivers, 3 * BATCH_BLOCKS * spec.n_subcarriers))
+        self.decided = dict.fromkeys(spec.detectors, 0)
+        self.drawn = dict.fromkeys(spec.detectors, 0)
+        x = self.alphabet.x
+        entries = np.arange(len(x))
+        sic = sic_noiseless(x, self.cfg) if "sic" in spec.detectors else None
+        self.safe = {}
+        for detector in spec.detectors:
+            for rx in range(1, self.n_receivers + 1):
+                owned = [name for name, _, owner in self.channels if owner == rx]
+                if detector == "sic":  # the virtual user runs the N stages of user N
+                    noiseless, radii = (table[min(rx, self.cfg.n_users) - 1] for table in sic)
+                elif len(x) <= SCAN_MAX:
+                    weight = sum(self.weights[name] for name in owned)
+                    radii = ml_safe_radii(x, weight[entries[:, None] ^ entries] > 0)
+                    noiseless = _decide(self, detector, x, 1.0, rx)
+                else:
+                    continue
+                floors = {name: table for name in owned
+                          if (table := self.weights[name][noiseless ^ entries]).any()}
+                self.safe[detector, rx] = radii * radii, floors
 
 
 def _decide(ctx: _PointContext, detector: str, y: np.ndarray, h: np.ndarray,
@@ -207,6 +241,21 @@ def _decide(ctx: _PointContext, detector: str, y: np.ndarray, h: np.ndarray,
     return sic_block(y, h, ctx.cfg, rx)[0]
 
 
+def _equalise(t: np.ndarray, noise: np.ndarray, noise_scale: float,
+              x: np.ndarray) -> np.ndarray:
+    """z = x + noise_scale * n' / sqrt(t) from the fading powers ``t`` (k,)
+    and the noise n' as (k, 2) floats, built in place in ``noise`` (``t`` is
+    overwritten) and returned as its (k,) complex view. A fade t = 0 makes z
+    infinite or NaN."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # t = 0
+        np.sqrt(t, out=t)
+        np.divide(noise_scale, t, out=t)
+        noise *= t[:, None]
+    z = noise.view(complex)[:, 0]
+    z += x
+    return z
+
+
 def _run_batch(ctx: _PointContext, snr_db: float, first_block: int,
                live: dict[str, set[int]]) -> dict[str, dict[str, int]]:
     """Error counts over the BATCH_BLOCKS blocks from ``first_block`` for each
@@ -219,17 +268,25 @@ def _run_batch(ctx: _PointContext, snr_db: float, first_block: int,
     Viswanath 2005, ch. 3). So the batch of n = BATCH_BLOCKS * L subcarriers
     draws from one stream n tx entries, then per receiver in turn one row of
     3n floats: t from ``standard_exponential``, then n' as n complex values
-    from ``standard_normal``. Receiver rx builds z = x + sqrt(sigma^2 / 2) n'
-    / sqrt(t) in its row and decides it at unit gain. The draw stops after
-    the highest live receiver's row, so every row read is the row of a full
-    draw; a receiver no detector needs builds no z. A fade t = 0 makes z
-    infinite or NaN, and every detector decides it as h = 0: entry 0. Bit
-    labels are linear over XOR in the entry index, so a channel's errors on a
-    subcarrier are its weight table at (decided entry ^ sent entry).
+    from ``standard_normal``. The draw stops after the highest live
+    receiver's row, so every row read is the row of a full draw.
+
+    A detector with ``ctx.safe`` tables at receiver rx skips each row whose
+    noise n'/sqrt(t) lies inside the sent entry's safe radius rho, tested as
+    |n'|^2 sigma^2 / 2 < rho^2 t: there its decision is the noiseless one,
+    whose errors its tables hold. The test divides by nothing, so a fade
+    t = 0, where z is infinite or NaN and every detector decides entry 0 as
+    at h = 0, never skips. The detector builds z (``_equalise``) for the
+    other rows only and decides them in one call, made even when no row is
+    left. A receiver where a live detector has no tables builds z for every
+    row, in its draw row. Bit labels are linear over XOR in the entry index,
+    so a channel's errors on a decided subcarrier are its weight table at
+    (decided entry ^ sent entry).
     """
     n = BATCH_BLOCKS * ctx.spec.n_subcarriers
     receivers = sorted(set().union(*live.values()))
-    noise_scale = np.sqrt(noise_variance(snr_db) / 2)
+    sigma2 = noise_variance(snr_db)
+    noise_scale = np.sqrt(sigma2 / 2)
     rng = np.random.default_rng(np.random.SeedSequence(
         entropy=ctx.spec.master_seed, spawn_key=(_seed_key(snr_db), first_block)))
     tx_entry = rng.integers(0, len(ctx.alphabet.x), size=n)
@@ -238,22 +295,37 @@ def _run_batch(ctx: _PointContext, snr_db: float, first_block: int,
         rng.standard_exponential(out=row[:n])
         rng.standard_normal(out=row[n:])
 
-    x = ctx.alphabet.x[tx_entry]
+    x = None  # every row's symbol, for receivers that decide every row
     errors: dict[str, dict[str, int]] = {detector: {} for detector in live}
     for rx in receivers:
-        scale, noise = draw[rx - 1, :n], draw[rx - 1, n:].reshape(n, 2)
-        with np.errstate(divide="ignore", invalid="ignore"):  # t = 0
-            np.sqrt(scale, out=scale)
-            np.divide(noise_scale, scale, out=scale)
-            noise *= scale[:, None]
-        z = noise.view(complex)[:, 0]
-        z += x
-        for detector, needs in live.items():
-            if rx in needs:
-                diff = _decide(ctx, detector, z, 1.0, rx) ^ tx_entry
-                for name, _, owner in ctx.channels:
-                    if owner == rx:
-                        errors[detector][name] = int(ctx.weights[name][diff].sum())
+        t, noise = draw[rx - 1, :n], draw[rx - 1, n:].reshape(n, 2)
+        tables = {d: ctx.safe.get((d, rx)) for d, needs in live.items() if rx in needs}
+        detect = {}  # the rows each detector with tables decides
+        if any(tables.values()):
+            power = np.einsum("ij,ij->i", noise, noise) * (sigma2 / 2)
+            detect = {d: ~(power < table[0][tx_entry] * t)
+                      for d, table in tables.items() if table is not None}
+        z = None
+        if len(detect) < len(tables):
+            x = ctx.alphabet.x[tx_entry] if x is None else x
+            z = _equalise(t, noise, noise_scale, x)
+        for detector, table in tables.items():
+            if table is None:
+                sent, zd = tx_entry, z
+            else:
+                rows = np.flatnonzero(detect[detector])
+                sent = tx_entry[rows]
+                zd = z[rows] if z is not None else _equalise(
+                    t[rows], noise[rows], noise_scale, ctx.alphabet.x[sent])
+            diff = _decide(ctx, detector, zd, 1.0, rx) ^ sent
+            ctx.decided[detector] += len(diff)
+            ctx.drawn[detector] += n
+            for name, _, owner in ctx.channels:
+                if owner == rx:
+                    count = int(ctx.weights[name][diff].sum())
+                    if table is not None and name in table[1]:
+                        count += int(table[1][name][tx_entry[~detect[detector]]].sum())
+                    errors[detector][name] = count
     return errors
 
 
@@ -271,12 +343,16 @@ def run_point(spec: ExperimentSpec, snr_db: float, *,
     ``snr_db`` must be a point of ``spec.snr_grid_db``, where it was checked.
 
     ``ctx`` is the context of ``spec`` built by ``run_sweep`` once for all of
-    its points; without it the point builds its own.
+    its points; without it the point builds its own. The point resets its
+    ``decided`` and ``drawn`` row counts and logs each batch as one DEBUG line
+    of the ``imnomarc`` logger.
     """
     if snr_db not in spec.snr_grid_db:
         raise ValueError(f"SNR {snr_db} dB is not a point of the spec's grid")
     if ctx is None:
         ctx = _PointContext(spec)
+    ctx.decided = dict.fromkeys(spec.detectors, 0)
+    ctx.drawn = dict.fromkeys(spec.detectors, 0)
     bits_per_block = ctx.bits_per_block
     totals = {detector: dict.fromkeys(bits_per_block, 0) for detector in spec.detectors}
     blocks_run = {detector: dict.fromkeys(bits_per_block, 0) for detector in spec.detectors}
@@ -290,6 +366,9 @@ def run_point(spec: ExperimentSpec, snr_db: float, *,
     while opened := {d: chans for d in spec.detectors if (chans := open_channels(d))}:
         live = {d: {rx for _, rx in chans} for d, chans in opened.items()}
         errors = _run_batch(ctx, snr_db, first_block, live)
+        log.debug("%s %g dB: blocks %d-%d, live receivers %s, errors %s; so far rows "
+                  "decided %s of drawn %s", spec.scheme, snr_db, first_block,
+                  first_block + BATCH_BLOCKS - 1, live, errors, ctx.decided, ctx.drawn)
         for detector, chans in opened.items():
             for name, _ in chans:
                 totals[detector][name] += errors[detector][name]
@@ -342,11 +421,14 @@ def run_sweep(spec: ExperimentSpec) -> tuple[list[BerRecord], dict]:
     The manifest echoes the spec and, for each point, its seconds and, per
     detector and channel, the blocks it ran, why its count stopped
     (``min_errors`` when it reached ``min_bit_errors``, ``max_bits``
-    otherwise) and the Wilson 95% interval on its BER. It also records the
-    python and numpy versions, and the system the scheme transmits: ``system``,
-    the fields of ``spec.scheme_cfg()``, and ``bits_per_subcarrier``, its
-    spectral efficiency. Each point logs the same seconds, blocks and
-    stop reasons as one INFO line of the ``imnomarc`` logger.
+    otherwise) and the Wilson 95% interval on its BER, and per detector its
+    ``decided_share``: the rows it decided over the rows drawn for its live
+    receivers, the rest having skipped detection inside their safe radius.
+    It also records the python and numpy versions, and the system the scheme
+    transmits: ``system``, the fields of ``spec.scheme_cfg()``, and
+    ``bits_per_subcarrier``, its spectral efficiency. Each point logs the
+    same seconds, blocks and stop reasons as one INFO line of the
+    ``imnomarc`` logger.
     """
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     by_detector: dict[str, list[BerRecord]] = {d: [] for d in spec.detectors}
@@ -365,7 +447,9 @@ def run_sweep(spec: ExperimentSpec) -> tuple[list[BerRecord], dict]:
             intervals.setdefault(r.detector, {})[r.user] = _wilson_interval(
                 r.bit_errors, r.bits_sent)
         points[f"{snr_db:g}"] = {"seconds": seconds, "blocks_run": blocks,
-                                 "stop_reason": reasons, "ber_interval": intervals}
+                                 "stop_reason": reasons, "ber_interval": intervals,
+                                 "decided_share": {d: ctx.decided[d] / ctx.drawn[d]
+                                                   for d in spec.detectors}}
         log.info("%s %g dB: %.3f s; %s", spec.scheme, snr_db, seconds, "; ".join(
             f"{d} " + ", ".join(f"{user} {n} blocks {reasons[d][user]}"
                                 for user, n in blocks[d].items()) for d in blocks))

@@ -3,6 +3,7 @@ import json
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -242,6 +243,37 @@ def test_ber_verbose_logs_one_line_per_point_and_is_silent_without(tmp_path, cap
                 f"{user} {n} blocks {reasons[user]}" for user, n in blocks.items()) in line
     assert run_cli(args) == 0  # the logger is quiet again
     assert capsys.readouterr().err == ""
+
+
+def test_ber_twice_verbose_logs_one_debug_line_per_batch(tmp_path, capsys):
+    args = ["ber", "--out", str(tmp_path), "--snr", "10:10:30", "--detector", "ml",
+            "--detector", "sic", "--min-errors", "20", "--max-bits", "10000"]
+    assert run_cli([*args, "-vv"]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    points = json.loads((tmp_path / "manifest.json").read_text())["runs"][0]["points"]
+    at = 0
+    for snr, point in points.items():  # the point's batches, then its INFO line
+        batches = max(n for blocks in point["blocks_run"].values()
+                      for n in blocks.values()) // harness.BATCH_BLOCKS
+        for k in range(batches):
+            first = k * harness.BATCH_BLOCKS
+            assert lines[at + k].startswith(
+                f"imnomarc {snr} dB: blocks {first}-{first + harness.BATCH_BLOCKS - 1}, ")
+        assert re.match(rf"imnomarc {snr} dB: [0-9.]+ s; ", lines[at + batches])
+        at += batches + 1
+    assert at == len(lines)
+    assert run_cli([*args, "-v"]) == 0  # one INFO line per point
+    assert len(capsys.readouterr().err.splitlines()) == len(points)
+
+
+def test_ber_debug_lines_format_only_when_logged(monkeypatch):
+    # run_point hands the logger its arguments; %-formatting them is left to
+    # a handler that takes DEBUG records
+    calls = []
+    monkeypatch.setattr(harness.log, "debug", lambda msg, *args: calls.append((msg, args)))
+    harness.run_point(harness.ExperimentSpec(snr_grid_db=(10.0,), max_bits=2000,
+                                             min_bit_errors=20), 10.0)
+    assert calls and all("%" in msg and args for msg, args in calls)
 
 
 def test_main_leaves_the_logger_as_the_embedding_program_set_it(tmp_path, capsys):

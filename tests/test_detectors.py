@@ -5,8 +5,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from imnomarc.detectors import (_WALK_MAX, SCAN_MAX, _CellTable, _scan, _SicStages, flops_ml,
-                                flops_sic, ml_block, sic_block)
+from imnomarc.detectors import (_WALK_MAX, _WALK_ROWS, SCAN_MAX, _CellTable, _radii, _scan,
+                                _SicStages, flops_ml, flops_sic, ml_block, sic_block)
 from imnomarc.harness import ExperimentSpec, _decide, _PointContext
 from imnomarc.superposition import SystemConfig, build_super_alphabet, user_bit_positions
 
@@ -40,9 +40,10 @@ def user_bits(cfg, detector, y, h, user):
 @pytest.mark.parametrize("shape", ["shared", "per-row"])
 def test_scan_takes_ties_and_nan_as_argmin(k, shape):
     # Both ways of scanning return np.argmin's choice, the first least metric
-    # or the first NaN, and that metric, on rows of exact ties and of NaNs
+    # or the first NaN, and that metric, on rows of exact ties and of NaNs;
+    # at n rows, up to _WALK_MAX shared hypotheses are walked
     rng = np.random.default_rng(k)
-    n = 400
+    n = _WALK_ROWS * _WALK_MAX
     levels = np.array([0.0, 1.0, 2.0, np.nan])  # few values: many exact ties
     x = (levels[rng.integers(0, 4, (n, k))] + 1j * levels[rng.integers(0, 3, (n, k))])
     if shape == "shared":
@@ -335,6 +336,18 @@ def test_ml_block_first_call_memory_at_the_table_cap():
     assert peak < 16 * 2 ** 20
     # entries can share a point here: compare the points sent and decided
     assert np.array_equal(np.round(alphabet.x[idx], 9), np.round(alphabet.x[tx], 9))
+
+
+def test_a_rival_next_to_the_decided_point_leaves_no_safe_radius():
+    # r = 0.6 lies 0.25 from the bisector of p0 = 0.1 and its float neighbour
+    # p, but the metrics |r - p0|^2 and |r - p|^2 differ by 1.4e-17, below
+    # their rounding: rounding, not the geometry, decides between them
+    p0 = np.array([0.1 + 0j])
+    p = np.array([np.nextafter(0.1, 0) + 0j])
+    assert _radii(np.array([0.6 + 0j]), p0, p, np.array([[True]]), 3.0)[0] == 0
+    # a rival 0.2 away keeps the distance to the bisector, less the slack
+    radius = _radii(np.array([0.6 + 0j]), p0, p - 0.2, np.array([[True]]), 3.0)[0]
+    assert radius == pytest.approx(0.6, abs=1e-8) and radius < 0.6
 
 
 def test_sic_far_user_noiseless():
