@@ -216,7 +216,7 @@ class _PointContext:
             for rx in range(1, self.n_receivers + 1):
                 owned = [name for name, _, owner in self.channels if owner == rx]
                 if detector == "sic":  # the virtual user runs the N stages of user N
-                    noiseless, radii = (table[min(rx, self.cfg.n_users) - 1] for table in sic)
+                    noiseless, radii = (rows[min(rx, self.cfg.n_users) - 1] for rows in sic)
                 elif len(x) <= SCAN_MAX:
                     weight = sum(self.weights[name] for name in owned)
                     radii = ml_safe_radii(x, weight[entries[:, None] ^ entries] > 0)
