@@ -6,13 +6,14 @@ the spec's config, PD-NOMA that config without index bits and OFDM the
 one-user system. A sweep runs on that config's super-alphabet and channel table.
 
 The stop rule is evaluated on batches of ``BATCH_BLOCKS`` OFDM blocks of L
-subcarriers, per detector and tracked channel. Every batch draws its symbols,
-fading powers and noise from one RNG stream derived from (master seed, SNR
-point, first block). Then, at each receiver that a running detector still
-needs, the detector skips each row whose noise lies inside the sent entry's
-safe radius, counting the errors of its noiseless decision, and decides the
-other rows, equalised to z = y/h, in one call; each open channel counts its
-errors once. A sweep runs all of its
+subcarriers, per detector and tracked channel. Every batch draws its symbols and,
+per receiver, two uniforms per subcarrier, one for the magnitude and one for
+the phase of the equalised noise, from one RNG stream derived from (master
+seed, SNR point, first block). Then, at each receiver that a running detector
+still needs, the detector skips each row whose magnitude uniform alone puts
+the noise inside the sent entry's safe radius, counting the errors of its
+noiseless decision, and decides the other rows, equalised to z = y/h, in one
+call; each open channel counts its errors once. A sweep runs all of its
 detectors in one pass, and each (detector, channel) pair stops on its own stop
 rule, so a channel's row is the shared stream cut at its own stop batch: the
 row a sweep of that detector alone, with every receiver deciding every batch,
@@ -24,6 +25,7 @@ byte for byte.
 from __future__ import annotations
 
 import datetime
+import functools
 import json
 import logging
 import math
@@ -47,8 +49,8 @@ DETECTORS = ("ml", "sic")
 # Stop-rule and RNG granularity: bits_sent is a multiple of it and every batch
 # of it draws from one stream, so changing it changes results.csv at every seed.
 BATCH_BLOCKS = 16
-# Most bytes a batch may hold at once (``batch_bytes``). L = 128 needs 0.7 MiB
-# on 2:1:2 and 1.9 MiB on 4:1:4 (A = 1024); 2^30 B admits L up to 194k and 69k.
+# Most bytes a batch may hold at once (``batch_bytes``). L = 128 needs 0.6 MiB
+# on 2:1:2 and 1.8 MiB on 4:1:4 (A = 1024); 2^30 B admits L up to 203k and 71k.
 BATCH_BUDGET = 2 ** 30
 
 
@@ -89,13 +91,14 @@ def check_snr_grid(snr_grid_db) -> tuple[float, ...]:
 
 def batch_bytes(n_subcarriers: int, n_receivers: int, scan_width: int) -> int:
     """Bytes a batch of ``BATCH_BLOCKS`` blocks holds at its peak, while one
-    receiver scans: the (R, 3n) draw, n tx entries, the skip test's (n,)
-    squared noise and bound and a row mask per detector (two at most), the
-    decided rows' indices, entries and z, the scan's (n, scan_width) complex
-    plus real temporary, and its decisions, row index and metrics. No h array
-    is held: the detectors take a unit gain."""
+    receiver scans: the (R, 2n) draw of uniforms, n tx entries and their n
+    symbols, the skip test's (n,) gathered threshold and a row mask per
+    detector (two at most), the decided rows' indices, entries and z, the
+    scan's (n, scan_width) complex plus real temporary, and its decisions,
+    row index and metrics. No h array is held: the detectors take a unit
+    gain."""
     n = BATCH_BLOCKS * n_subcarriers
-    return n * (24 * n_receivers + 8 + (8 + 8 + 2) + (8 + 8 + 16) + 24 * scan_width + 24)
+    return n * (16 * n_receivers + (8 + 16) + (8 + 2) + (8 + 8 + 16) + 24 * scan_width + 24)
 
 
 @dataclass
@@ -178,11 +181,12 @@ class _PointContext:
     config's ``superposition.channels``. ``weights`` maps each curve to its
     (A,) weight table: entry k carries weights[name][k] of the curve's bits
     set. ``bits_per_block`` maps each curve to the bits one block carries on it.
-    ``draw`` holds one batch's (R, 3n) draw, one row per receiver: n fading
-    powers, then n complex noise values as 2n floats, which a receiver whose
-    every row is decided overwrites with its z. It is refilled by every batch
-    rather than allocated anew: an array over glibc's mmap threshold, freed
-    each batch, is faulted back in from the kernel by the next.
+    ``draw`` holds one batch's (R, 2n) draw of uniforms in [0, 1), one row
+    per receiver: n magnitude uniforms u, then n phase uniforms v, which a
+    receiver whose every row is decided overwrites with its z. It is refilled
+    by every batch rather than allocated anew: an array over glibc's mmap
+    threshold, freed each batch, is faulted back in from the kernel by the
+    next.
 
     ``safe`` maps (detector, receiver) to the tables that let a row skip
     detection: the (A,) squared safe radius of each entry
@@ -191,6 +195,8 @@ class _PointContext:
     decides whose noiseless decision D0 (of z = x) errs, its (A,) error
     table weights[name][D0 ^ e] at entry e. ML over more than ``SCAN_MAX``
     entries has none: its pair pass would cost more than the skip saves.
+    ``thresholds(sigma2)`` turns each squared radius into the skip test's
+    bound on u at one noise variance.
     ``decided`` and ``drawn`` count, per detector, the rows it decided and
     the rows drawn for its live receivers since ``run_point`` reset them.
     """
@@ -205,7 +211,7 @@ class _PointContext:
                         for name, pos, _ in self.channels}
         self.bits_per_block = {name: spec.n_subcarriers * len(pos)
                                for name, pos, _ in self.channels}
-        self.draw = np.empty((self.n_receivers, 3 * BATCH_BLOCKS * spec.n_subcarriers))
+        self.draw = np.empty((self.n_receivers, 2 * BATCH_BLOCKS * spec.n_subcarriers))
         self.decided = dict.fromkeys(spec.detectors, 0)
         self.drawn = dict.fromkeys(spec.detectors, 0)
         x = self.alphabet.x
@@ -226,6 +232,19 @@ class _PointContext:
                 floors = {name: table for name in owned
                           if (table := self.weights[name][noiseless ^ entries]).any()}
                 self.safe[detector, rx] = radii * radii, floors
+        self._thresholds = (None, {})
+
+    def thresholds(self, sigma2: float) -> dict[tuple[str, int], np.ndarray]:
+        """For each key of ``safe``, the (A,) bound rho^2 / (rho^2 + sigma2) on
+        the magnitude uniform u under which the noise of a row that sends the
+        entry lies inside its safe radius: |w|^2 = sigma2 u / (1 - u) < rho^2
+        iff u < rho^2 / (rho^2 + sigma2). An entry with rho = 0 has bound 0
+        and never skips. Built once per noise variance, so once per point."""
+        if self._thresholds[0] != sigma2:
+            self._thresholds = (sigma2, {
+                key: np.divide(rho2, rho2 + sigma2, out=np.zeros_like(rho2), where=rho2 > 0)
+                for key, (rho2, _) in self.safe.items()})
+        return self._thresholds[1]
 
 
 def _decide(ctx: _PointContext, detector: str, y: np.ndarray, h: np.ndarray,
@@ -241,17 +260,21 @@ def _decide(ctx: _PointContext, detector: str, y: np.ndarray, h: np.ndarray,
     return sic_block(y, h, ctx.cfg, rx)[0]
 
 
-def _equalise(t: np.ndarray, noise: np.ndarray, noise_scale: float,
-              x: np.ndarray) -> np.ndarray:
-    """z = x + noise_scale * n' / sqrt(t) from the fading powers ``t`` (k,)
-    and the noise n' as (k, 2) floats, built in place in ``noise`` (``t`` is
-    overwritten) and returned as its (k,) complex view. A fade t = 0 makes z
-    infinite or NaN."""
-    with np.errstate(divide="ignore", invalid="ignore"):  # t = 0
-        np.sqrt(t, out=t)
-        np.divide(noise_scale, t, out=t)
-        noise *= t[:, None]
-    z = noise.view(complex)[:, 0]
+def _equalise(uv: np.ndarray, sigma2: float, x: np.ndarray) -> np.ndarray:
+    """z = x + sqrt(sigma2 u / (1 - u)) (cos 2 pi v + j sin 2 pi v) from the
+    (2, k) uniforms ``uv``, k magnitude uniforms u then k phase uniforms v,
+    built in place in ``uv`` and returned as its (k,) complex view. u < 1, so
+    z is finite."""
+    u, v = uv
+    r = sigma2 * u
+    r /= 1 - u
+    np.sqrt(r, out=r)
+    theta = v * (2 * np.pi)
+    z = uv.reshape(-1, 2)
+    np.cos(theta, out=z[:, 0])
+    np.sin(theta, out=z[:, 1])
+    z *= r[:, None]
+    z = z.view(complex)[:, 0]
     z += x
     return z
 
@@ -263,52 +286,45 @@ def _run_batch(ctx: _PointContext, snr_db: float, first_block: int,
     maps to; every detector decides the same draw.
 
     Detection decides argmin |y - h x|^2 = argmin |z - x|^2 on z = y/h = x +
-    n/h, and n/h, circularly symmetric noise over an independent Rayleigh
-    fade, has the law of n'/sqrt(t) with t = |h|^2 ~ Exp(1) (Tse and
-    Viswanath 2005, ch. 3). So the batch of n = BATCH_BLOCKS * L subcarriers
-    draws from one stream n tx entries, then per receiver in turn one row of
-    3n floats: t from ``standard_exponential``, then n' as n complex values
-    from ``standard_normal``. The draw stops after the highest live
+    w, and w = n/h, circularly symmetric noise over an independent Rayleigh
+    fade, has a uniform phase independent of |w|, with P(|w|^2 <= s) =
+    s / (s + sigma^2) (Tse and Viswanath 2005, ch. 3). So |w|^2 = sigma^2 u /
+    (1 - u) and arg w = 2 pi v for two uniforms u and v, as in Box and Muller
+    (1958). The batch of n = BATCH_BLOCKS * L subcarriers draws from one
+    stream n tx entries, then in one ``random`` call a row of 2n uniforms per
+    receiver, n of u then n of v, in C order up to the highest live
     receiver's row, so every row read is the row of a full draw.
 
     A detector with ``ctx.safe`` tables at receiver rx skips each row whose
-    noise n'/sqrt(t) lies inside the sent entry's safe radius rho, tested as
-    |n'|^2 sigma^2 / 2 < rho^2 t: there its decision is the noiseless one,
-    whose errors its tables hold. The test divides by nothing, so a fade
-    t = 0, where z is infinite or NaN and every detector decides entry 0 as
-    at h = 0, never skips. The detector builds z (``_equalise``) for the
-    other rows only and decides them in one call, made even when no row is
-    left. A receiver where a live detector has no tables builds z for every
-    row, in its draw row. Bit labels are linear over XOR in the entry index,
-    so a channel's errors on a decided subcarrier are its weight table at
-    (decided entry ^ sent entry).
+    noise lies inside the sent entry's safe radius rho, tested on u alone as
+    u < rho^2 / (rho^2 + sigma^2) (``ctx.thresholds``): there its decision is
+    the noiseless one, whose errors its tables hold. The detector builds z
+    (``_equalise``) for the other rows only and decides them in one call,
+    made even when no row is left. A receiver where a live detector has no
+    tables builds z for every row, in its draw row. Bit labels are linear
+    over XOR in the entry index, so a channel's errors on a decided
+    subcarrier are its weight table at (decided entry ^ sent entry).
     """
     n = BATCH_BLOCKS * ctx.spec.n_subcarriers
     receivers = sorted(set().union(*live.values()))
     sigma2 = noise_variance(snr_db)
-    noise_scale = np.sqrt(sigma2 / 2)
+    thresholds = ctx.thresholds(sigma2)
     rng = np.random.default_rng(np.random.SeedSequence(
         entropy=ctx.spec.master_seed, spawn_key=(_seed_key(snr_db), first_block)))
     tx_entry = rng.integers(0, len(ctx.alphabet.x), size=n)
-    draw = ctx.draw[:receivers[-1]]
-    for row in draw:
-        rng.standard_exponential(out=row[:n])
-        rng.standard_normal(out=row[n:])
+    draw = rng.random(out=ctx.draw[:receivers[-1]])
 
     x = None  # every row's symbol, for receivers that decide every row
     errors: dict[str, dict[str, int]] = {detector: {} for detector in live}
     for rx in receivers:
-        t, noise = draw[rx - 1, :n], draw[rx - 1, n:].reshape(n, 2)
+        uv = draw[rx - 1].reshape(2, n)
         tables = {d: ctx.safe.get((d, rx)) for d, needs in live.items() if rx in needs}
-        detect = {}  # the rows each detector with tables decides
-        if any(tables.values()):
-            power = np.einsum("ij,ij->i", noise, noise) * (sigma2 / 2)
-            detect = {d: ~(power < table[0][tx_entry] * t)
-                      for d, table in tables.items() if table is not None}
+        detect = {d: uv[0] >= thresholds[d, rx][tx_entry]  # the rows d decides
+                  for d, table in tables.items() if table is not None}
         z = None
         if len(detect) < len(tables):
             x = ctx.alphabet.x[tx_entry] if x is None else x
-            z = _equalise(t, noise, noise_scale, x)
+            z = _equalise(uv, sigma2, x)
         for detector, table in tables.items():
             if table is None:
                 sent, zd = tx_entry, z
@@ -316,7 +332,7 @@ def _run_batch(ctx: _PointContext, snr_db: float, first_block: int,
                 rows = np.flatnonzero(detect[detector])
                 sent = tx_entry[rows]
                 zd = z[rows] if z is not None else _equalise(
-                    t[rows], noise[rows], noise_scale, ctx.alphabet.x[sent])
+                    uv.take(rows, axis=1), sigma2, ctx.alphabet.x[sent])
             diff = _decide(ctx, detector, zd, 1.0, rx) ^ sent
             ctx.decided[detector] += len(diff)
             ctx.drawn[detector] += n
@@ -403,6 +419,10 @@ def _version_string(package: Path = Path(__file__).parent) -> str:
     return __version__
 
 
+# git describe takes milliseconds: a process reads it once per package path
+_process_version = functools.cache(_version_string)
+
+
 def _wilson_interval(errors: int, trials: int) -> list[float]:
     """Wilson score 95% interval on the rate errors / trials (Brown, Cai and
     DasGupta 2001); it holds the rate and lies in [0, 1]."""
@@ -458,7 +478,7 @@ def run_sweep(spec: ExperimentSpec) -> tuple[list[BerRecord], dict]:
         "system": asdict(ctx.cfg),
         "bits_per_subcarrier": spectral_efficiency(ctx.cfg),
         "master_seed": spec.master_seed,
-        "version": _version_string(),
+        "version": _process_version(),
         "python": "{}.{}.{}".format(*sys.version_info),
         "numpy": np.__version__,
         "started_at": started,

@@ -454,10 +454,11 @@ def brute_force_cell_lists(x, cells=None):
 # --- harness -----------------------------------------------------------------
 
 def run_block_oracle(ctx, snr_db, first_block, noiseless=False):
-    """The stop-rule batch from ``first_block``, one receiver at a time: the
-    fading powers t = |h|^2 of all its subcarriers in one exponential draw,
-    then 2n Gaussians, the real and imaginary part of each subcarrier's noise
-    in turn. Its signal equalised by h is z = x + sqrt(sigma^2 / 2) w / sqrt(t),
+    """The stop-rule batch from ``first_block``, one receiver at a time: n
+    uniforms u of its subcarriers' noise magnitudes, then n uniforms v of
+    their phases, each receiver's 2n values drawn in one ``random`` call.
+    Its signal equalised by h is z = x + w with |w|^2 = sigma^2 u / (1 - u),
+    the inverse of P(|w|^2 <= s) = s / (s + sigma^2), and arg w = 2 pi v,
     part by part, and each of the spec's detectors decides z at unit gain,
     bits compared one by one. Returns the errors per detector and channel."""
     spec = ctx.spec
@@ -473,11 +474,13 @@ def run_block_oracle(ctx, snr_db, first_block, noiseless=False):
     sigma2 = 0.0 if noiseless else noise_variance(snr_db)
     errors = {detector: {} for detector in spec.detectors}
     for rx in range(1, ctx.n_receivers + 1):
-        t = rng.standard_exponential(n)
-        w = rng.standard_normal(2 * n)
+        uniforms = rng.random(2 * n)
+        u, v = uniforms[:n], uniforms[n:]
+        magnitude = np.sqrt(sigma2 * u / (1 - u))
+        phase = 2 * np.pi * v
         z = np.empty(n, dtype=complex)
-        z.real = x.real + w[0::2] * (np.sqrt(sigma2 / 2) / np.sqrt(t))
-        z.imag = x.imag + w[1::2] * (np.sqrt(sigma2 / 2) / np.sqrt(t))
+        z.real = x.real + magnitude * np.cos(phase)
+        z.imag = x.imag + magnitude * np.sin(phase)
         for detector in spec.detectors:
             rx_bits = ctx.alphabet.bits[_decide(ctx, detector, z, 1.0, rx)]
             for name, pos, owner in ctx.channels:

@@ -82,7 +82,7 @@ GOLDEN_CONFIGS = {
 # (config, scheme, detector, index_user_mode) -> [(snr_db, [(user, bits_sent,
 # bit_errors), ...]), ...] from run_point with n_subcarriers=32, max_bits=3000,
 # min_bit_errors=20, master_seed=11, one RNG stream per 16-block batch with one
-# row of 3n floats per receiver (n fading powers, n complex noise values),
+# row of 2n uniforms per receiver (n noise magnitudes, then n noise phases),
 # each channel stopped at its own batch (the 2:1:2 rows at 15 dB stop users 2
 # and index before user 1). The test checks every entry against
 # run_prefix_oracle, which derives it from the z draw. A receiver's rows do
@@ -96,68 +96,68 @@ GOLDEN_CONFIGS = {
 # order like every alphabet's; the config and its mode do not enter them.
 GOLDEN = {
     ('2:1:2', 'imnomarc', 'ml', 'virtual'): [
-        (5.0, [('1', 512, 33), ('2', 512, 167), ('index', 512, 211)]),
-        (15.0, [('1', 1536, 21), ('2', 512, 60), ('index', 512, 79)]),
+        (5.0, [('1', 512, 39), ('2', 512, 169), ('index', 512, 207)]),
+        (15.0, [('1', 2048, 23), ('2', 512, 56), ('index', 512, 84)]),
     ],
     ('2:1:2', 'imnomarc', 'ml', 'near'): [
-        (5.0, [('1', 512, 33), ('2', 512, 167), ('index', 512, 206)]),
-        (15.0, [('1', 1536, 21), ('2', 512, 60), ('index', 512, 86)]),
+        (5.0, [('1', 512, 39), ('2', 512, 169), ('index', 512, 204)]),
+        (15.0, [('1', 2048, 23), ('2', 512, 56), ('index', 512, 81)]),
     ],
     ('2:1:2', 'imnomarc', 'sic', 'virtual'): [
-        (5.0, [('1', 512, 33), ('2', 512, 167), ('index', 512, 211)]),
-        (15.0, [('1', 1536, 21), ('2', 512, 60), ('index', 512, 79)]),
+        (5.0, [('1', 512, 39), ('2', 512, 169), ('index', 512, 207)]),
+        (15.0, [('1', 2048, 23), ('2', 512, 56), ('index', 512, 84)]),
     ],
     ('2:1:2', 'imnomarc', 'sic', 'near'): [
-        (5.0, [('1', 512, 33), ('2', 512, 167), ('index', 512, 206)]),
-        (15.0, [('1', 1536, 21), ('2', 512, 60), ('index', 512, 86)]),
+        (5.0, [('1', 512, 39), ('2', 512, 169), ('index', 512, 204)]),
+        (15.0, [('1', 2048, 23), ('2', 512, 56), ('index', 512, 81)]),
     ],
     ('2:1:2', 'pdnoma', 'ml', 'virtual'): [
-        (5.0, [('1', 512, 35), ('2', 512, 142)]),
-        (15.0, [('1', 1536, 23), ('2', 512, 27)]),
+        (5.0, [('1', 512, 42), ('2', 512, 151)]),
+        (15.0, [('1', 2048, 27), ('2', 512, 30)]),
     ],
     ('2:1:2', 'pdnoma', 'ml', 'near'): [
-        (5.0, [('1', 512, 35), ('2', 512, 142)]),
-        (15.0, [('1', 1536, 23), ('2', 512, 27)]),
+        (5.0, [('1', 512, 42), ('2', 512, 151)]),
+        (15.0, [('1', 2048, 27), ('2', 512, 30)]),
     ],
     ('2:1:2', 'pdnoma', 'sic', 'virtual'): [
-        (5.0, [('1', 512, 35), ('2', 512, 142)]),
-        (15.0, [('1', 1536, 23), ('2', 512, 27)]),
+        (5.0, [('1', 512, 42), ('2', 512, 151)]),
+        (15.0, [('1', 2048, 27), ('2', 512, 30)]),
     ],
     ('2:1:2', 'pdnoma', 'sic', 'near'): [
-        (5.0, [('1', 512, 35), ('2', 512, 142)]),
-        (15.0, [('1', 1536, 23), ('2', 512, 27)]),
+        (5.0, [('1', 512, 42), ('2', 512, 151)]),
+        (15.0, [('1', 2048, 27), ('2', 512, 30)]),
     ],
     ('2:1:2', 'ofdm', 'ml', 'virtual'): [
-        (5.0, [('1', 1536, 260)]),
-        (15.0, [('1', 1536, 49)]),
+        (5.0, [('1', 1536, 301)]),
+        (15.0, [('1', 1536, 65)]),
     ],
     ('2:1:2', 'ofdm', 'ml', 'near'): [
-        (5.0, [('1', 1536, 260)]),
-        (15.0, [('1', 1536, 49)]),
+        (5.0, [('1', 1536, 301)]),
+        (15.0, [('1', 1536, 65)]),
     ],
     ('4:1:4', 'imnomarc', 'ml', 'virtual'): [
-        (5.0, [('1', 1024, 181), ('2', 1024, 374), ('3', 1024, 474), ('4', 1024, 501), ('index', 1024, 507)]),
-        (15.0, [('1', 1024, 80), ('2', 1024, 254), ('3', 1024, 404), ('4', 1024, 467), ('index', 1024, 527)]),
+        (5.0, [('1', 1024, 187), ('2', 1024, 398), ('3', 1024, 470), ('4', 1024, 463), ('index', 1024, 516)]),
+        (15.0, [('1', 1024, 73), ('2', 1024, 252), ('3', 1024, 425), ('4', 1024, 463), ('index', 1024, 513)]),
     ],
     ('4:1:4', 'imnomarc', 'ml', 'near'): [
-        (5.0, [('1', 1024, 181), ('2', 1024, 374), ('3', 1024, 474), ('4', 1024, 501), ('index', 1024, 525)]),
-        (15.0, [('1', 1024, 80), ('2', 1024, 254), ('3', 1024, 404), ('4', 1024, 467), ('index', 1024, 529)]),
+        (5.0, [('1', 1024, 187), ('2', 1024, 398), ('3', 1024, 470), ('4', 1024, 463), ('index', 1024, 529)]),
+        (15.0, [('1', 1024, 73), ('2', 1024, 252), ('3', 1024, 425), ('4', 1024, 463), ('index', 1024, 503)]),
     ],
     ('4:1:4', 'imnomarc', 'sic', 'virtual'): [
-        (5.0, [('1', 1024, 177), ('2', 1024, 380), ('3', 1024, 484), ('4', 1024, 514), ('index', 1024, 501)]),
-        (15.0, [('1', 1024, 68), ('2', 1024, 246), ('3', 1024, 391), ('4', 1024, 483), ('index', 1024, 520)]),
+        (5.0, [('1', 1024, 184), ('2', 1024, 406), ('3', 1024, 480), ('4', 1024, 492), ('index', 1024, 494)]),
+        (15.0, [('1', 1024, 72), ('2', 1024, 260), ('3', 1024, 427), ('4', 1024, 476), ('index', 1024, 486)]),
     ],
     ('4:1:4', 'imnomarc', 'sic', 'near'): [
-        (5.0, [('1', 1024, 177), ('2', 1024, 380), ('3', 1024, 484), ('4', 1024, 514), ('index', 1024, 505)]),
-        (15.0, [('1', 1024, 68), ('2', 1024, 246), ('3', 1024, 391), ('4', 1024, 483), ('index', 1024, 491)]),
+        (5.0, [('1', 1024, 184), ('2', 1024, 406), ('3', 1024, 480), ('4', 1024, 492), ('index', 1024, 531)]),
+        (15.0, [('1', 1024, 72), ('2', 1024, 260), ('3', 1024, 427), ('4', 1024, 476), ('index', 1024, 514)]),
     ],
     ('3:2:2', 'imnomarc', 'ml', 'near'): [
-        (5.0, [('1', 512, 84), ('2', 512, 143), ('3', 512, 204), ('index', 512, 237)]),
-        (15.0, [('1', 512, 57), ('2', 512, 67), ('3', 512, 90), ('index', 512, 99)]),
+        (5.0, [('1', 512, 107), ('2', 512, 142), ('3', 512, 166), ('index', 512, 205)]),
+        (15.0, [('1', 512, 49), ('2', 512, 59), ('3', 512, 74), ('index', 512, 95)]),
     ],
     ('3:2:2', 'imnomarc', 'sic', 'near'): [
-        (5.0, [('1', 512, 87), ('2', 512, 135), ('3', 512, 207), ('index', 512, 238)]),
-        (15.0, [('1', 512, 66), ('2', 512, 73), ('3', 512, 95), ('index', 512, 97)]),
+        (5.0, [('1', 512, 95), ('2', 512, 141), ('3', 512, 158), ('index', 512, 209)]),
+        (15.0, [('1', 512, 54), ('2', 512, 77), ('3', 512, 87), ('index', 512, 96)]),
     ],
 }
 
@@ -325,19 +325,20 @@ def test_run_batch_counts_a_live_channel_as_with_every_receiver_live(cfg_name, m
 
 @pytest.mark.parametrize("cfg_name", ["2:1:2", "4:1:4"])
 def test_run_batch_draws_the_row_blocks_up_to_the_last_live_receiver(cfg_name):
-    # 3n floats per receiver, t and the noise: a batch that decides receiver 1
-    # alone draws 3n floats
+    # 2n uniforms per receiver, the noise magnitudes and phases: a batch that
+    # decides receiver 1 alone draws 2n floats
     cfg = SystemConfig(**GOLDEN_CONFIGS[cfg_name])
     spec = ExperimentSpec(cfg=cfg, detectors=("ml", "sic"), n_subcarriers=37, master_seed=7)
     ctx = _PointContext(spec)
     R, n = ctx.n_receivers, harness.BATCH_BLOCKS * spec.n_subcarriers
-    assert ctx.draw.nbytes == 24 * R * n  # the draw term of batch_bytes
+    assert ctx.draw.shape == (R, 2 * n)
+    assert ctx.draw.nbytes == 16 * R * n  # the draw term of batch_bytes
     for live, last in (({"ml": {1}}, 1), ({"sic": {2}}, 2), ({"ml": {R}}, R)):
         ctx.draw.fill(np.nan)
         _run_batch(ctx, 10.0, 32, live)
         drawn = ctx.draw.reshape(-1)
-        assert not np.isnan(drawn[:3 * n * last]).any(), live
-        assert np.isnan(drawn[3 * n * last:]).all(), live
+        assert not np.isnan(drawn[:2 * n * last]).any(), live
+        assert np.isnan(drawn[2 * n * last:]).all(), live
 
 
 def test_the_z_draw_has_the_law_of_the_equalised_channel():
@@ -355,13 +356,13 @@ def test_the_z_draw_has_the_law_of_the_equalised_channel():
 
     rng = batch_stream()
     x = ctx.alphabet.x[rng.integers(0, len(ctx.alphabet.x), size=n)]  # the batch's first draw
-    t, noise = rng.standard_exponential(n), rng.standard_normal((n, 2))  # receiver 1's row
-    z = harness._equalise(t, noise, np.sqrt(sigma2 / 2), x)
+    uv = rng.random((2, n))  # receiver 1's row: n magnitude, then n phase uniforms
+    z = harness._equalise(uv, sigma2, x)
     # the batch draws that row: receiver 1 builds z in place when a detector
     # without skip tables decides there
     ctx.safe.clear()
     _run_batch(ctx, 10.0, 0, {"ml": {1}})
-    assert np.array_equal(ctx.draw[0, n:].view(complex), z)
+    assert np.array_equal(ctx.draw[0].view(complex), z)
     rng = batch_stream()
     rng.integers(0, len(ctx.alphabet.x), size=n)
     ch = draw_channel(1, n, 10.0, rng=rng)
@@ -423,53 +424,81 @@ def test_safe_radii_keep_the_noiseless_decision(case):
         assert any(floors for _, floors in ctx.safe.values()) == (case == "4:1:4-pi/4")
 
 
-class _ZeroFades:
-    """A generator that returns fading power t = 0 on every 5th subcarrier."""
+@pytest.mark.parametrize("case", RADIUS_CASES)
+@pytest.mark.parametrize("snr_db", [0.0, 30.0])
+def test_the_skip_threshold_keeps_the_noiseless_decision(case, snr_db):
+    # A row skips detection when its magnitude uniform u lies below the
+    # entry's threshold. The largest such u, at 64 phases, builds z through
+    # the harness's own builder, and each z decides D0's channel bits.
+    cfg_name, mode = RADIUS_CASES[case]
+    cfg = SystemConfig(**CONFIGS[cfg_name], index_user_mode=mode)
+    ctx = _PointContext(ExperimentSpec(cfg=cfg, detectors=("ml", "sic")))
+    x = ctx.alphabet.x
+    sigma2 = harness.noise_variance(snr_db)
+    phases = np.arange(64) / 64
+    for (detector, rx), thr in ctx.thresholds(sigma2).items():
+        rho2 = ctx.safe[detector, rx][0]
+        assert np.array_equal(thr > 0, rho2 > 0), (detector, rx)
+        owned = sum(ctx.weights[name] for name, _, owner in ctx.channels if owner == rx)
+        noiseless = harness._decide(ctx, detector, x, 1.0, rx)
+        safe = np.flatnonzero(rho2 > 0)
+        u = np.repeat(np.nextafter(thr[safe], 0), 64)
+        uv = np.stack([u, np.tile(phases, len(safe))])
+        z = harness._equalise(uv, sigma2, np.repeat(x[safe], 64))
+        wrong = owned[harness._decide(ctx, detector, z, 1.0, rx) ^ np.repeat(noiseless[safe], 64)]
+        assert not wrong.any(), (detector, rx)
 
-    def __init__(self, rng):
-        self._rng = rng
+
+class _EdgeUniforms:
+    """A generator whose magnitude uniforms are u = 0 on every 5th subcarrier
+    and the largest u below 1 on the next: noise 0 and noise of magnitude
+    sqrt(sigma^2 2^53)."""
+
+    def __init__(self, rng, n):
+        self._rng, self._n = rng, n
 
     def __getattr__(self, name):
         return getattr(self._rng, name)
 
-    def standard_exponential(self, *, out):
-        self._rng.standard_exponential(out=out)
-        out[::5] = 0.0
+    def random(self, size=None, out=None):
+        out = self._rng.random(size, out=out)
+        u = out.reshape(-1, 2 * self._n)[:, :self._n]
+        u[:, ::5] = 0.0
+        u[:, 1::5] = np.nextafter(1.0, 0.0)
         return out
 
 
 @pytest.mark.parametrize("cfg_name, mode", [("2:1:2", "virtual"), ("4:1:4", "virtual"),
                                             ("3:2:2", "near")])
-def test_a_zero_fade_decides_entry_0(cfg_name, mode, monkeypatch):
-    # standard_exponential can return t = |h|^2 = 0, where z = y/h is infinite
-    # or NaN: ML and SIC at every receiver decide entry 0 there, as at h = 0,
-    # where every hypothesis ties, and raise no floating-point warning
+def test_the_uniform_edges_give_a_finite_z(cfg_name, mode, monkeypatch):
+    # u lies in [0, 1), so |w|^2 = sigma^2 u / (1 - u) is finite at both of
+    # its edges: no row has an infinite or NaN z, no floating-point warning is
+    # raised, and the counts are those of the every-row oracle. Every
+    # detector decides each row next to u = 1, far outside every radius.
     cfg = SystemConfig(**GOLDEN_CONFIGS[cfg_name], index_user_mode=mode)
     spec = ExperimentSpec(cfg=cfg, detectors=("ml", "sic"), n_subcarriers=37, master_seed=7)
     ctx = _PointContext(spec)
+    n = harness.BATCH_BLOCKS * spec.n_subcarriers
     default_rng = np.random.default_rng
-    monkeypatch.setattr(np.random, "default_rng", lambda seed: _ZeroFades(default_rng(seed)))
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: _EdgeUniforms(default_rng(seed), n))
     decided, decide = [], harness._decide
 
     def recorded(ctx, detector, z, h, rx):
-        entries = decide(ctx, detector, z, h, rx)
-        decided.append((detector, rx, z.copy(), entries))
-        return entries
+        decided.append((detector, rx, z.copy()))
+        return decide(ctx, detector, z, h, rx)
 
     monkeypatch.setattr(harness, "_decide", recorded)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _run_batch(ctx, 10.0, 0, every_receiver(ctx))
-    assert len(decided) == 2 * ctx.n_receivers
-    n = harness.BATCH_BLOCKS * spec.n_subcarriers
-    for detector, rx, z, entries in decided:
-        # no row with t = 0 skips detection
-        faded = ~np.isfinite(z)
-        assert faded.sum() == len(range(0, n, 5)), (detector, rx)
-        assert not entries[faded].any(), (detector, rx)
-        zero_gain = decide(ctx, detector, np.ones(8, dtype=complex), np.zeros(8), rx)
-        assert not zero_gain.any(), (detector, rx)
-        assert entries[~faded].any()
+        errors = _run_batch(ctx, 10.0, 0, every_receiver(ctx))
+        assert len(decided) == 2 * ctx.n_receivers
+        ours = decided[:]
+        assert errors == run_block_oracle(ctx, 10.0, 0)
+    far = len(range(1, n, 5))
+    for detector, rx, z in ours:
+        assert np.isfinite(z).all(), (detector, rx)
+        assert np.count_nonzero(np.abs(z) > 1e6) == far, (detector, rx)
 
 
 def test_tracked_channels_by_scheme():
@@ -705,7 +734,7 @@ def test_spec_refuses_a_batch_over_the_memory_budget(monkeypatch):
         raise AssertionError("a run started")
 
     monkeypatch.setattr(harness, "_PointContext", refuse)
-    # one batch's (R, 48 L) draw alone would be 1073 GiB
+    # one batch's (R, 32 L) draw alone would be 715 GiB
     with pytest.raises(ValueError, match="budget"):
         ExperimentSpec(n_subcarriers=10 ** 9)
     # (scheme, index_user_mode, receivers, widest scan): 2:1:2 scans A = 8
@@ -878,6 +907,37 @@ def test_version_string_names_only_the_checkout_holding_the_package(tmp_path):
                           capture_output=True, text=True, timeout=30).stdout.strip()
     version = harness._version_string(tmp_path / "src" / "imnomarc")
     assert version.startswith(f"{__version__}+{head}")
+
+
+def test_two_sweeps_start_one_git_process(tmp_path):
+    # a fresh interpreter imports the package from a checkout of its own, so
+    # no earlier call has read the version yet
+    _git(tmp_path, "init", "-q")
+    shutil.copytree(Path(harness.__file__).parent, tmp_path / "src" / "imnomarc",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    _git(tmp_path, "add", "src")
+    _git(tmp_path, "commit", "-q", "-m", "the package")
+    code = """if True:
+        import subprocess
+        from imnomarc.harness import ExperimentSpec, run_sweep
+        started, run = [], subprocess.run
+
+        def counted(cmd, **kwargs):
+            started.append(cmd[0])
+            return run(cmd, **kwargs)
+
+        subprocess.run = counted
+        for _ in range(2):
+            print(run_sweep(ExperimentSpec(snr_grid_db=()))[1]["version"])
+        print(*started)
+    """
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tmp_path / "src"), *sys.path])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env, timeout=60).stdout.split("\n")
+    head = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=30).stdout.strip()
+    assert out[0] == out[1] == f"{__version__}+{head}"
+    assert out[2] == "git"
 
 
 def test_version_string_survives_a_git_timeout(monkeypatch):
