@@ -9,15 +9,16 @@ The stop rule is evaluated on batches of ``BATCH_BLOCKS`` OFDM blocks of L
 subcarriers, per detector and tracked channel. Every batch draws its symbols and,
 per receiver, two uniforms per subcarrier, one for the magnitude and one for
 the phase of the equalised noise, from one RNG stream derived from (master
-seed, SNR point, first block). Then, at each receiver that a running detector
-still needs, the detector skips each row whose magnitude uniform alone puts
-the noise inside the sent entry's safe radius, counting the errors of its
-noiseless decision, and decides the other rows, equalised to z = y/h, in one
-call; each open channel counts its errors once. A sweep runs all of its
-detectors in one pass, and each (detector, channel) pair stops on its own stop
-rule, so a channel's row is the shared stream cut at its own stop batch: the
-row a sweep of that detector alone, with every receiver deciding every batch,
-would reach at that batch.
+seed, SNR point, first block). Then each receiver that a running detector
+still needs skips the rows whose magnitude uniform alone puts the noise
+inside the sent entry's safe radius, the least over the spec's detectors,
+where every detector counts the errors of its noiseless decision. It
+equalises the other rows to z = y/h once, and each detector live there
+decides that z in one call; each open channel counts its errors once. A
+sweep runs all of its detectors in one pass, and each (detector, channel)
+pair stops on its own stop rule, so a channel's row is the shared stream
+cut at its own stop batch: the row a sweep of that detector alone, with
+every receiver deciding every batch, would reach at that batch.
 Detection draws no random numbers, so a fixed seed reproduces results.csv
 byte for byte.
 """
@@ -49,8 +50,9 @@ DETECTORS = ("ml", "sic")
 # Stop-rule and RNG granularity: bits_sent is a multiple of it and every batch
 # of it draws from one stream, so changing it changes results.csv at every seed.
 BATCH_BLOCKS = 16
-# Most bytes a batch may hold at once (``batch_bytes``). L = 128 needs 0.6 MiB
-# on 2:1:2 and 1.8 MiB on 4:1:4 (A = 1024); 2^30 B admits L up to 203k and 71k.
+# Most bytes a batch may hold at once (``batch_bytes``). L = 128 needs 0.64 MiB
+# on 2:1:2 and 1.83 MiB on 4:1:4 (A = 1024); 2^30 B admits L up to 203,978 and
+# 71,620.
 BATCH_BUDGET = 2 ** 30
 
 
@@ -91,14 +93,14 @@ def check_snr_grid(snr_grid_db) -> tuple[float, ...]:
 
 def batch_bytes(n_subcarriers: int, n_receivers: int, scan_width: int) -> int:
     """Bytes a batch of ``BATCH_BLOCKS`` blocks holds at its peak, while one
-    receiver scans: the (R, 2n) draw of uniforms, n tx entries and their n
-    symbols, the skip test's (n,) gathered threshold and a row mask per
-    detector (two at most), the decided rows' indices, entries and z, the
-    scan's (n, scan_width) complex plus real temporary, and its decisions,
-    row index and metrics. No h array is held: the detectors take a unit
-    gain."""
+    receiver scans: the (R, 2n) draw of uniforms, n tx entries, the skip
+    test's (n,) gathered threshold and the receiver's row mask, the decided
+    rows' indices, entries and symbols and the take copy of their uniforms
+    that becomes z, the scan's (n, scan_width) complex plus real temporary,
+    and its decisions, row index and metrics. No h array is held: the
+    detectors take a unit gain."""
     n = BATCH_BLOCKS * n_subcarriers
-    return n * (16 * n_receivers + (8 + 16) + (8 + 2) + (8 + 8 + 16) + 24 * scan_width + 24)
+    return n * (16 * n_receivers + 8 + (8 + 1) + (8 + 8 + 16 + 16) + 24 * scan_width + 24)
 
 
 @dataclass
@@ -182,21 +184,23 @@ class _PointContext:
     (A,) weight table: entry k carries weights[name][k] of the curve's bits
     set. ``bits_per_block`` maps each curve to the bits one block carries on it.
     ``draw`` holds one batch's (R, 2n) draw of uniforms in [0, 1), one row
-    per receiver: n magnitude uniforms u, then n phase uniforms v, which a
-    receiver whose every row is decided overwrites with its z. It is refilled
-    by every batch rather than allocated anew: an array over glibc's mmap
-    threshold, freed each batch, is faulted back in from the kernel by the
-    next.
+    per receiver: n magnitude uniforms u, then n phase uniforms v. It is
+    refilled by every batch rather than allocated anew: an array over glibc's
+    mmap threshold, freed each batch, is faulted back in from the kernel by
+    the next.
 
-    ``safe`` maps (detector, receiver) to the tables that let a row skip
-    detection: the (A,) squared safe radius of each entry
-    (``ml_safe_radii`` over the entries that differ in a bit the receiver
-    decides, or ``sic_noiseless``), and for each channel the receiver
-    decides whose noiseless decision D0 (of z = x) errs, its (A,) error
-    table weights[name][D0 ^ e] at entry e. ML over more than ``SCAN_MAX``
-    entries has none: its pair pass would cost more than the skip saves.
-    ``thresholds(sigma2)`` turns each squared radius into the skip test's
-    bound on u at one noise variance.
+    ``radius2`` maps each receiver to the (A,) squared safe radius of each
+    entry there: the least over the spec's detectors of ``ml_safe_radii``
+    (over the entries that differ in a bit the receiver decides) and
+    ``sic_noiseless``'s radius. A row whose noise lies inside it skips
+    detection at that receiver for every detector. ML over more than
+    ``SCAN_MAX`` entries has no radii, its pair pass costing more than the
+    skip saves, so its receivers' radii are 0 and no row skips there.
+    ``floors`` maps (detector, receiver) to the error table of each channel
+    the receiver decides whose noiseless decision D0 (of z = x) errs:
+    weights[name][D0 ^ e] at entry e. ``thresholds(sigma2)`` turns each
+    receiver's squared radii into the skip test's bound on u at one noise
+    variance.
     ``decided`` and ``drawn`` count, per detector, the rows it decided and
     the rows drawn for its live receivers since ``run_point`` reset them.
     """
@@ -217,33 +221,37 @@ class _PointContext:
         x = self.alphabet.x
         entries = np.arange(len(x))
         sic = sic_noiseless(x, self.cfg) if "sic" in spec.detectors else None
-        self.safe = {}
-        for detector in spec.detectors:
-            for rx in range(1, self.n_receivers + 1):
-                owned = [name for name, _, owner in self.channels if owner == rx]
+        self.radius2, self.floors = {}, {}
+        for rx in range(1, self.n_receivers + 1):
+            owned = [name for name, _, owner in self.channels if owner == rx]
+            radius2 = self.radius2[rx] = np.full(len(x), np.inf)
+            for detector in spec.detectors:
                 if detector == "sic":  # the virtual user runs the N stages of user N
                     noiseless, radii = (rows[min(rx, self.cfg.n_users) - 1] for rows in sic)
                 elif len(x) <= SCAN_MAX:
                     weight = sum(self.weights[name] for name in owned)
                     radii = ml_safe_radii(x, weight[entries[:, None] ^ entries] > 0)
                     noiseless = _decide(self, detector, x, 1.0, rx)
-                else:
+                else:  # no radii: no row skips at rx, and no floor is read
+                    radius2[:] = 0
+                    self.floors[detector, rx] = {}
                     continue
-                floors = {name: table for name in owned
-                          if (table := self.weights[name][noiseless ^ entries]).any()}
-                self.safe[detector, rx] = radii * radii, floors
+                np.minimum(radius2, radii * radii, out=radius2)
+                self.floors[detector, rx] = {
+                    name: table for name in owned
+                    if (table := self.weights[name][noiseless ^ entries]).any()}
         self._thresholds = (None, {})
 
-    def thresholds(self, sigma2: float) -> dict[tuple[str, int], np.ndarray]:
-        """For each key of ``safe``, the (A,) bound rho^2 / (rho^2 + sigma2) on
-        the magnitude uniform u under which the noise of a row that sends the
+    def thresholds(self, sigma2: float) -> dict[int, np.ndarray]:
+        """For each receiver, the (A,) bound rho^2 / (rho^2 + sigma2) on the
+        magnitude uniform u under which the noise of a row that sends the
         entry lies inside its safe radius: |w|^2 = sigma2 u / (1 - u) < rho^2
         iff u < rho^2 / (rho^2 + sigma2). An entry with rho = 0 has bound 0
         and never skips. Built once per noise variance, so once per point."""
         if self._thresholds[0] != sigma2:
             self._thresholds = (sigma2, {
-                key: np.divide(rho2, rho2 + sigma2, out=np.zeros_like(rho2), where=rho2 > 0)
-                for key, (rho2, _) in self.safe.items()})
+                rx: np.divide(rho2, rho2 + sigma2, out=np.zeros_like(rho2), where=rho2 > 0)
+                for rx, rho2 in self.radius2.items()})
         return self._thresholds[1]
 
 
@@ -295,15 +303,15 @@ def _run_batch(ctx: _PointContext, snr_db: float, first_block: int,
     receiver, n of u then n of v, in C order up to the highest live
     receiver's row, so every row read is the row of a full draw.
 
-    A detector with ``ctx.safe`` tables at receiver rx skips each row whose
-    noise lies inside the sent entry's safe radius rho, tested on u alone as
-    u < rho^2 / (rho^2 + sigma^2) (``ctx.thresholds``): there its decision is
-    the noiseless one, whose errors its tables hold. The detector builds z
-    (``_equalise``) for the other rows only and decides them in one call,
-    made even when no row is left. A receiver where a live detector has no
-    tables builds z for every row, in its draw row. Bit labels are linear
-    over XOR in the entry index, so a channel's errors on a decided
-    subcarrier are its weight table at (decided entry ^ sent entry).
+    Each receiver skips the rows whose noise lies inside the sent entry's
+    safe radius rho there, tested on u alone as u < rho^2 / (rho^2 +
+    sigma^2) (``ctx.thresholds``): rho is the least over the spec's
+    detectors, so at each skipped row every detector's decision is its
+    noiseless one, whose errors its floors hold. The receiver builds z
+    (``_equalise``) once, for the other rows, and each detector live there
+    decides that z in one call, made even when no row is left. Bit labels
+    are linear over XOR in the entry index, so a channel's errors on a
+    decided subcarrier are its weight table at (decided entry ^ sent entry).
     """
     n = BATCH_BLOCKS * ctx.spec.n_subcarriers
     receivers = sorted(set().union(*live.values()))
@@ -314,33 +322,23 @@ def _run_batch(ctx: _PointContext, snr_db: float, first_block: int,
     tx_entry = rng.integers(0, len(ctx.alphabet.x), size=n)
     draw = rng.random(out=ctx.draw[:receivers[-1]])
 
-    x = None  # every row's symbol, for receivers that decide every row
     errors: dict[str, dict[str, int]] = {detector: {} for detector in live}
     for rx in receivers:
         uv = draw[rx - 1].reshape(2, n)
-        tables = {d: ctx.safe.get((d, rx)) for d, needs in live.items() if rx in needs}
-        detect = {d: uv[0] >= thresholds[d, rx][tx_entry]  # the rows d decides
-                  for d, table in tables.items() if table is not None}
-        z = None
-        if len(detect) < len(tables):
-            x = ctx.alphabet.x[tx_entry] if x is None else x
-            z = _equalise(uv, sigma2, x)
-        for detector, table in tables.items():
-            if table is None:
-                sent, zd = tx_entry, z
-            else:
-                rows = np.flatnonzero(detect[detector])
-                sent = tx_entry[rows]
-                zd = z[rows] if z is not None else _equalise(
-                    uv.take(rows, axis=1), sigma2, ctx.alphabet.x[sent])
-            diff = _decide(ctx, detector, zd, 1.0, rx) ^ sent
+        detect = uv[0] >= thresholds[rx][tx_entry]  # the rows the receiver decides
+        rows = np.flatnonzero(detect)
+        sent = tx_entry[rows]
+        z = _equalise(uv.take(rows, axis=1), sigma2, ctx.alphabet.x[sent])
+        for detector in (d for d, needs in live.items() if rx in needs):
+            diff = _decide(ctx, detector, z, 1.0, rx) ^ sent
             ctx.decided[detector] += len(diff)
             ctx.drawn[detector] += n
+            floors = ctx.floors[detector, rx]
             for name, _, owner in ctx.channels:
                 if owner == rx:
                     count = int(ctx.weights[name][diff].sum())
-                    if table is not None and name in table[1]:
-                        count += int(table[1][name][tx_entry[~detect[detector]]].sum())
+                    if name in floors:
+                        count += int(floors[name][tx_entry[~detect]].sum())
                     errors[detector][name] = count
     return errors
 

@@ -17,7 +17,7 @@ import pytest
 from scipy.stats import kstest
 
 from imnomarc import __version__, harness
-from imnomarc.detectors import SCAN_MAX, ml_block, sic_block
+from imnomarc.detectors import SCAN_MAX, ml_block, ml_safe_radii, sic_block, sic_noiseless
 from imnomarc.harness import (BATCH_BUDGET, CSV_HEADER, BerRecord, ExperimentSpec,
                               _PointContext, _run_batch, persist, run_point,
                               run_sweep)
@@ -235,8 +235,8 @@ def test_batch_counts_equal_per_block_oracle(case, monkeypatch):
         silence_noise(monkeypatch)
     cfg = SystemConfig(**CONFIGS[cfg_name], index_user_mode=mode)
     # each detector decides the oracle's z, at unit gain, at every receiver,
-    # at the rows it does not skip: noiseless counts are 0 or SIC's floor
-    # whatever the fade is, so they alone cannot show it
+    # at the rows the receiver does not skip: noiseless counts are 0 or SIC's
+    # floor whatever the fade is, so they alone cannot show it
     decided, decide = [], harness._decide
 
     def recorded(ctx, detector, y, h, rx):
@@ -341,11 +341,11 @@ def test_run_batch_draws_the_row_blocks_up_to_the_last_live_receiver(cfg_name):
         assert np.isnan(drawn[2 * n * last:]).all(), live
 
 
-def test_the_z_draw_has_the_law_of_the_equalised_channel():
+def test_the_z_draw_has_the_law_of_the_equalised_channel(monkeypatch):
     # y/h - x = n/h over h ~ CN(0, 1) and n ~ CN(0, sigma^2) is circularly
     # symmetric with P(|n/h|^2 <= v) = v / (v + sigma^2): so are the z - x
-    # that the harness builds from a batch's draw, on every row, and the
-    # channel layer's y/h - x
+    # that the harness hands the detector, on every row, and the channel
+    # layer's y/h - x
     spec = small_spec(n_subcarriers=4096)
     ctx = _PointContext(spec)
     n, sigma2 = harness.BATCH_BLOCKS * spec.n_subcarriers, harness.noise_variance(10.0)
@@ -358,11 +358,15 @@ def test_the_z_draw_has_the_law_of_the_equalised_channel():
     x = ctx.alphabet.x[rng.integers(0, len(ctx.alphabet.x), size=n)]  # the batch's first draw
     uv = rng.random((2, n))  # receiver 1's row: n magnitude, then n phase uniforms
     z = harness._equalise(uv, sigma2, x)
-    # the batch draws that row: receiver 1 builds z in place when a detector
-    # without skip tables decides there
-    ctx.safe.clear()
+    # the batch draws that row: where no entry has a safe radius, receiver 1
+    # decides every row, and its detector is handed that z
+    for rho2 in ctx.radius2.values():
+        rho2[:] = 0
+    handed, decide = [], harness._decide
+    monkeypatch.setattr(harness, "_decide", lambda ctx, detector, z, h, rx: (
+        handed.append(z), decide(ctx, detector, z, h, rx))[1])
     _run_batch(ctx, 10.0, 0, {"ml": {1}})
-    assert np.array_equal(ctx.draw[0].view(complex), z)
+    assert len(handed) == 1 and np.array_equal(handed[0], z)
     rng = batch_stream()
     rng.integers(0, len(ctx.alphabet.x), size=n)
     ch = draw_channel(1, n, 10.0, rng=rng)
@@ -376,77 +380,131 @@ RADIUS_CASES = {
     "2:1:2": ("2:1:2", "virtual"),
     "2:1:4-pi/2": ("2:1:4", "virtual"),  # coincident points
     "3:2:2-near": ("3:2:2", "near"),
-    "4:1:4-pi/4": ("4:1:4", "virtual"),  # SIC has floors; ML over A = 1024 has no tables
+    "4:1:4-pi/4": ("4:1:4", "virtual"),  # SIC has floors; ML over A = 1024 has no radii
 }
 
 
 @pytest.mark.parametrize("case", RADIUS_CASES)
 def test_safe_radii_keep_the_noiseless_decision(case):
-    # Every u within an entry's safe radius of it decides the channel bits of
-    # its noiseless decision D0, checked on a circle just inside the radius.
-    # For ML, just past the radius toward the nearest entry with other bits,
-    # that entry is nearer than x_e and ML leaves x_e's point: the radius is
-    # that half distance, less only the slack.
+    # Every u within a detector's safe radius of an entry decides the channel
+    # bits of its noiseless decision D0, checked on a circle just inside the
+    # radius. For ML, just past the radius toward the nearest entry with
+    # other bits, that entry is nearer than x_e and ML leaves x_e's point: the
+    # radius is that half distance, less only the slack. A receiver's squared
+    # radius is the least over its detectors; ML over more than SCAN_MAX
+    # entries has none, and no row skips where it decides.
     cfg_name, mode = RADIUS_CASES[case]
     cfg = SystemConfig(**CONFIGS[cfg_name], index_user_mode=mode)
     ctx = _PointContext(ExperimentSpec(cfg=cfg, detectors=("ml", "sic")))
     x = ctx.alphabet.x
     entries = np.arange(len(x))
     circle = np.exp(2j * np.pi * np.arange(64) / 64)
+    sic_radii = sic_noiseless(x, cfg)[1]
 
     def decide(detector, u, rx):
         return (ml_block(u, 1.0, ctx.alphabet) if detector == "ml"
                 else sic_block(u, 1.0, cfg, rx))[0]
 
-    assert {d for d, _ in ctx.safe} == ({"sic"} if len(x) > SCAN_MAX else {"ml", "sic"})
-    for (detector, rx), (rho2, floors) in ctx.safe.items():
+    assert set(ctx.radius2) == set(range(1, ctx.n_receivers + 1))
+    shares = {}
+    for rx, rho2 in ctx.radius2.items():
         owned = sum(ctx.weights[name] for name, _, owner in ctx.channels if owner == rx)
-        noiseless = decide(detector, x, rx)
-        for name, table in floors.items():
-            assert np.array_equal(table, ctx.weights[name][noiseless ^ entries])
-        rho = np.sqrt(rho2)
-        safe = np.flatnonzero(rho > 0)
-        u = (x[safe, None] + (rho[safe] * (1 - 1e-9))[:, None] * circle).reshape(-1)
-        wrong = owned[decide(detector, u, rx) ^ np.repeat(noiseless[safe], 64)]
-        assert not wrong.any(), (detector, rx)
-        if detector == "ml":
-            rival = owned[entries[:, None] ^ entries] > 0
-            dist = np.where(rival, np.abs(x[:, None] - x), np.inf)[safe]
-            toward = x[np.argmin(dist, axis=1)] - x[safe]
-            u = x[safe] + rho[safe] * (1 + 1e-6) * toward / np.abs(toward)
-            assert (x[decide(detector, u, rx)] != x[safe]).all(), rx
-    shares = {key: np.mean(rho2 > 0) for key, (rho2, _) in ctx.safe.items()}
+        rival = owned[entries[:, None] ^ entries] > 0
+        radii = {"sic": sic_radii[min(rx, cfg.n_users) - 1]}
+        if len(x) <= SCAN_MAX:
+            radii["ml"] = ml_safe_radii(x, rival)
+            assert np.array_equal(rho2, np.minimum(*(r * r for r in radii.values()))), rx
+        else:
+            assert not rho2.any() and ctx.floors["ml", rx] == {}, rx
+        for detector, rho in radii.items():
+            noiseless = decide(detector, x, rx)
+            for name, table in ctx.floors[detector, rx].items():
+                assert np.array_equal(table, ctx.weights[name][noiseless ^ entries])
+            safe = np.flatnonzero(rho > 0)
+            u = (x[safe, None] + (rho[safe] * (1 - 1e-9))[:, None] * circle).reshape(-1)
+            wrong = owned[decide(detector, u, rx) ^ np.repeat(noiseless[safe], 64)]
+            assert not wrong.any(), (detector, rx)
+            if detector == "ml":
+                dist = np.where(rival, np.abs(x[:, None] - x), np.inf)[safe]
+                toward = x[np.argmin(dist, axis=1)] - x[safe]
+                u = x[safe] + rho[safe] * (1 + 1e-6) * toward / np.abs(toward)
+                assert (x[decide(detector, u, rx)] != x[safe]).all(), rx
+            shares[detector, rx] = np.mean(rho > 0)
     if case == "2:1:4-pi/2":  # every entry has a coincident one with other index bits
         assert shares["ml", 3] == shares["sic", 3] == 0
     else:
         assert min(shares.values()) > 0.5, shares
     if case in ("2:1:2", "4:1:4-pi/4"):  # SIC decides 2:1:2 noiselessly right
-        assert any(floors for _, floors in ctx.safe.values()) == (case == "4:1:4-pi/4")
+        assert any(ctx.floors.values()) == (case == "4:1:4-pi/4")
 
 
 @pytest.mark.parametrize("case", RADIUS_CASES)
 @pytest.mark.parametrize("snr_db", [0.0, 30.0])
 def test_the_skip_threshold_keeps_the_noiseless_decision(case, snr_db):
-    # A row skips detection when its magnitude uniform u lies below the
-    # entry's threshold. The largest such u, at 64 phases, builds z through
-    # the harness's own builder, and each z decides D0's channel bits.
+    # A row skips detection at a receiver when its magnitude uniform u lies
+    # below the entry's threshold there. The largest such u, at 64 phases,
+    # builds z through the harness's own builder, and each z decides, for
+    # every detector at the receiver, D0's channel bits. Each detector alone
+    # sets the threshold, and both together its least.
     cfg_name, mode = RADIUS_CASES[case]
     cfg = SystemConfig(**CONFIGS[cfg_name], index_user_mode=mode)
-    ctx = _PointContext(ExperimentSpec(cfg=cfg, detectors=("ml", "sic")))
-    x = ctx.alphabet.x
     sigma2 = harness.noise_variance(snr_db)
     phases = np.arange(64) / 64
-    for (detector, rx), thr in ctx.thresholds(sigma2).items():
-        rho2 = ctx.safe[detector, rx][0]
-        assert np.array_equal(thr > 0, rho2 > 0), (detector, rx)
-        owned = sum(ctx.weights[name] for name, _, owner in ctx.channels if owner == rx)
-        noiseless = harness._decide(ctx, detector, x, 1.0, rx)
-        safe = np.flatnonzero(rho2 > 0)
-        u = np.repeat(np.nextafter(thr[safe], 0), 64)
-        uv = np.stack([u, np.tile(phases, len(safe))])
-        z = harness._equalise(uv, sigma2, np.repeat(x[safe], 64))
-        wrong = owned[harness._decide(ctx, detector, z, 1.0, rx) ^ np.repeat(noiseless[safe], 64)]
-        assert not wrong.any(), (detector, rx)
+    for detectors in (("ml",), ("sic",), ("ml", "sic")):
+        ctx = _PointContext(ExperimentSpec(cfg=cfg, detectors=detectors))
+        x = ctx.alphabet.x
+        for rx, thr in ctx.thresholds(sigma2).items():
+            rho2 = ctx.radius2[rx]
+            assert np.array_equal(thr > 0, rho2 > 0), rx
+            owned = sum(ctx.weights[name] for name, _, owner in ctx.channels if owner == rx)
+            safe = np.flatnonzero(rho2 > 0)
+            u = np.repeat(np.nextafter(thr[safe], 0), 64)
+            uv = np.stack([u, np.tile(phases, len(safe))])
+            z = harness._equalise(uv, sigma2, np.repeat(x[safe], 64))
+            for detector in detectors:
+                noiseless = harness._decide(ctx, detector, x, 1.0, rx)
+                wrong = owned[harness._decide(ctx, detector, z, 1.0, rx)
+                              ^ np.repeat(noiseless[safe], 64)]
+                assert not wrong.any(), (detectors, detector, rx)
+
+
+@pytest.mark.parametrize("snr_db", [10.0, 30.0])
+def test_each_receiver_equalises_once_for_all_its_detectors(snr_db, monkeypatch):
+    # a batch builds one z per receiver it decides, over the rows that the
+    # least safe radius there leaves, and every detector live at that
+    # receiver is handed that same array
+    spec = ExperimentSpec(detectors=("ml", "sic"), snr_grid_db=(snr_db,), max_bits=100_000,
+                          master_seed=13)
+    ctx = _PointContext(spec)  # it decides the alphabet itself for ML's floors
+    batches = []
+    run_batch, equalise, decide = harness._run_batch, harness._equalise, harness._decide
+
+    def batch(ctx, snr_db, first_block, live):
+        batches.append((live, [], []))
+        return run_batch(ctx, snr_db, first_block, live)
+
+    def equalised(uv, sigma2, x):
+        batches[-1][1].append(z := equalise(uv, sigma2, x))
+        return z
+
+    def decided(ctx, detector, z, h, rx):
+        batches[-1][2].append((detector, rx, z))
+        return decide(ctx, detector, z, h, rx)
+
+    monkeypatch.setattr(harness, "_run_batch", batch)
+    monkeypatch.setattr(harness, "_equalise", equalised)
+    monkeypatch.setattr(harness, "_decide", decided)
+    run_point(spec, snr_db, ctx=ctx)
+    assert len(batches) > 1
+    for live, zs, calls in batches:
+        receivers = sorted(set().union(*live.values()))
+        assert len(zs) == len(receivers)
+        for rx, z in zip(receivers, zs):
+            handed = [(detector, zd) for detector, r, zd in calls if r == rx]
+            assert sorted(d for d, _ in handed) == sorted(d for d, rxs in live.items()
+                                                          if rx in rxs)
+            assert all(zd is z for _, zd in handed), rx
+    assert any(live.get("ml", set()) & live.get("sic", set()) for live, _, _ in batches)
 
 
 class _EdgeUniforms:
@@ -672,12 +730,15 @@ def test_manifest_reports_blocks_run_and_stop_reasons():
 
 
 def test_manifest_records_the_share_of_rows_each_detector_decided(tmp_path):
-    # ML over A = 1024 has no skip tables and decides every row it draws
+    # ML over A = 1024 has no safe radii, so no row skips where it decides,
+    # and SIC beside it decides every row too; SIC alone skips some
     cfg = SystemConfig(**GOLDEN_CONFIGS["4:1:4"])
     spec = ExperimentSpec(cfg=cfg, detectors=("ml", "sic"), snr_grid_db=(30.0,),
                           n_subcarriers=32, max_bits=4000, min_bit_errors=60, master_seed=13)
     share = run_sweep(spec)[1]["points"]["30"]["decided_share"]
-    assert share["ml"] == 1.0 and 0 < share["sic"] < 1
+    assert share == {"ml": 1.0, "sic": 1.0}
+    share = run_sweep(replace(spec, detectors=("sic",)))[1]["points"]["30"]["decided_share"]
+    assert 0 < share["sic"] < 1
     # on the default config at 30 dB almost every row skips detection, and
     # results.csv is byte for byte that of the every-row oracle
     spec = ExperimentSpec(detectors=("ml", "sic"), snr_grid_db=(30.0,), max_bits=100_000,
